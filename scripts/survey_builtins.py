@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Survey every builtin document: per-module indicators on all available
 routes, regular-module traces, and the global Trace(S) check where a
-complete simples list is declared.
+complete simples list is declared. The per-module cells come from the
+same MethodRunner that `fsind table` uses.
 
 Handy for eyeballing the whole catalog at once:
 
@@ -12,6 +13,7 @@ Handy for eyeballing the whole catalog at once:
 import argparse
 import time
 
+from fsind.cli import MethodRunner
 from fsind.constructors import (
     builtin_document,
     builtin_names,
@@ -19,16 +21,7 @@ from fsind.constructors import (
     coalgebra_regular_module,
 )
 from fsind.documents import document_from_dict
-from fsind.formulas import (
-    MissingData,
-    doi_grouplike_indicator,
-    fs_regular_trace_q,
-    fs_via_separability,
-    fs_via_symmetric,
-    hopf_integral_idempotent,
-    symmetric_form_data,
-    trace_S_global,
-)
+from fsind.formulas import fs_regular_trace_q, trace_S_global
 from fsind.pivotal import fs_indicator
 from fsind.scalars import scalar_to_string
 
@@ -37,33 +30,19 @@ def survey(name):
     doc = document_from_dict(builtin_document(name), name=name)
     A = doc.algebra
     print("%s  (%s, dim %d, field %s)" % (name, doc.kind, A.dim, A.tag))
-    try:
-        E = hopf_integral_idempotent(A)
-    except MissingData:
-        E = None
-    try:
-        data = symmetric_form_data(A)
-    except MissingData:
-        data = None
-
+    runner = MethodRunner(doc)
     for V in doc.modules.values():
-        rep = fs_indicator(A, V)
-        cells = ["def=%s" % scalar_to_string(rep.nu)]
-        if E is not None:
-            cells.append("sep=%s" % scalar_to_string(
-                fs_via_separability(A, V, E)))
-        if data is not None and rep.end_dim == 1:
-            cells.append("sym=%s" % scalar_to_string(
-                fs_via_symmetric(A, V, data).nu))
-        if A.grouplike is not None and rep.end_dim == 1:
-            cells.append("doi=%s" % scalar_to_string(
-                doi_grouplike_indicator(A, V.character_on_basis(), V.dim)))
+        cell = runner.cell(V, None, None)
+        rep = cell["report"]
+        values = ["%s=%s" % (method[:3], entry["nu"])
+                  for method, entry in cell["methods"].items()
+                  if "nu" in entry]
         flags = "".join((
-            "s" if rep.self_dual else "-",
-            "a" if rep.abs_simple else "-",
+            "s" if rep["self_dual"] else "-",
+            "a" if rep["abs_simple"] else "-",
         ))
         print("  %-12s dim %-3d [%s]  %s" % (V.name, V.dim, flags,
-                                             "  ".join(cells)))
+                                             "  ".join(values)))
 
     print("  regular trace(Q) = %s" %
           scalar_to_string(fs_regular_trace_q(A)))

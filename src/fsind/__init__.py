@@ -27,6 +27,7 @@ from .linalg import (
     NotInSpan,
     SingularMatrix,
     det,
+    intertwiner_constraint,
     inverse,
     kernel_basis,
     kernel_intersection,

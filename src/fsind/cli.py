@@ -65,16 +65,6 @@ def _matrix_json(m):
     return [[_s(x) for x in row] for row in m.rows]
 
 
-def _matrix_lines(m, indent="  "):
-    cells = [[_s(x) for x in row] for row in m.rows]
-    widths = [max(len(cells[r][c]) for r in range(m.nrows))
-              for c in range(m.ncols)]
-    return [indent + "[ "
-            + "  ".join(cells[r][c].ljust(widths[c])
-                        for c in range(m.ncols)).rstrip() + " ]"
-            for r in range(m.nrows)]
-
-
 def _render_rows(headers, rows):
     widths = [max(len(h), max((len(r[i]) for r in rows), default=0))
               for i, h in enumerate(headers)]
@@ -467,7 +457,7 @@ def cmd_qsl2(args):
     print("End dim = %d; invariant form space dim = %d"
           % (rep.end_dim, rep.dim_bil))
     print("canonical invariant form:")
-    for line in _matrix_lines(rep.canonical_form):
+    for line in _string_matrix_lines(_matrix_json(rep.canonical_form)):
         print(line)
     return 0
 

@@ -230,6 +230,37 @@ def span_canonical(tag, vectors):
     return [tuple(v) for v in rows[:len(pv)]]
 
 
+def intertwiner_constraint(a: Matrix, b: Matrix):
+    """Matrix of X -> bX - Xa on row-major vec(X), X being b.nrows x a.nrows.
+
+    Its kernel is {X : X a = b X}, the maps intertwining a with b. Every
+    linear system of the package (hom spaces, invariant forms, commutants)
+    is an intersection of such kernels.
+    """
+    if a.nrows != a.ncols or b.nrows != b.ncols:
+        raise DimensionMismatch("intertwiner constraint needs square matrices,"
+                                " got %s and %s" % (a.shape, b.shape))
+    dv, dw = a.nrows, b.nrows
+    n = dw * dv
+    z = a.tag.zero()
+    rows = []
+    for r, brow in enumerate(b.rows):
+        for c in range(dv):
+            row = [z] * n
+            # the two terms share only the cell t = c (s = r); elsewhere
+            # an entry is assigned, sparing a field addition to zero
+            for s, x in enumerate(brow):
+                if x:
+                    row[s * dv + c] = x
+            for t, arow in enumerate(a.rows):
+                y = arow[c]
+                if y:
+                    j = r * dv + t
+                    row[j] = row[j] - y if t == c else -y
+            rows.append(row)
+    return Matrix(a.tag, rows)
+
+
 def kernel_intersection(tag, constraints, ncols):
     """Canonical basis of the joint kernel of a sequence of matrices.
 

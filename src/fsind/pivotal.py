@@ -2,10 +2,15 @@
 
 A pivotal algebra is (A, S, g): an anti-automorphism S and an invertible g
 with S(g) = g^-1 and S^2(a) = g a g^-1. The dual of a left module V gets
-the action (a.f)(v) = f(S(a) v); bilinear invariance b(a v, w) = b(v, S(a) w)
-cuts out the space of invariant Gram matrices, and the indicator is the
-trace of M -> R(g)^T M^T on that space (with the convention
-b(v, w) = v^T M w throughout).
+the action (a.f)(v) = f(S(a) v). Transposing a map F in Hom(V, V*) gives
+a Gram matrix M = F^T with R(b)^T M = M R(S(b)), that is, an invariant
+bilinear form b(v, w) = v^T M w with b(a v, w) = b(v, S(a) w); every
+invariant form arises this way. The indicator is the trace of
+M -> R(g)^T M^T on that space.
+
+Every linear system here (Hom(V, W), and so End(V) and Hom(V, V*)) is an
+intersection of kernels of linalg.intertwiner_constraint, one per basis
+element of A.
 
 Twisting by an involution tau replaces S by S o tau and keeps g; all twisted
 quantities route through twist_algebra so there is exactly one code path.
@@ -17,12 +22,13 @@ from dataclasses import dataclass, field, replace
 
 from .linalg import (
     Matrix,
-    NotInSpan,
     det,
+    intertwiner_constraint,
     inverse,
     kernel_intersection,
     rank,
     solve_in_span,
+    span_canonical,
 )
 from .scalars import FieldTag
 
@@ -281,52 +287,26 @@ def conjugate_module(V: ModuleRep, P: Matrix, name=None):
 
 def hom_space(A: PivotalAlgebra, V: ModuleRep, W: ModuleRep):
     """Canonical basis of {F : F R_V(b) = R_W(b) F} as dW x dV matrices."""
-    dv, dw = V.dim, W.dim
-    ncols = dw * dv
+    constraints = (intertwiner_constraint(a, b)
+                   for a, b in zip(V.action, W.action))
+    kernel = kernel_intersection(A.tag, constraints, W.dim * V.dim)
+    return [Matrix.from_vec(A.tag, W.dim, V.dim, list(v)) for v in kernel]
 
-    def constraints():
-        for i in range(A.dim):
-            a, b = V.action[i], W.action[i]
-            c = Matrix.zeros(A.tag, ncols, ncols)
-            for r in range(dw):
-                for cc in range(dv):
-                    row = c.rows[r * dv + cc]
-                    brow = b.rows[r]
-                    for s in range(dw):
-                        if brow[s]:
-                            row[s * dv + cc] = row[s * dv + cc] + brow[s]
-                    for t in range(dv):
-                        if a.rows[t][cc]:
-                            row[r * dv + t] = row[r * dv + t] - a.rows[t][cc]
-            yield c
 
-    kernel = kernel_intersection(A.tag, constraints(), ncols)
-    return [Matrix.from_vec(A.tag, dw, dv, list(v)) for v in kernel]
+def _forms_from_duals(A: PivotalAlgebra, V: ModuleRep, duals):
+    """The invariant forms as the transposes of a basis of Hom(V, V*).
+
+    F R(b) = R(S(b))^T F transposes to R(b)^T F^T = F^T R(S(b)), so M = F^T
+    runs over exactly the invariant Gram matrices.
+    """
+    vecs = span_canonical(A.tag, [f.transpose().vec() for f in duals])
+    return FormBasis(V, [Matrix.from_vec(A.tag, V.dim, V.dim, list(v))
+                         for v in vecs])
 
 
 def invariant_form_space(A: PivotalAlgebra, V: ModuleRep):
     """Gram matrices M with R(b)^T M = M R(S(b)) for every basis element."""
-    d = V.dim
-    ncols = d * d
-
-    def constraints():
-        for i in range(A.dim):
-            a = V.action[i]
-            b = V.of_vector(A.apply_S(A.basis_vector(i)))
-            c = Matrix.zeros(A.tag, ncols, ncols)
-            for r in range(d):
-                for cc in range(d):
-                    row = c.rows[r * d + cc]
-                    for s in range(d):
-                        if a.rows[s][r]:
-                            row[s * d + cc] = row[s * d + cc] + a.rows[s][r]
-                    for t in range(d):
-                        if b.rows[t][cc]:
-                            row[r * d + t] = row[r * d + t] - b.rows[t][cc]
-            yield c
-
-    kernel = kernel_intersection(A.tag, constraints(), ncols)
-    return FormBasis(V, [Matrix.from_vec(A.tag, d, d, list(v)) for v in kernel])
+    return _forms_from_duals(A, V, hom_space(A, V, dual_module(A, V)))
 
 
 def transposition_on_forms(A: PivotalAlgebra, basis: FormBasis):
@@ -398,11 +378,13 @@ def span_contains_invertible(tag, mats):
 def fs_indicator(A: PivotalAlgebra, V: ModuleRep, twist=None):
     """Definition-level Frobenius-Schur indicator of V over (A, S, g).
 
-    nu is the trace of the transposition on the invariant form space;
-    dim_plus/dim_minus are the dimensions of its +-1 eigenspaces.
+    Two systems are solved: Hom(V, V*) and End(V). The invariant forms are
+    the transposes of Hom(V, V*); nu is the trace of the transposition on
+    them, and dim_plus/dim_minus are the dimensions of its +-1 eigenspaces.
     """
     At = twist_algebra(A, twist) if twist is not None else A
-    basis = invariant_form_space(At, V)
+    duals = hom_space(At, V, dual_module(At, V))
+    basis = _forms_from_duals(At, V, duals)
     m = len(basis.forms)
     if m:
         op = transposition_on_forms(At, basis)
@@ -414,8 +396,8 @@ def fs_indicator(A: PivotalAlgebra, V: ModuleRep, twist=None):
         nu = At.tag.zero()
         dim_plus = dim_minus = 0
     ends = hom_space(At, V, V)
-    self_dual = span_contains_invertible(
-        At.tag, hom_space(At, V, dual_module(At, V)))
+    # the search depends on the basis it is given: keep the kernel basis
+    self_dual = span_contains_invertible(At.tag, duals)
     return IndicatorReport(
         nu=nu,
         dim_bil=m,

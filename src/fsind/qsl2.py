@@ -11,17 +11,20 @@ S(E) = -E K^-1, S(F) = -K F, S(K) = K^-1, the pivotal element is K, and the
 sign-flip involution is tau(E) = -E, tau(F) = -F, tau(K) = K.
 
 The indicator comes from the generator-level invariance system
-R(u')^T M = M R(S(u)) for u in {K, E, F} (u' = tau(u) when twisted): the
-solution space is one-dimensional, and the transposition fixes or negates
-its generator. K is processed first since its constraint confines M to the
-antidiagonal, which keeps the elimination over Q(q) tiny.
+R(u')^T M = M R(S(u)) for u in {K, E, F} (u' = tau(u) when twisted). This
+is Hom(V_l, V_l*) transposed: M intertwines R(S(u)) with R(u')^T, and each
+generator contributes one linalg.intertwiner_constraint, the same builder
+that feeds End(V_l) here and every system of pivotal.py. The solution space
+is one-dimensional, and the transposition fixes or negates its generator.
+K is processed first since its constraint confines M to the antidiagonal,
+which keeps the elimination over Q(q) tiny.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, kernel_intersection, rank
+from .linalg import Matrix, intertwiner_constraint, kernel_intersection, rank
 from .pivotal import IndicatorReport
 from .scalars import RATIONAL_FUNCTION, RatFun
 
@@ -119,21 +122,6 @@ def _antipode_action(m: QslModule):
     }
 
 
-def _form_constraint(a: Matrix, b: Matrix, d):
-    """Matrix of M -> a^T M - M b on row-major vectorized M."""
-    c = Matrix.zeros(TAG, d * d, d * d)
-    for r in range(d):
-        for cc in range(d):
-            row = c.rows[r * d + cc]
-            for s in range(d):
-                if a.rows[s][r]:
-                    row[s * d + cc] = row[s * d + cc] + a.rows[s][r]
-            for t in range(d):
-                if b.rows[t][cc]:
-                    row[r * d + t] = row[r * d + t] - b.rows[t][cc]
-    return c
-
-
 def qsl2_indicator(two_ell, twisted=False, max_two_ell=DEFAULT_MAX_TWO_ELL):
     """IndicatorReport for V_l; nu is (-1)^(2l) untwisted and +1 twisted."""
     if two_ell > max_two_ell:
@@ -148,7 +136,8 @@ def qsl2_indicator(two_ell, twisted=False, max_two_ell=DEFAULT_MAX_TWO_ELL):
     left = {"K": m.K, "E": m.E, "F": m.F}
     if twisted:
         left = {"K": m.K, "E": -m.E, "F": -m.F}
-    constraints = (_form_constraint(left[u], s_act[u], d)
+    # R(u')^T M = M R(S(u)): M intertwines S(u) with R(u')^T
+    constraints = (intertwiner_constraint(s_act[u], left[u].transpose())
                    for u in ("K", "E", "F"))
     kernel = kernel_intersection(TAG, constraints, d * d)
     if len(kernel) != 1:
@@ -169,9 +158,7 @@ def qsl2_indicator(two_ell, twisted=False, max_two_ell=DEFAULT_MAX_TWO_ELL):
         raise NoSign("transposition does not act by a sign on the form")
 
     # End(V_l) over the generators: commutant of {K, E, F}
-    comm = (       # F M = M F etc., same bookkeeping as the form system
-        _form_constraint(g.transpose(), g, d)
-        for g in (m.K, m.E, m.F))
+    comm = (intertwiner_constraint(g, g) for g in (m.K, m.E, m.F))
     end_dim = len(kernel_intersection(TAG, comm, d * d))
 
     return IndicatorReport(

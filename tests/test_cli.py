@@ -262,6 +262,19 @@ def test_qsl2_bound(capsys):
     assert code == 0 and json.loads(out)["nu"] == "-1"
 
 
+def test_qsl2_human_output(capsys):
+    code, out, err = run(capsys, "qsl2", "2")
+    assert code == 0 and err == ""
+    assert out == (
+        "V with 2l = 2 (dim 3), untwisted\n"
+        "nu = 1\n"
+        "End dim = 1; invariant form space dim = 1\n"
+        "canonical invariant form:\n"
+        "  [ 0    0               1 ]\n"
+        "  [ 0    (-q^2 - 1)/(q)  0 ]\n"
+        "  [ q^2  0               0 ]\n")
+
+
 def test_catalog(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

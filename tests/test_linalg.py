@@ -12,6 +12,7 @@ from fsind.linalg import (
     NotInSpan,
     SingularMatrix,
     det,
+    intertwiner_constraint,
     inverse,
     kernel_basis,
     kernel_intersection,
@@ -144,6 +145,37 @@ def test_kernel_intersection_matches_stacked():
 def test_kernel_intersection_generic(mats):
     stacked = Matrix(RATIONAL, [r for m in mats for r in m.rows])
     assert kernel_intersection(RATIONAL, mats, 3) == kernel_basis(stacked)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def rational_matrix(nrows, ncols):
+    return st.lists(st.lists(rationals, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(
+        lambda rows: Matrix(RATIONAL, rows))
+
+
+intertwiner_cases = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda d: st.tuples(rational_matrix(d[0], d[0]),
+                        rational_matrix(d[1], d[1]),
+                        rational_matrix(d[1], d[0])))
+
+
+@given(intertwiner_cases)
+def test_intertwiner_constraint_applies_bx_minus_xa(case):
+    a, b, x = case
+    c = intertwiner_constraint(a, b)
+    n = a.nrows * b.nrows
+    assert c.shape == (n, n)
+    assert c.apply(x.vec()) == (b * x - x * a).vec()
+
+
+def test_intertwiner_constraint_needs_square_matrices():
+    with pytest.raises(DimensionMismatch):
+        intertwiner_constraint(rmat([[1, 2]]), rmat([[1]]))
+    with pytest.raises(DimensionMismatch):
+        intertwiner_constraint(rmat([[1]]), rmat([[1], [2]]))
 
 
 def test_cyclotomic_elimination():

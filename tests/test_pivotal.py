@@ -18,13 +18,14 @@ from fsind.constructors import (
     SchemeSpec,
 )
 from fsind.documents import document_from_dict
-from fsind.constructors import builtin_document
-from fsind.linalg import Matrix, det
+from fsind.constructors import builtin_document, builtin_names
+from fsind.linalg import Matrix, det, inverse, rank
 from fsind.pivotal import (
     MissingComultiplication,
     MissingData,
     ModuleRep,
     NotCentralCharacter,
+    PivotalAlgebra,
     conjugate_module,
     direct_sum,
     dual_module,
@@ -194,6 +195,62 @@ def test_dual_module_is_a_module_and_duality_is_reflexive():
     assert span_contains_invertible(A.tag, hom_space(A, std, dstd))
     ddstd = dual_module(A, dstd)
     assert span_contains_invertible(A.tag, hom_space(A, std, ddstd))
+
+
+def assert_forms_are_invariant(A, At, V):
+    """Each form M satisfies R(b)^T M = M R(S_t(b)), checked by products."""
+    forms = invariant_form_space(At, V).forms
+    for i in range(A.dim):
+        left = V.action[i].transpose()
+        right = V.of_vector(At.apply_S(A.basis_vector(i)))
+        for M in forms:
+            assert left * M == M * right, (V.name, i)
+    assert len(forms) == len(hom_space(At, V, dual_module(At, V)))
+    if forms:
+        assert rank(Matrix(A.tag, [M.vec() for M in forms])) == len(forms)
+    return forms
+
+
+def test_form_space_is_invariant_on_every_builtin():
+    for name in builtin_names():
+        doc = load(name)
+        A = doc.algebra
+        modules = list(doc.modules.values()) + [regular_module(A)]
+        for tau in [None] + list(A.involutions):
+            At = twist_algebra(A, tau) if tau is not None else A
+            for V in modules:
+                assert_forms_are_invariant(A, At, V)
+
+
+def test_forms_when_s_squared_is_not_the_identity():
+    """M_2(Q) with S(x) = P x^T P^-1 and g = P P^-T, P not symmetric.
+
+    The forms of the natural module are the multiples of P^-1, whose
+    transpose is not invariant, so this pins the direction of the
+    transposition from Hom(V, V*) to the forms.
+    """
+    P = Matrix(RATIONAL, [[rat(1), rat(1)], [rat(0), rat(1)]])
+    units = [Matrix(RATIONAL, [[rat(int((r, c) == (i, j))) for c in range(2)]
+                               for r in range(2)])
+             for i in range(2) for j in range(2)]
+
+    mult = {(2 * i + j, 2 * k + l): ((2 * i + l, rat(1)),)
+            for i in range(2) for j in range(2)
+            for k in range(2) for l in range(2) if j == k}
+    pinv = inverse(P)
+    S = Matrix(RATIONAL, list(zip(*[(P * e.transpose() * pinv).vec()
+                                    for e in units])))
+    A = PivotalAlgebra(
+        tag=RATIONAL, dim=4, labels=("e11", "e12", "e21", "e22"), mult=mult,
+        unit=Matrix.identity(RATIONAL, 2).vec(), S=S,
+        g=(P * pinv.transpose()).vec())
+    assert validate_pivotal(A) == []
+    V = ModuleRep("natural", 2, tuple(units))
+    assert validate_module(A, V) == []
+    forms = assert_forms_are_invariant(A, A, V)
+    assert forms == [pinv]
+    rep = fs_indicator(A, V)
+    assert rep.nu == rat(1) and rep.canonical_form == pinv
 
 
 def test_transposition_is_involutive_on_regular_forms():
