@@ -158,7 +158,8 @@ class MethodRunner:
             if value is not None:
                 values.append(value)
         if self.A.grouplike is not None and "def" in methods:
-            entry, value = self._doi_entry(V, T, rep)
+            entry, value = self._doi_entry(
+                V.character_on_basis(), V.dim, T, rep)
             out["methods"]["doi"] = entry
             if value is not None:
                 values.append(value)
@@ -180,7 +181,7 @@ class MethodRunner:
             return {"skipped": r.warnings[0]}, None
         return {"nu": _s(r.nu), "schur": _s(r.schur)}, r.nu
 
-    def _doi_entry(self, V, T, rep):
+    def _doi_entry(self, chi, dim, T, rep=None):
         perm = None
         if T is not None:
             perm = _matrix_to_perm(T)
@@ -189,8 +190,7 @@ class MethodRunner:
         if rep is not None and rep.end_dim != 1:
             return {"skipped": "module is not absolutely simple"}, None
         try:
-            nu = doi_grouplike_indicator(self.A, V.character_on_basis(),
-                                         V.dim, tau=perm)
+            nu = doi_grouplike_indicator(self.A, chi, dim, tau=perm)
         except (ZeroValency, ZeroVolumeCharacter) as e:
             return {"skipped": str(e)}, None
         return {"nu": _s(nu)}, nu
@@ -321,22 +321,10 @@ def cmd_table(args):
         })
 
     if doc.algebra.grouplike is not None and not doc.modules:
-        eps = doc.algebra.grouplike.eps
         for twist_name, T in runner.twists():
-            perm = _matrix_to_perm(T) if T is not None else None
-            if T is not None and perm is None:
-                entry = {"module": "(valency)", "twist": twist_name,
-                         "skipped": "twist is not an index permutation"}
-            else:
-                try:
-                    nu = doi_grouplike_indicator(doc.algebra, eps, 1,
-                                                 tau=perm)
-                    entry = {"module": "(valency)", "twist": twist_name,
-                             "nu": _s(nu)}
-                except (ZeroValency, ZeroVolumeCharacter) as e:
-                    entry = {"module": "(valency)", "twist": twist_name,
-                             "skipped": str(e)}
-            out["doi_rows"].append(entry)
+            entry, _ = runner._doi_entry(doc.algebra.grouplike.eps, 1, T)
+            out["doi_rows"].append({"module": "(valency)",
+                                    "twist": twist_name, **entry})
 
     if doc.coalgebra is not None:
         coreg = coalgebra_regular_module(doc.coalgebra)

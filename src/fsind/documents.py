@@ -12,6 +12,10 @@ structure constants) raise DocumentError and map to the CLI's usage exit
 code. Mathematical problems (axiom violations) raise ValidationError with
 the full list of violations. FSIND_SKIP_VALIDATION=1 skips the axiom
 checks; the structural requirements always apply.
+
+Each axiom is checked where its input enters: a group, scheme or coalgebra
+section by its constructor, whose checks imply the pivotal axioms; a raw
+algebra section by validate_pivotal; modules and involutions as read.
 """
 
 from __future__ import annotations
@@ -330,7 +334,7 @@ def document_from_dict(doc, name=None, validate=None):
         A = replace(A, **overrides)
 
     violations = []
-    if validate:
+    if validate and kind == "algebra":
         violations.extend(validate_pivotal(A))
 
     modules = {}

@@ -179,7 +179,9 @@ def _rref_in_place(rows, ncols):
             f = rows[r][col]
             if not f:
                 continue
-            rows[r] = [a - f * b for a, b in zip(rows[r], prow_vals)]
+            # constraint rows are sparse: a zero b leaves a as it is
+            rows[r] = [a - f * b if b else a
+                       for a, b in zip(rows[r], prow_vals)]
         pivots.append(col)
         prow += 1
         if prow == len(rows):

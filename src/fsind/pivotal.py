@@ -22,12 +22,12 @@ from dataclasses import dataclass, field, replace
 
 from .linalg import (
     Matrix,
+    NotInSpan,
     det,
     intertwiner_constraint,
     inverse,
     kernel_intersection,
     rank,
-    solve_in_span,
     span_canonical,
 )
 from .scalars import FieldTag
@@ -152,7 +152,7 @@ class ModuleRep:
 @dataclass
 class FormBasis:
     module: ModuleRep
-    forms: list  # Gram matrices, canonically ordered
+    forms: list  # Gram matrices; their vecs are a canonical RREF basis
 
 
 @dataclass
@@ -171,7 +171,10 @@ class IndicatorReport:
 # validation
 
 def validate_pivotal(A: PivotalAlgebra):
-    """All pivotal axioms on basis elements; returns a list of violations."""
+    """All pivotal axioms on basis elements; returns a list of violations.
+
+    Involutions are not read: each is checked when it is attached.
+    """
     bad = []
     n = A.dim
     basis = [A.basis_vector(i) for i in range(n)]
@@ -206,10 +209,6 @@ def validate_pivotal(A: PivotalAlgebra):
             rhs = A.multiply(A.g, A.multiply(basis[i], sg))
             if lhs != rhs:
                 bad.append("S^2 != g(.)g^-1 at index %d" % i)
-
-    for name, t in A.involutions.items():
-        bad.extend("involution %r: %s" % (name, v)
-                   for v in validate_algebra_involution(A, t))
     return bad
 
 
@@ -313,16 +312,21 @@ def transposition_on_forms(A: PivotalAlgebra, basis: FormBasis):
     """Matrix of M -> R(g)^T M^T in the given form basis.
 
     That map sends b(v, w) to b(w, g v); invariance of the target is a
-    consequence of the pivotal axioms, so failure to land in the span means
-    the input data was inconsistent.
+    consequence of the pivotal axioms. The forms are canonical (RREF), so
+    an image's coordinates are its entries at their pivots. NotInSpan means
+    those do not recombine to the image: the input data was inconsistent.
     """
     forms = basis.forms
     rg_t = basis.module.of_vector(A.g).transpose()
-    span = [f.vec() for f in forms]
+    vecs = [f.vec() for f in forms]
+    pivots = [next(i for i, x in enumerate(v) if x) for v in vecs]
+    span = Matrix(A.tag, vecs).transpose()
     cols = []
     for f in forms:
-        image = rg_t * f.transpose()
-        cols.append(solve_in_span(A.tag, span, image.vec()))
+        image = (rg_t * f.transpose()).vec()
+        cols.append(tuple(image[p] for p in pivots))
+        if span.apply(cols[-1]) != image:
+            raise NotInSpan("the transposed form lies outside the form span")
     return Matrix(A.tag, list(zip(*cols))) if cols else Matrix(A.tag, [])
 
 

@@ -4,6 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsind.constructors import (
     CayleyTable,
@@ -41,7 +42,12 @@ from fsind.constructors import (
 from fsind.documents import document_from_dict
 from fsind.formulas import fs_regular_trace_q
 from fsind.linalg import Matrix
-from fsind.pivotal import fs_indicator, validate_module, validate_pivotal
+from fsind.pivotal import (
+    fs_indicator,
+    validate_algebra_involution,
+    validate_module,
+    validate_pivotal,
+)
 from fsind.scalars import RATIONAL
 
 F = Fraction
@@ -242,3 +248,52 @@ def test_builtin_documents_are_fresh_copies():
     assert a == b and a is not b
     a["field"] = "clobbered"
     assert builtin_document("S3")["field"] != "clobbered"
+
+
+# --- constructor checks imply the pivotal axioms -----------------------------------
+#
+# The loader runs validate_pivotal only on raw algebra sections; for the other
+# sections the constructor's own checks stand in for it. These tests hold the
+# two to the same answer.
+
+def test_constructed_builtins_satisfy_validate_pivotal():
+    for name in builtin_names():
+        doc = document_from_dict(builtin_document(name), name=name)
+        assert doc.kind in ("group", "scheme", "coalgebra"), name
+        assert validate_pivotal(doc.algebra) == [], name
+        for tname, T in doc.algebra.involutions.items():
+            assert validate_algebra_involution(doc.algebra, T) == [], \
+                (name, tname)
+
+
+def relabel(ct, perm):
+    """The same group with element i renamed perm[i]."""
+    n = ct.order
+    old = [None] * n
+    for i, p in enumerate(perm):
+        old[p] = i
+    return CayleyTable(tuple(tuple(perm[ct.table[old[i]][old[j]]]
+                                   for j in range(n)) for i in range(n)))
+
+
+def thin_scheme(ct):
+    """Points are the elements; (x, y) lies in relation x^-1 y, e first."""
+    n, e = ct.order, ct.identity()
+    rel = tuple(tuple((ct.table[ct.inverse(x)][y] - e) % n for y in range(n))
+                for x in range(n))
+    return SchemeSpec(size=n, rank=n, relations=rel)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((s3_table, d4_table, q8_table)), st.randoms())
+def test_relabelled_groups_pass_validate_pivotal(table, rnd):
+    ct = table()
+    perm = list(range(ct.order))
+    rnd.shuffle(perm)
+    ct = relabel(ct, perm)
+    assert validate_cayley_table(ct) == []
+    assert validate_pivotal(group_algebra(ct, RATIONAL)) == []
+    assert validate_pivotal(scheme_to_grouplike(thin_scheme(ct),
+                                                RATIONAL)) == []
+    assert validate_pivotal(dualize_coalgebra(
+        group_like_coalgebra(ct, RATIONAL))) == []

@@ -195,6 +195,40 @@ def test_axiom_violations_are_collected():
     assert any("S(g)" in v for v in exc.value.violations)
 
 
+def test_raw_algebra_associativity_is_checked():
+    # commutative and unital with S = id and g = 1, so associativity is the
+    # only axiom that fails: (x x) y = y but x (x y) = 1
+    raw = {
+        "field": "rational",
+        "algebra": {
+            "labels": ["1", "x", "y"],
+            "mult": [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1],
+                     [1, 0, 1, 1], [2, 0, 2, 1], [1, 1, 0, 1],
+                     [1, 2, 1, 1], [2, 1, 1, 1]],
+            "unit": [1, 0, 0],
+            "S": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "g": [1, 0, 0],
+        },
+    }
+    with pytest.raises(ValidationError) as exc:
+        document_from_dict(raw)
+    assert exc.value.violations
+    assert all(v.startswith("associativity fails")
+               for v in exc.value.violations)
+
+
+def test_constructed_sections_skip_validate_pivotal(monkeypatch):
+    def refuse(A):
+        raise AssertionError("validate_pivotal ran on %s" % A.name)
+
+    monkeypatch.setattr("fsind.documents.validate_pivotal", refuse)
+    for name in ("S3", "S3-grouplike", "coalg-C3"):
+        document_from_dict(builtin_document(name), name=name)
+    document_from_text(K3_TEXT)
+    with pytest.raises(AssertionError):
+        document_from_dict(dual_numbers_doc())
+
+
 def test_invalid_involutions_are_collected():
     raw = builtin_document("C3-inv")
     raw["involutions"][0]["perm"] = [1, 0, 2]

@@ -19,8 +19,9 @@ from fsind.constructors import (
 )
 from fsind.documents import document_from_dict
 from fsind.constructors import builtin_document, builtin_names
-from fsind.linalg import Matrix, det, inverse, rank
+from fsind.linalg import Matrix, NotInSpan, det, inverse, rank, solve_in_span
 from fsind.pivotal import (
+    FormBasis,
     MissingComultiplication,
     MissingData,
     ModuleRep,
@@ -262,6 +263,38 @@ def test_transposition_is_involutive_on_regular_forms():
         n = len(basis.forms)
         assert n == A.dim
         assert op * op == Matrix.identity(A.tag, n)
+
+
+def transposition_by_solves(A, basis):
+    """Reference: each column solved for in the span of the forms."""
+    rg_t = basis.module.of_vector(A.g).transpose()
+    span = [f.vec() for f in basis.forms]
+    cols = [solve_in_span(A.tag, span, (rg_t * f.transpose()).vec())
+            for f in basis.forms]
+    return Matrix(A.tag, list(zip(*cols))) if cols else Matrix(A.tag, [])
+
+
+def test_transposition_matches_solves_on_every_builtin():
+    for name in builtin_names():
+        doc = load(name)
+        A = doc.algebra
+        modules = list(doc.modules.values()) + [regular_module(A)]
+        for tau in [None] + list(A.involutions):
+            At = twist_algebra(A, tau) if tau is not None else A
+            for V in modules:
+                basis = invariant_form_space(At, V)
+                assert transposition_on_forms(At, basis) == \
+                    transposition_by_solves(At, basis), (name, tau, V.name)
+
+
+def test_transposition_outside_the_span_is_rejected():
+    # with g = 1 the image of E12 is E21, which E12 alone does not span
+    doc = load("S3")
+    o, z = rat(1), rat(0)
+    e12 = Matrix(RATIONAL, [[z, o], [z, z]])
+    with pytest.raises(NotInSpan):
+        transposition_on_forms(doc.algebra, FormBasis(doc.modules["std"],
+                                                      [e12]))
 
 
 # --- functoriality -----------------------------------------------------------
