@@ -168,20 +168,19 @@ def _rref_in_place(rows, ncols):
         if pivot is None:
             continue
         rows[prow], rows[pivot] = rows[pivot], rows[prow]
-        lead = rows[prow][col]
-        if lead != 1:
-            inv = 1 / lead
-            rows[prow] = [inv * a for a in rows[prow]]
-        prow_vals = rows[prow]
-        for r in range(len(rows)):
-            if r == prow:
-                continue
-            f = rows[r][col]
-            if not f:
-                continue
-            # constraint rows are sparse: a zero b leaves a as it is
-            rows[r] = [a - f * b if b else a
-                       for a, b in zip(rows[r], prow_vals)]
+        # rows from prow on are zero left of col; only nonzeros take part
+        pivot_row = rows[prow]
+        nonzeros = [(j, b) for j, b in enumerate(pivot_row[col:], col) if b]
+        if pivot_row[col] != 1:
+            inv = 1 / pivot_row[col]
+            nonzeros = [(j, inv * b) for j, b in nonzeros]
+            for j, b in nonzeros:
+                pivot_row[j] = b
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != prow:
+                for j, b in nonzeros:
+                    row[j] = row[j] - f * b
         pivots.append(col)
         prow += 1
         if prow == len(rows):
@@ -263,30 +262,53 @@ def intertwiner_constraint(a: Matrix, b: Matrix):
     return Matrix(a.tag, rows)
 
 
+def _combine(coeffs, vectors):
+    """sum_k coeffs[k] vectors[k], over the nonzero coeffs only."""
+    out = {}
+    for f, v in zip(coeffs, vectors):
+        if f:
+            for j, b in v:
+                out[j] = out[j] + f * b if j in out else f * b
+    return [(j, a) for j, a in sorted(out.items()) if a]
+
+
 def kernel_intersection(tag, constraints, ncols):
     """Canonical basis of the joint kernel of a sequence of matrices.
 
     Constraints are consumed lazily and each one is restricted to the
     solution span found so far, so the eliminations stay small once the
-    first few constraints have cut the space down.
+    first few constraints have cut the space down. All of it is sparse: a
+    column index of the spanning vectors meets each constraint row's
+    nonzeros, and a solution recombines only the vectors it uses.
     """
-    basis = None  # list of tuples spanning the current solution space
+    z = tag.zero()
+    basis = None  # sparse vectors [(column, value), ...] spanning the solutions
     for c in constraints:
         if c.ncols != ncols:
             raise DimensionMismatch("constraint has %d columns, expected %d"
                                     % (c.ncols, ncols))
         if basis is None:
-            basis = kernel_basis(c)
+            basis = [[(j, a) for j, a in enumerate(v) if a]
+                     for v in kernel_basis(c)]
         else:
-            span = Matrix(tag, basis).transpose()  # ncols x m
-            coeffs = kernel_basis(c * span)
-            basis = [span.apply(k) for k in coeffs]
+            index = [[] for _ in range(ncols)]  # column -> [(k, basis[k] there)]
+            for k, v in enumerate(basis):
+                for j, b in v:
+                    index[j].append((k, b))
+            restricted = [[z] * len(basis) for _ in c.rows]
+            for row, acc in zip(c.rows, restricted):
+                for j, a in enumerate(row):
+                    if a:
+                        for k, b in index[j]:
+                            acc[k] = acc[k] + a * b
+            basis = [_combine(k, basis)
+                     for k in kernel_basis(Matrix(tag, restricted))]
         if not basis:
             return []
     if basis is None:
-        return [tuple(Matrix.identity(tag, ncols).rows[i])
-                for i in range(ncols)]
-    return span_canonical(tag, basis)
+        return [tuple(r) for r in Matrix.identity(tag, ncols).rows]
+    return span_canonical(tag, [[v.get(j, z) for j in range(ncols)]
+                                for v in map(dict, basis)])
 
 
 def det(m: Matrix):

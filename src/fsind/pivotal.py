@@ -9,8 +9,10 @@ invariant form arises this way. The indicator is the trace of
 M -> R(g)^T M^T on that space.
 
 Every linear system here (Hom(V, W), and so End(V) and Hom(V, V*)) is an
-intersection of kernels of linalg.intertwiner_constraint, one per basis
-element of A.
+intersection of kernels of linalg.intertwiner_constraint, one per algebra
+generator (PivotalAlgebra.generators), not one per basis element: R_V and
+R_W are algebra maps, so a map intertwining them on generators does so on
+all of A.
 
 Twisting by an involution tau replaces S by S o tau and keeps g; all twisted
 quantities route through twist_algebra so there is exactly one code path.
@@ -78,6 +80,28 @@ class PivotalAlgebra:
     involutions: dict = field(default_factory=dict)
     grouplike: GroupLikeData | None = None
     name: str = "A"
+    # basis indices generating A; from mult alone, so replace() keeps them
+    generators: tuple | None = None
+
+    def __post_init__(self):
+        """Unless given, the generators are picked greedily: each basis index
+        outside the subalgebra the earlier ones generate, that is, the
+        unit's span grown by right multiplication until it is closed."""
+        if self.generators is not None:
+            return
+        gens, span = [], span_canonical(self.tag, [self.unit])
+        for i in range(self.dim):
+            if len(span) == self.dim:
+                break
+            grown = span_canonical(self.tag, span + [self.basis_vector(i)])
+            if len(grown) > len(span):
+                gens.append(i)
+            while len(grown) > len(span):
+                span = grown
+                grown = span_canonical(self.tag, span + [
+                    self.multiply(w, self.basis_vector(g))
+                    for w in span for g in gens])
+        self.generators = tuple(gens)
 
     # -- arithmetic helpers ------------------------------------------------
 
@@ -135,7 +159,7 @@ class ModuleRep:
         for k, c in enumerate(u):
             if not c:
                 continue
-            term = self.action[k].scale(c)
+            term = self.action[k] if c == 1 else self.action[k].scale(c)
             out = term if out is None else out + term
         if out is None:
             tag = self.action[0].tag
@@ -232,15 +256,24 @@ def validate_algebra_involution(A: PivotalAlgebra, T: Matrix):
 
 
 def validate_module(A: PivotalAlgebra, V: ModuleRep):
-    bad = []
-    if V.of_vector(A.unit) != Matrix.identity(A.tag, V.dim):
-        bad.append("module %r: unit does not act as identity" % V.name)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = A.multiply(A.basis_vector(i), A.basis_vector(j))
-            if V.action[i] * V.action[j] != V.of_vector(prod):
-                bad.append("module %r: action breaks at (%d, %d)"
-                           % (V.name, i, j))
+    """Violations of R(1) = I and R(b_i) R(b_j) = R(b_i b_j).
+
+    R(1) = I and the rows i in A.generators suffice: by induction on words,
+    R(w x) = R(w) R(x), and words span A (A is associative: validate_pivotal
+    or its constructor proves it). On a failure every (i, j) is checked.
+    """
+    def breaks(i, j):
+        prod = A.multiply(A.basis_vector(i), A.basis_vector(j))
+        return V.action[i] * V.action[j] != V.of_vector(prod)
+
+    unit_ok = V.of_vector(A.unit) == Matrix.identity(A.tag, V.dim)
+    if unit_ok and not any(breaks(i, j) for i in A.generators
+                           for j in range(A.dim)):
+        return []
+    bad = [] if unit_ok else [
+        "module %r: unit does not act as identity" % V.name]
+    bad.extend("module %r: action breaks at (%d, %d)" % (V.name, i, j)
+               for i in range(A.dim) for j in range(A.dim) if breaks(i, j))
     return bad
 
 
@@ -285,9 +318,13 @@ def conjugate_module(V: ModuleRep, P: Matrix, name=None):
 # hom and form spaces
 
 def hom_space(A: PivotalAlgebra, V: ModuleRep, W: ModuleRep):
-    """Canonical basis of {F : F R_V(b) = R_W(b) F} as dW x dV matrices."""
-    constraints = (intertwiner_constraint(a, b)
-                   for a, b in zip(V.action, W.action))
+    """Canonical basis of {F : F R_V(b) = R_W(b) F} as dW x dV matrices.
+
+    Only generators of A give constraints: the b with F R_V(b) = R_W(b) F
+    form a subalgebra, R_V and R_W (or b -> R(S(b))^T) being algebra maps.
+    """
+    constraints = (intertwiner_constraint(V.action[i], W.action[i])
+                   for i in A.generators)
     kernel = kernel_intersection(A.tag, constraints, W.dim * V.dim)
     return [Matrix.from_vec(A.tag, W.dim, V.dim, list(v)) for v in kernel]
 

@@ -292,8 +292,18 @@ def test_relabelled_groups_pass_validate_pivotal(table, rnd):
     rnd.shuffle(perm)
     ct = relabel(ct, perm)
     assert validate_cayley_table(ct) == []
-    assert validate_pivotal(group_algebra(ct, RATIONAL)) == []
+    A = group_algebra(ct, RATIONAL)
+    assert validate_pivotal(A) == []
     assert validate_pivotal(scheme_to_grouplike(thin_scheme(ct),
                                                 RATIONAL)) == []
     assert validate_pivotal(dualize_coalgebra(
         group_like_coalgebra(ct, RATIONAL))) == []
+    # the generators of A generate the group, straight off the Cayley table
+    reached, frontier = {ct.identity()}, [ct.identity()]
+    while frontier:
+        x = frontier.pop()
+        for y in (ct.table[x][g] for g in A.generators):
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    assert len(reached) == ct.order

@@ -136,6 +136,15 @@ def test_kernel_intersection_matches_stacked():
     b = rmat([[1, 0, 0, -1]])
     stacked = rmat([[1, 1, 0, 0], [0, 0, 1, -1], [1, 0, 0, -1]])
     assert kernel_intersection(RATIONAL, [a, b], 4) == kernel_basis(stacked)
+    # v vanishes on ker a (its restricted rows are all zero); k leaves
+    # nothing of ker a
+    v = rmat([[2, 2, 0, 0], [0, 0, -1, 1]])
+    k = rmat([[1, 0, 0, 0], [0, 0, 1, 0]])
+    for seq in ([a, v], [a, v, b], [a, b, v], [a, k], [a, b, k]):
+        stacked = Matrix(RATIONAL, [r for m in seq for r in m.rows])
+        assert kernel_intersection(RATIONAL, seq, 4) == kernel_basis(stacked)
+    assert kernel_intersection(RATIONAL, [a, v], 4) == kernel_basis(a)
+    assert kernel_intersection(RATIONAL, [a, k], 4) == []
     # no constraints: the whole space, canonically ordered
     full = kernel_intersection(RATIONAL, [], 3)
     assert full == [tuple(r) for r in Matrix.identity(RATIONAL, 3).rows]

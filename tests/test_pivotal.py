@@ -1,6 +1,7 @@
 """Pivotal axioms, form spaces, and the definition-level indicator."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fsind.constructors import (
     CayleyTable,
+    coalgebra_regular_module,
     cyclic_table,
     group_algebra,
     group_involution,
@@ -19,7 +21,18 @@ from fsind.constructors import (
 )
 from fsind.documents import document_from_dict
 from fsind.constructors import builtin_document, builtin_names
-from fsind.linalg import Matrix, NotInSpan, det, inverse, rank, solve_in_span
+from fsind.formulas import fs_via_separability, hopf_integral_idempotent
+from fsind.linalg import (
+    Matrix,
+    NotInSpan,
+    det,
+    intertwiner_constraint,
+    inverse,
+    kernel_basis,
+    rank,
+    solve_in_span,
+    span_canonical,
+)
 from fsind.pivotal import (
     FormBasis,
     MissingComultiplication,
@@ -80,15 +93,35 @@ def test_shifted_s_is_caught():
     assert any("anti-map" in v for v in bad)
 
 
+def module_violations_by_full_loop(A, V):
+    """Reference: every basis pair (i, j), generators or not."""
+    bad = []
+    if V.of_vector(A.unit) != Matrix.identity(A.tag, V.dim):
+        bad.append("module %r: unit does not act as identity" % V.name)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            prod = A.multiply(A.basis_vector(i), A.basis_vector(j))
+            if V.action[i] * V.action[j] != V.of_vector(prod):
+                bad.append("module %r: action breaks at (%d, %d)"
+                           % (V.name, i, j))
+    return bad
+
+
 def test_broken_module_action_is_caught():
     doc = load("S3")
-    std = doc.modules["std"]
-    rows = [list(r) for r in std.action[1].rows]
-    rows[0][0] = rows[0][0] + 1
-    mats = list(std.action)
-    mats[1] = Matrix(doc.algebra.tag, rows)
-    bad = validate_module(doc.algebra, ModuleRep("std", 2, tuple(mats)))
-    assert bad
+    A, std = doc.algebra, doc.modules["std"]
+    assert validate_module(A, std) == []
+    # S3's generators are b_1 and b_3; b_0 is the unit, b_4 neither
+    assert A.generators == (1, 3)
+    for broken in (1, 4, 0):
+        rows = [list(r) for r in std.action[broken].rows]
+        rows[0][0] = rows[0][0] + 1
+        mats = list(std.action)
+        mats[broken] = Matrix(A.tag, rows)
+        V = ModuleRep("std", 2, tuple(mats))
+        bad = validate_module(A, V)
+        assert bad
+        assert bad == module_violations_by_full_loop(A, V), broken
 
 
 def test_involution_validation():
@@ -142,6 +175,20 @@ def test_regular_module_indicator_counts_involutions():
         rep = fs_indicator(doc.algebra, regular_module(doc.algebra))
         assert rep.nu == doc.algebra.tag.coerce(count_involutions(table))
         assert rep.dim_bil == doc.algebra.dim
+
+
+def test_s4_regular_module():
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    ct = CayleyTable(tuple(tuple(index[tuple(p[q[x]] for x in range(4))]
+                                 for q in perms) for p in perms))
+    A = group_algebra(ct, RATIONAL)
+    V = regular_module(A)
+    rep = fs_indicator(A, V)
+    # 1 + 6 transpositions + 3 double transpositions square to 1
+    assert rep.nu == rat(10) == rat(count_involutions(ct))
+    assert rep.dim_bil == rep.end_dim == 24
+    assert fs_via_separability(A, V, hopf_integral_idempotent(A)) == rep.nu
 
 
 def test_trichotomy_on_builtin_simples():
@@ -274,17 +321,67 @@ def transposition_by_solves(A, basis):
     return Matrix(A.tag, list(zip(*cols))) if cols else Matrix(A.tag, [])
 
 
-def test_transposition_matches_solves_on_every_builtin():
+def builtin_pairs():
+    """(name, twist, twisted algebra, module) for every builtin module, the
+    regular module and, over a dual coalgebra, the coregular one."""
     for name in builtin_names():
         doc = load(name)
         A = doc.algebra
         modules = list(doc.modules.values()) + [regular_module(A)]
+        if doc.coalgebra is not None:
+            modules.append(coalgebra_regular_module(doc.coalgebra))
         for tau in [None] + list(A.involutions):
             At = twist_algebra(A, tau) if tau is not None else A
             for V in modules:
-                basis = invariant_form_space(At, V)
-                assert transposition_on_forms(At, basis) == \
-                    transposition_by_solves(At, basis), (name, tau, V.name)
+                yield name, tau, At, V
+
+
+def test_transposition_matches_solves_on_every_builtin():
+    for name, tau, At, V in builtin_pairs():
+        basis = invariant_form_space(At, V)
+        assert transposition_on_forms(At, basis) == \
+            transposition_by_solves(At, basis), (name, tau, V.name)
+
+
+def hom_space_by_full_basis(A, V, W):
+    """Reference: the stacked constraints of every basis element of A."""
+    stacked = Matrix(A.tag, [r for a, b in zip(V.action, W.action)
+                             for r in intertwiner_constraint(a, b).rows])
+    return [Matrix.from_vec(A.tag, W.dim, V.dim, list(v))
+            for v in kernel_basis(stacked)]
+
+
+def test_generator_hom_spaces_match_the_full_basis():
+    pairs = 0
+    for name, tau, At, V in builtin_pairs():
+        for W in (dual_module(At, V), V):
+            assert hom_space(At, V, W) == hom_space_by_full_basis(At, V, W), \
+                (name, tau, V.name, W.name)
+        pairs += 1
+    assert pairs >= 62
+
+
+def generated_dimension(A, gens):
+    """Dimension of the span of the unit closed under multiplying by the
+    generators on either side."""
+    span = span_canonical(A.tag, [A.unit])
+    while True:
+        grown = span_canonical(A.tag, span + [
+            p for w in span for g in gens
+            for p in (A.multiply(w, A.basis_vector(g)),
+                      A.multiply(A.basis_vector(g), w))])
+        if len(grown) == len(span):
+            return len(span)
+        span = grown
+
+
+def test_builtin_generators_generate():
+    for name in builtin_names():
+        A = load(name).algebra
+        assert generated_dimension(A, A.generators) == A.dim, name
+        # the twist changes S only, and the generators ride along
+        for tau in A.involutions:
+            assert twist_algebra(A, tau).generators == A.generators
 
 
 def test_transposition_outside_the_span_is_rejected():
