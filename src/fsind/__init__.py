@@ -51,6 +51,7 @@ from .pivotal import (
     dual_module,
     fs_indicator,
     hom_space,
+    indicator_from_presentation,
     invariant_form_space,
     pivotal_from_character,
     regular_module,
@@ -121,7 +122,6 @@ from .constructors import (
 )
 from .documents import Document, DocumentError, document_from_dict, load_document
 from .qsl2 import (
-    NoSign,
     QslModule,
     UnexpectedFormDimension,
     build_vl,

@@ -25,10 +25,8 @@ from .pivotal import (
     ModuleRep,
     PivotalAlgebra,
     ValidationError,
-    dual_module,
     fs_indicator,
     hom_space,
-    span_contains_invertible,
     twist_algebra,
 )
 
@@ -272,10 +270,10 @@ def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep, twist=None):
     is well defined; both preconditions are verified.
     """
     At = twist_algebra(A, twist) if twist is not None else A
-    if len(hom_space(At, V, V)) != 1:
+    rep = fs_indicator(At, V)
+    if rep.end_dim != 1:
         raise NotAbsolutelySimple("End(%s) has dimension != 1" % V.name)
-    if not span_contains_invertible(
-            At.tag, hom_space(At, V, dual_module(At, V))):
+    if not rep.self_dual:
         raise NotSelfDual("%s is not isomorphic to its dual" % V.name)
 
     images = [V.action[i].vec() for i in range(At.dim)]

@@ -2,17 +2,19 @@
 
 A pivotal algebra is (A, S, g): an anti-automorphism S and an invertible g
 with S(g) = g^-1 and S^2(a) = g a g^-1. The dual of a left module V gets
-the action (a.f)(v) = f(S(a) v). Transposing a map F in Hom(V, V*) gives
-a Gram matrix M = F^T with R(b)^T M = M R(S(b)), that is, an invariant
-bilinear form b(v, w) = v^T M w with b(a v, w) = b(v, S(a) w); every
-invariant form arises this way. The indicator is the trace of
-M -> R(g)^T M^T on that space.
+the action (a.f)(v) = f(S(a) v). An invariant bilinear form
+b(v, w) = v^T M w, b(a v, w) = b(v, S(a) w), has a Gram matrix M with
+R(b)^T M = M R(S(b)): M is the transpose of a map in Hom(V, V*). The
+indicator is the trace of M -> R(g)^T M^T on that space.
 
-Every linear system here (Hom(V, W), and so End(V) and Hom(V, V*)) is an
-intersection of kernels of linalg.intertwiner_constraint, one per algebra
-generator (PivotalAlgebra.generators), not one per basis element: R_V and
-R_W are algebra maps, so a map intertwining them on generators does so on
-all of A.
+One core, indicator_from_presentation, computes every indicator report. It
+reads a module only through a presentation: R(b) and R(S(b)) for generators
+b of the algebra, and R(g). fs_indicator feeds it PivotalAlgebra.generators;
+qsl2 feeds it K, E and F. Every linear system (the forms, End(V), and
+Hom(V, W) in hom_space) is an intersection of kernels of
+linalg.intertwiner_constraint, one per generator, not one per basis
+element: b -> R(b) and b -> R(S(b))^T are algebra maps, so a map
+intertwining them on generators does so on all of A.
 
 Twisting by an involution tau replaces S by S o tau and keeps g; all twisted
 quantities route through twist_algebra so there is exactly one code path.
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from .linalg import (
     Matrix,
     NotInSpan,
+    _combine,
     det,
     intertwiner_constraint,
     inverse,
@@ -329,42 +332,54 @@ def hom_space(A: PivotalAlgebra, V: ModuleRep, W: ModuleRep):
     return [Matrix.from_vec(A.tag, W.dim, V.dim, list(v)) for v in kernel]
 
 
-def _forms_from_duals(A: PivotalAlgebra, V: ModuleRep, duals):
-    """The invariant forms as the transposes of a basis of Hom(V, V*).
+def _presentation(A: PivotalAlgebra, V: ModuleRep):
+    """R(b) and R(S(b)) for the generators b of A."""
+    return ([V.action[i] for i in A.generators],
+            [V.of_vector(A.apply_S(A.basis_vector(i))) for i in A.generators])
 
-    F R(b) = R(S(b))^T F transposes to R(b)^T F^T = F^T R(S(b)), so M = F^T
-    runs over exactly the invariant Gram matrices.
-    """
-    vecs = span_canonical(A.tag, [f.transpose().vec() for f in duals])
-    return FormBasis(V, [Matrix.from_vec(A.tag, V.dim, V.dim, list(v))
-                         for v in vecs])
+
+def _forms(tag, gens, dual_gens, d):
+    """Canonical (RREF) basis of the Gram matrices M with
+    R(b)^T M = M R(S(b)) for each generator b."""
+    constraints = (intertwiner_constraint(s, r.transpose())
+                   for r, s in zip(gens, dual_gens))
+    return [Matrix.from_vec(tag, d, d, list(v))
+            for v in kernel_intersection(tag, constraints, d * d)]
 
 
 def invariant_form_space(A: PivotalAlgebra, V: ModuleRep):
-    """Gram matrices M with R(b)^T M = M R(S(b)) for every basis element."""
-    return _forms_from_duals(A, V, hom_space(A, V, dual_module(A, V)))
+    """Gram matrices M with R(b)^T M = M R(S(b)), b running over the
+    generators of A (and so over all of A)."""
+    return FormBasis(V, _forms(A.tag, *_presentation(A, V), V.dim))
 
 
-def transposition_on_forms(A: PivotalAlgebra, basis: FormBasis):
-    """Matrix of M -> R(g)^T M^T in the given form basis.
+def _transposition(tag, rg_t, forms):
+    """Matrix of M -> rg_t M^T in the canonical basis forms.
 
-    That map sends b(v, w) to b(w, g v); invariance of the target is a
-    consequence of the pivotal axioms. The forms are canonical (RREF), so
-    an image's coordinates are its entries at their pivots. NotInSpan means
-    those do not recombine to the image: the input data was inconsistent.
+    An image's coordinates are its entries at the forms' pivots; NotInSpan
+    means those do not recombine to the image.
     """
-    forms = basis.forms
-    rg_t = basis.module.of_vector(A.g).transpose()
-    vecs = [f.vec() for f in forms]
-    pivots = [next(i for i, x in enumerate(v) if x) for v in vecs]
-    span = Matrix(A.tag, vecs).transpose()
+    vecs = [[(j, x) for j, x in enumerate(f.vec()) if x] for f in forms]
+    pivots = [v[0][0] for v in vecs]
     cols = []
     for f in forms:
         image = (rg_t * f.transpose()).vec()
         cols.append(tuple(image[p] for p in pivots))
-        if span.apply(cols[-1]) != image:
+        if _combine(cols[-1], vecs) != [(j, x) for j, x in enumerate(image)
+                                        if x]:
             raise NotInSpan("the transposed form lies outside the form span")
-    return Matrix(A.tag, list(zip(*cols))) if cols else Matrix(A.tag, [])
+    return Matrix(tag, list(zip(*cols))) if cols else Matrix(tag, [])
+
+
+def transposition_on_forms(A: PivotalAlgebra, basis: FormBasis):
+    """Matrix of M -> R(g)^T M^T in the given canonical form basis.
+
+    That map sends b(v, w) to b(w, g v); invariance of the target is a
+    consequence of the pivotal axioms. NotInSpan means the input data was
+    inconsistent.
+    """
+    rg_t = basis.module.of_vector(A.g).transpose()
+    return _transposition(A.tag, rg_t, basis.forms)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +407,15 @@ def resolve_involution(A: PivotalAlgebra, tau):
 def span_contains_invertible(tag, mats):
     """Exact search for an invertible element of a matrix span.
 
-    Tries the basis itself, then the pencil sum_i t^i F_i for enough values
+    Tries the basis itself (by rank, which stays cheap over Q(q) where a
+    determinant does not), then the pencil sum_i t^i F_i for enough values
     of t to decide whether that curve's determinant vanishes identically.
     """
     mats = list(mats)
     if not mats:
         return False
-    for m in mats:
-        if det(m):
-            return True
+    if any(rank(m) == m.nrows for m in mats):
+        return True
     if len(mats) == 1:
         return False
     d = mats[0].nrows
@@ -416,39 +431,46 @@ def span_contains_invertible(tag, mats):
     return False
 
 
-def fs_indicator(A: PivotalAlgebra, V: ModuleRep, twist=None):
-    """Definition-level Frobenius-Schur indicator of V over (A, S, g).
+def indicator_from_presentation(tag, gens, dual_gens, g):
+    """IndicatorReport of a module given by a presentation.
 
-    Two systems are solved: Hom(V, V*) and End(V). The invariant forms are
-    the transposes of Hom(V, V*); nu is the trace of the transposition on
-    them, and dim_plus/dim_minus are the dimensions of its +-1 eigenspaces.
+    gens are R(b) for generators b of the algebra, dual_gens are R(S(b))
+    for the same b (S o tau when twisted), and g is R(g). Two systems are
+    solved: the invariant forms and End(V). nu is the trace of the
+    transposition on the forms, and dim_plus/dim_minus are the dimensions
+    of its +-1 eigenspaces.
     """
-    At = twist_algebra(A, twist) if twist is not None else A
-    duals = hom_space(At, V, dual_module(At, V))
-    basis = _forms_from_duals(At, V, duals)
-    m = len(basis.forms)
+    d = g.nrows
+    forms = _forms(tag, gens, dual_gens, d)
+    m = len(forms)
     if m:
-        op = transposition_on_forms(At, basis)
+        op = _transposition(tag, g.transpose(), forms)
         nu = op.trace()
-        ident = Matrix.identity(At.tag, m)
+        ident = Matrix.identity(tag, m)
         dim_plus = m - rank(op - ident)
         dim_minus = m - rank(op + ident)
     else:
-        nu = At.tag.zero()
+        nu = tag.zero()
         dim_plus = dim_minus = 0
-    ends = hom_space(At, V, V)
-    # the search depends on the basis it is given: keep the kernel basis
-    self_dual = span_contains_invertible(At.tag, duals)
+    end_dim = len(kernel_intersection(
+        tag, (intertwiner_constraint(r, r) for r in gens), d * d))
     return IndicatorReport(
         nu=nu,
         dim_bil=m,
         dim_plus=dim_plus,
         dim_minus=dim_minus,
-        end_dim=len(ends),
-        self_dual=self_dual,
-        abs_simple=len(ends) == 1,
-        canonical_form=basis.forms[0] if m == 1 else None,
+        end_dim=end_dim,
+        self_dual=span_contains_invertible(tag, forms),
+        abs_simple=end_dim == 1,
+        canonical_form=forms[0] if m == 1 else None,
     )
+
+
+def fs_indicator(A: PivotalAlgebra, V: ModuleRep, twist=None):
+    """Definition-level Frobenius-Schur indicator of V over (A, S, g)."""
+    At = twist_algebra(A, twist) if twist is not None else A
+    return indicator_from_presentation(At.tag, *_presentation(At, V),
+                                       V.of_vector(At.g))
 
 
 # ---------------------------------------------------------------------------

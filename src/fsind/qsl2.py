@@ -10,22 +10,22 @@ coefficients [L+1] do not vanish); [n] is the balanced q-integer. The antipode a
 S(E) = -E K^-1, S(F) = -K F, S(K) = K^-1, the pivotal element is K, and the
 sign-flip involution is tau(E) = -E, tau(F) = -F, tau(K) = K.
 
-The indicator comes from the generator-level invariance system
-R(u')^T M = M R(S(u)) for u in {K, E, F} (u' = tau(u) when twisted). This
-is Hom(V_l, V_l*) transposed: M intertwines R(S(u)) with R(u')^T, and each
-generator contributes one linalg.intertwiner_constraint, the same builder
-that feeds End(V_l) here and every system of pivotal.py. The solution space
-is one-dimensional, and the transposition fixes or negates its generator.
-K is processed first since its constraint confines M to the antidiagonal,
-which keeps the elimination over Q(q) tiny.
+The indicator is pivotal.indicator_from_presentation, the core that
+fs_indicator also goes through, fed with the generators (K, E, F), or
+(K, -E, -F) = tau(K, E, F) when twisted, their images under S, and K. The
+form space is one-dimensional and the transposition fixes or negates its
+generator. K comes first since its constraint confines M to the
+antidiagonal, which keeps the elimination over Q(q) tiny.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, intertwiner_constraint, kernel_intersection, rank
-from .pivotal import IndicatorReport
+from .linalg import Matrix
+# unused; test_uninstall_restores_every_attribute pins it (ROADMAP item 1)
+from .linalg import kernel_intersection  # noqa: F401
+from .pivotal import indicator_from_presentation
 from .scalars import RATIONAL_FUNCTION, RatFun
 
 TAG = RATIONAL_FUNCTION
@@ -33,10 +33,6 @@ DEFAULT_MAX_TWO_ELL = 8
 
 
 class UnexpectedFormDimension(Exception):
-    pass
-
-
-class NoSign(Exception):
     pass
 
 
@@ -113,15 +109,6 @@ def verify_relations(m: QslModule):
     return bad
 
 
-def _antipode_action(m: QslModule):
-    """Images of the generators under S, as matrices on V_l."""
-    return {
-        "K": m.Kinv,
-        "E": -(m.E * m.Kinv),
-        "F": -(m.K * m.F),
-    }
-
-
 def qsl2_indicator(two_ell, twisted=False, max_two_ell=DEFAULT_MAX_TWO_ELL):
     """IndicatorReport for V_l; nu is (-1)^(2l) untwisted and +1 twisted."""
     if two_ell > max_two_ell:
@@ -131,43 +118,12 @@ def qsl2_indicator(two_ell, twisted=False, max_two_ell=DEFAULT_MAX_TWO_ELL):
     bad = verify_relations(m)
     if bad:
         raise AssertionError("module construction broke: %s" % "; ".join(bad))
-    d = m.dim
-    s_act = _antipode_action(m)
-    left = {"K": m.K, "E": m.E, "F": m.F}
-    if twisted:
-        left = {"K": m.K, "E": -m.E, "F": -m.F}
-    # R(u')^T M = M R(S(u)): M intertwines S(u) with R(u')^T
-    constraints = (intertwiner_constraint(s_act[u], left[u].transpose())
-                   for u in ("K", "E", "F"))
-    kernel = kernel_intersection(TAG, constraints, d * d)
-    if len(kernel) != 1:
+    gens = [m.K, -m.E, -m.F] if twisted else [m.K, m.E, m.F]
+    antipode = [m.Kinv, -(m.E * m.Kinv), -(m.K * m.F)]
+    rep = indicator_from_presentation(TAG, gens, antipode, m.K)
+    if rep.dim_bil != 1:
         raise UnexpectedFormDimension(
-            "invariant form space has dimension %d, expected 1" % len(kernel))
-    # rank, not a determinant: Bareiss blows up over Q(q), elimination
-    # on the antidiagonal form is immediate
-    form = Matrix.from_vec(TAG, d, d, list(kernel[0]))
-    if rank(form) != d:
+            "invariant form space has dimension %d, expected 1" % rep.dim_bil)
+    if not rep.self_dual:
         raise UnexpectedFormDimension("the invariant form is degenerate")
-
-    flipped = m.K.transpose() * form.transpose()
-    if flipped == form:
-        sign = 1
-    elif flipped == -form:
-        sign = -1
-    else:
-        raise NoSign("transposition does not act by a sign on the form")
-
-    # End(V_l) over the generators: commutant of {K, E, F}
-    comm = (intertwiner_constraint(g, g) for g in (m.K, m.E, m.F))
-    end_dim = len(kernel_intersection(TAG, comm, d * d))
-
-    return IndicatorReport(
-        nu=TAG.coerce(sign),
-        dim_bil=1,
-        dim_plus=1 if sign > 0 else 0,
-        dim_minus=1 if sign < 0 else 0,
-        end_dim=end_dim,
-        self_dual=True,
-        abs_simple=end_dim == 1,
-        canonical_form=form,
-    )
+    return rep

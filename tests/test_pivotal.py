@@ -361,6 +361,33 @@ def test_generator_hom_spaces_match_the_full_basis():
     assert pairs >= 62
 
 
+def forms_by_full_basis(A, V):
+    """Reference: M R(S(b_i)) = R(b_i)^T M stacked over every basis element."""
+    stacked = Matrix(A.tag, [
+        r for i in range(A.dim)
+        for r in intertwiner_constraint(
+            V.of_vector(A.apply_S(A.basis_vector(i))),
+            V.action[i].transpose()).rows])
+    return [Matrix.from_vec(A.tag, V.dim, V.dim, list(v))
+            for v in kernel_basis(stacked)]
+
+
+def test_indicator_matches_the_full_basis():
+    for name, tau, At, V in builtin_pairs():
+        forms = forms_by_full_basis(At, V)
+        rep = fs_indicator(At, V)
+        key = (name, tau, V.name)
+        assert invariant_form_space(At, V).forms == forms, key
+        assert rep.canonical_form == (forms[0] if len(forms) == 1
+                                      else None), key
+        assert rep.dim_bil == len(forms), key
+        assert rep.end_dim == len(hom_space_by_full_basis(At, V, V)), key
+        assert rep.self_dual == span_contains_invertible(At.tag, forms), key
+        nu = (transposition_by_solves(At, FormBasis(V, forms)).trace()
+              if forms else At.tag.zero())
+        assert rep.nu == nu, key
+
+
 def generated_dimension(A, gens):
     """Dimension of the span of the unit closed under multiplying by the
     generators on either side."""

@@ -1,13 +1,14 @@
 """Quantum sl2 modules over Q(q) and their indicator sweep."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from fsind import qsl2
+from fsind.cli import main
 from fsind.linalg import Matrix
 from fsind.qsl2 import (
-    NoSign,
     QslModule,
     UnexpectedFormDimension,
     build_vl,
@@ -19,6 +20,7 @@ from fsind.qsl2 import (
 from fsind.scalars import RATIONAL_FUNCTION as TAG, RatFun
 
 Q = RatFun.generator()
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected" / "qsl2"
 
 
 def test_q_integers():
@@ -111,3 +113,15 @@ def test_guard_against_degenerate_inputs(monkeypatch):
     monkeypatch.setattr(qsl2, "build_vl", lambda two_ell: fake)
     with pytest.raises(UnexpectedFormDimension):
         qsl2_indicator(1)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("two_ell", range(7))
+def test_json_matches_the_recorded_output(two_ell, twisted, capsys):
+    argv = ["qsl2", str(two_ell), "--max", "10", "--json"]
+    if twisted:
+        argv.append("--twisted")
+    assert main(argv) == 0
+    name = "%d%s.json" % (two_ell, "-twisted" if twisted else "")
+    assert capsys.readouterr().out == \
+        (EXPECTED / name).read_text(encoding="utf-8")
