@@ -6,10 +6,15 @@ Three coefficient fields are supported:
 * cyclotomic fields Q(z), z a primitive n-th root of unity,
 * rational functions Q(q) in a single variable.
 
-Every element is kept in a canonical form (cyclotomics reduced modulo the
-n-th cyclotomic polynomial, rational functions with coprime numerator and
-monic denominator), so equality is literal coefficient comparison and
-repeated runs print identical strings.
+Every element is kept in a canonical form, so equality is literal
+coefficient comparison and repeated runs print identical strings:
+
+* a cyclotomic is reduced modulo the n-th cyclotomic polynomial;
+* a rational function is stored as c * n/d with c a Fraction and n, d
+  coprime primitive integer polynomials with positive leading
+  coefficients; its arithmetic runs over Z[q], with a heuristic integer
+  gcd.  It prints as numerator/denominator with Fraction coefficients,
+  coprime, with a monic denominator.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt, lcm
 
 
 class FieldMismatch(Exception):
@@ -98,7 +104,8 @@ def poly_monic(a):
 
 
 def poly_gcd(a, b):
-    """Monic gcd via the Euclidean algorithm."""
+    """Monic gcd via the Euclidean algorithm (the tests' reference for the
+    integer gcd behind RatFun)."""
     while b:
         a, b = b, poly_divmod(a, b)[1]
     return poly_monic(a)
@@ -264,6 +271,8 @@ class Cyclotomic:
         return any(self.coeffs)
 
     def __hash__(self):
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])  # a constant hashes like its Fraction
         return hash((self.order, self.coeffs))
 
     def __repr__(self):
@@ -273,34 +282,203 @@ class Cyclotomic:
         return scalar_to_string(self)
 
 
-class RatFun:
-    """Rational function in q over Q; numerator and denominator coprime,
-    denominator monic."""
+# ---------------------------------------------------------------------------
+# dense polynomials over Z, the arithmetic behind Q(q): sequences of int
+# (index = degree, no trailing zeros).  Primitive means the coefficients
+# have gcd 1 and the leading one is positive.
 
-    __slots__ = ("num", "den")
+def _zmul(a, b):
+    """Product of two nonzero polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _zcomb(u, a, v, b):
+    """u*a + v*b, trimmed."""
+    if len(a) < len(b):
+        u, a, v, b = v, b, u, a
+    out = [u * x for x in a]
+    for i, y in enumerate(b):
+        out[i] += v * y
+    return _trim(out)
+
+
+def _zquo(a, b):
+    """The quotient a/b if b divides a exactly in Z[q], else None."""
+    db = len(b)
+    if len(a) < db:
+        return None
+    r = list(a)
+    lead = b[-1]
+    out = [0] * (len(a) - db + 1)
+    for i in range(len(a) - db, -1, -1):
+        c, m = divmod(r[i + db - 1], lead)
+        if m:
+            return None
+        if c:
+            out[i] = c
+            for j in range(db - 1):
+                r[i + j] -= c * b[j]
+    if any(r[:db - 1]):
+        return None
+    return out
+
+
+def _primitive(a):
+    """a divided by its content, leading coefficient made positive."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [x // g for x in a]
+
+
+def _gcd_heu(f, g):
+    """(h, f/h, g/h) with h = gcd(f, g), for primitive f and g of positive
+    degree, or None when the heuristic gives up.
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989): take the
+    integer gcd of f(x) and g(x), read h back from its balanced base-x
+    digits and keep its primitive part if that divides both f and g.
+    Such a candidate is the gcd once x > 2R, where R = 1 + |f|/lc(f)
+    (max norm) bounds the roots of f, or the same bound for g: a
+    nonconstant factor of gcd(f, g) left out of the candidate would take
+    a value above x/2 at x, yet divide the content of the digits, which
+    is at most x/2.
+    """
+    nf = max(map(abs, f))
+    ng = max(map(abs, g))
+    b = 2 * min(nf, ng) + 29
+    x = max(min(b, 99 * isqrt(b)), 2 * min(nf // f[-1], ng // g[-1]) + 4)
+    for _ in range(6):
+        fx = gx = 0
+        for c in reversed(f):
+            fx = fx * x + c
+        for c in reversed(g):
+            gx = gx * x + c
+        gamma = gcd(fx, gx)
+        h = []
+        while gamma:
+            digit = gamma % x
+            if digit > x // 2:
+                digit -= x
+            h.append(digit)
+            gamma = (gamma - digit) // x
+        h = _primitive(h)
+        cf = _zquo(f, h)
+        if cf is not None:
+            cg = _zquo(g, h)
+            if cg is not None:
+                return h, cf, cg
+        x = x * 73794 * isqrt(isqrt(x)) // 27011  # about 2.73 x^(5/4)
+    return None
+
+
+def _prem(f, g):
+    """Pseudo-remainder of f by g, len(f) >= len(g): lc(g)^k f mod g."""
+    r = list(f)
+    dg = len(g) - 1
+    lead = g[-1]
+    for k in range(len(f) - len(g), -1, -1):
+        c = r[k + dg]
+        r = [lead * x for x in r[:k + dg]]
+        for j in range(dg):
+            r[k + j] -= c * g[j]
+    return _trim(r)
+
+
+def _prs_gcd(f, g):
+    """gcd of primitive f and g by the primitive pseudo-remainder sequence."""
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        r = _prem(f, g)
+        f, g = g, (_primitive(r) if r else r)
+    return _primitive(f)
+
+
+def _integer_poly(cs):
+    """(scale, ints) with cs = scale * ints, for Fraction-like coefficients."""
+    fs = _trim(Fraction(c) for c in cs)
+    lcd = lcm(*(f.denominator for f in fs))
+    return Fraction(1, lcd), [f.numerator * (lcd // f.denominator) for f in fs]
+
+
+def _ratfun(c, n, d):
+    """The canonical RatFun equal to c * n/d (c a Fraction, n and d integer
+    polynomials, d nonzero)."""
+    if not n:
+        return _ZERO
+    k = 0
+    while not (n[k] or d[k]):
+        k += 1
+    if k:
+        n, d = n[k:], d[k:]
+    cn = gcd(*n)
+    if n[-1] < 0:
+        cn = -cn
+    cd = gcd(*d)
+    if d[-1] < 0:
+        cd = -cd
+    if cn != 1:
+        n = [x // cn for x in n]
+    if cd != 1:
+        d = [x // cd for x in d]
+    if cn != cd:
+        c = c * Fraction(cn, cd)
+    # after the common power of q is gone a monomial is coprime to the other
+    if n.count(0) < len(n) - 1 and d.count(0) < len(d) - 1:
+        heu = _gcd_heu(n, d)
+        if heu is None:
+            h = _prs_gcd(n, d)
+            n, d = _zquo(n, h), _zquo(d, h)
+        else:
+            _, n, d = heu
+    return _new_ratfun(c, tuple(n), tuple(d))
+
+
+def _new_ratfun(c, n, d):
+    x = object.__new__(RatFun)
+    x._c, x._n, x._d = c, n, d
+    return x
+
+
+class RatFun:
+    """Rational function in q over Q, stored as c * n/d.
+
+    c is a nonzero Fraction and n, d are coprime primitive integer
+    polynomials (tuples of int, index = degree) with positive leading
+    coefficients; zero is (0, (), (1,)).  That triple is unique, so
+    equality compares it literally.  ``num`` and ``den`` give the printed
+    form: Fraction coefficients, coprime, with ``den`` monic.
+    """
+
+    __slots__ = ("_c", "_n", "_d")
 
     def __init__(self, num, den=(1,)):
-        num = _trim(Fraction(c) for c in num)
-        den = _trim(Fraction(c) for c in den)
-        if not den:
+        sn, n = _integer_poly(num)
+        sd, d = _integer_poly(den)
+        if not d:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            den = (Fraction(1),)
-        else:
-            g = poly_gcd(num, den)
-            if len(g) > 1:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                num = tuple(c / lead for c in num)
-                den = tuple(c / lead for c in den)
-        self.num = num
-        self.den = den
+        x = _ratfun(sn / sd, n, d)
+        self._c, self._n, self._d = x._c, x._n, x._d
+
+    @property
+    def num(self):
+        c, lead = self._c, self._d[-1]
+        return tuple(c * x / lead for x in self._n)
+
+    @property
+    def den(self):
+        lead = self._d[-1]
+        return tuple(Fraction(x, lead) for x in self._d)
 
     @staticmethod
     def generator():
-        return RatFun((0, 1))
+        return _new_ratfun(Fraction(1), (0, 1), (1,))
 
     def _coerce(self, other):
         if isinstance(other, RatFun):
@@ -308,45 +486,62 @@ class RatFun:
         f = _as_fraction(other)
         if f is None:
             return None
-        return RatFun((f,))
+        return _new_ratfun(f, (1,), (1,)) if f else _ZERO
+
+    def _plus(self, c2, n2, d2):
+        """self + c2 * n2/d2."""
+        c1, n1, d1 = self._c, self._n, self._d
+        if not n2:
+            return self
+        if not n1:
+            return _new_ratfun(c2, n2, d2)
+        b1, b2 = c1.denominator, c2.denominator
+        g = gcd(b1, b2)
+        u, v = c1.numerator * (b2 // g), c2.numerator * (b1 // g)
+        scale = Fraction(1, b1 // g * b2)
+        if d1 == d2:
+            return _ratfun(scale, _zcomb(u, n1, v, n2), d1)
+        return _ratfun(scale, _zcomb(u, _zmul(n1, d2), v, _zmul(n2, d1)),
+                       _zmul(d1, d2))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFun(poly_add(poly_mul(self.num, o.den),
-                               poly_mul(o.num, self.den)),
-                      poly_mul(self.den, o.den))
+        return self._plus(o._c, o._n, o._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(poly_neg(self.num), self.den)
+        return _new_ratfun(-self._c, self._n, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(-o._c, o._n, o._d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o._plus(-self._c, self._n, self._d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFun(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
+        if not self._n or not o._n:
+            return _ZERO
+        return _ratfun(self._c * o._c, _zmul(self._n, o._n),
+                       _zmul(self._d, o._d))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.num:
+        if not self._n:
             raise ZeroDivisionError("division by zero in Q(q)")
-        return RatFun(self.den, self.num)
+        return _new_ratfun(1 / self._c, self._d, self._n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -378,19 +573,24 @@ class RatFun:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._n == o._n and self._d == o._d and self._c == o._c
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        if self._d == (1,) and len(self._n) <= 1:
+            return hash(self._c)  # a constant hashes like its Fraction
+        return hash((self._c, self._n, self._d))
 
     def __repr__(self):
         return "RatFun(%r, %r)" % (list(self.num), list(self.den))
 
     def __str__(self):
         return scalar_to_string(self)
+
+
+_ZERO = _new_ratfun(Fraction(0), (), (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end runs of the fsind command line."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -358,3 +359,22 @@ def test_installed_script_matches_entry_point():
     installed = subprocess.run(["fsind", *argv], capture_output=True)
     assert installed.returncode == 0, installed.stderr
     assert installed.stdout == run_script_target(*argv).stdout
+
+
+def test_import_loads_no_installed_package():
+    """fsind is stdlib-only (pyproject `dependencies = []`): importing it,
+    CLI included, loads nothing from site-packages. Modules that site's
+    .pth hooks load at start-up are set aside."""
+    probe = ("import json, sys\n"
+             "before = set(sys.modules)\n"
+             "import fsind, fsind.cli\n"
+             "print(json.dumps(sorted(\n"
+             "    getattr(sys.modules[m], '__file__', None) or ''\n"
+             "    for m in set(sys.modules) - before)))\n")
+    src = str(PYPROJECT.parent / "src")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    files = json.loads(out.stdout)
+    assert any(f.startswith(src) for f in files)
+    assert [f for f in files if "site-packages" in Path(f).parts] == []

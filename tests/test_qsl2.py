@@ -116,7 +116,7 @@ def test_guard_against_degenerate_inputs(monkeypatch):
 
 
 @pytest.mark.parametrize("twisted", [False, True])
-@pytest.mark.parametrize("two_ell", range(7))
+@pytest.mark.parametrize("two_ell", range(11))
 def test_json_matches_the_recorded_output(two_ell, twisted, capsys):
     argv = ["qsl2", str(two_ell), "--max", "10", "--json"]
     if twisted:

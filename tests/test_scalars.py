@@ -1,9 +1,10 @@
 """Field arithmetic, cyclotomic polynomials, parsing and printing."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from fsind.scalars import (
     Cyclotomic,
@@ -20,6 +21,10 @@ from fsind.scalars import (
     poly_gcd,
     poly_mul,
     scalar_to_string,
+    _gcd_heu,
+    _primitive,
+    _prs_gcd,
+    _zmul,
 )
 
 F = Fraction
@@ -67,11 +72,9 @@ def cyclotomics(order):
         st.lists(small_fractions, min_size=deg, max_size=deg))
 
 
-small_polys = st.lists(st.integers(-6, 6), min_size=0, max_size=4)
-ratfuns = st.builds(
-    lambda n, d: RatFun(n, d),
-    small_polys,
-    small_polys.filter(lambda cs: any(cs)))
+small_polys = st.lists(small_fractions, min_size=0, max_size=7)
+nonzero_polys = small_polys.filter(lambda cs: any(cs))
+ratfuns = st.builds(lambda n, d: RatFun(n, d), small_polys, nonzero_polys)
 
 
 @given(cyclotomics(12), cyclotomics(12), cyclotomics(12))
@@ -108,6 +111,90 @@ def test_ratfun_inverse_and_canonical_form(a):
     if a:
         assert a * a.inverse() == 1
         assert poly_gcd(a.num, a.den) == (F(1),)
+
+
+def _value_at(p, r):
+    return sum(c * r ** i for i, c in enumerate(p))
+
+
+@given(ratfuns, ratfuns, small_fractions)
+def test_evaluation_is_a_ring_homomorphism(a, b, r):
+    assume(_value_at(a.den, r) and _value_at(b.den, r))
+    ar = _value_at(a.num, r) / _value_at(a.den, r)
+    br = _value_at(b.num, r) / _value_at(b.den, r)
+
+    def at(x):
+        return _value_at(x.num, r) / _value_at(x.den, r)
+
+    assert at(a + b) == ar + br
+    assert at(a - b) == ar - br
+    assert at(a * b) == ar * br
+    assert at(-a) == -ar
+    if br:
+        assert at(a / b) == ar / br
+        assert at(b.inverse()) == 1 / br
+
+
+def test_equal_values_built_differently_are_equal_and_hash_equal():
+    q = RatFun.generator()
+    pairs = [
+        (RatFun((2, 2), (4,)), RatFun((1, 1), (2,))),
+        (RatFun((-1, 0, 1), (-1, 1)), q + 1),
+        (parse_scalar("(q^2-1)/(q-1)", RATIONAL_FUNCTION), q + 1),
+        (RatFun((F(1, 2), F(1, 3)), (F(1, 6), F(5, 6))),
+         RatFun((3, 2), (1, 5))),
+        (RatFun((0, 0, 6), (0, -3)), -2 * q),
+        (q ** 3 / q ** 5, RatFun((1,), (0, 0, 1))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+
+
+@given(ratfuns, nonzero_polys)
+def test_a_common_factor_cancels(a, h):
+    b = RatFun(poly_mul(a.num, h), poly_mul(a.den, h))
+    assert b == a and hash(b) == hash(a)
+    assert b.num == a.num and b.den == a.den
+
+
+def test_constants_hash_like_their_fraction():
+    assert len({RatFun((3,)), 3}) == 1
+    assert len({Cyclotomic(12, (3,)), 3}) == 1
+    for x in (0, 3, F(-1, 2)):
+        assert hash(RatFun((x,))) == hash(F(x))
+        assert hash(Cyclotomic(12, (x,))) == hash(F(x))
+        assert hash(Cyclotomic(1, (x,))) == hash(F(x))
+    assert hash(RatFun((F(1, 2),), (F(1, 3),))) == hash(F(3, 2))
+
+
+# --- integer gcd behind Q(q) -------------------------------------------------
+
+def _primitive_gcd(f, g):
+    """The gcd of f and g over Z[q], read off the Euclidean one over Q."""
+    monic = poly_gcd(tuple(map(F, f)), tuple(map(F, g)))
+    scale = lcm(*(c.denominator for c in monic))
+    return _primitive([int(c * scale) for c in monic])
+
+
+int_polys = st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=1,
+                     max_size=9).filter(lambda cs: cs[-1] != 0)
+
+
+@given(int_polys, int_polys, int_polys)
+def test_integer_gcd_of_a_planted_common_factor(a, b, h):
+    f, g = _primitive(_zmul(a, h)), _primitive(_zmul(b, h))
+    assume(len(f) > 1 and len(g) > 1)
+    expected = _primitive_gcd(f, g)
+    found, cf, cg = _gcd_heu(f, g)
+    assert found == expected
+    assert _zmul(found, cf) == f and _zmul(found, cg) == g
+    assert _prs_gcd(f, g) == expected
+
+
+def test_heuristic_gcd_rejects_a_candidate_that_does_not_divide():
+    # 5q + 4 and 4q - 1 at q = 37 share 21, which reads back as q - 16
+    assert _gcd_heu([4, 5], [-1, 4]) == ([1], [4, 5], [-1, 4])
+    assert _prs_gcd([4, 5], [-1, 4]) == [1]
 
 
 def test_root_of_unity_relations():
