@@ -251,13 +251,18 @@ class SchemeSpec:
     relations: tuple  # size x size matrix of relation indices
 
 
+def _is_uint(token):
+    """True for a string of ASCII digits 0-9 (int() also takes others)."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_scheme_text(text):
     """Strict "n r" header followed by an n x n relation matrix."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SchemeFormatError("empty scheme file")
     head = lines[0].split()
-    if len(head) != 2 or not all(t.isdigit() for t in head):
+    if len(head) != 2 or not all(_is_uint(t) for t in head):
         raise SchemeFormatError("header must be two integers 'n r'")
     n, r = int(head[0]), int(head[1])
     if n < 1 or r < 1:
@@ -271,7 +276,7 @@ def parse_scheme_text(text):
         if len(toks) != n:
             raise SchemeFormatError("matrix row has %d entries, expected %d"
                                     % (len(toks), n))
-        if not all(t.isdigit() for t in toks):
+        if not all(_is_uint(t) for t in toks):
             raise SchemeFormatError("matrix entries must be non-negative integers")
         row = tuple(int(t) for t in toks)
         if any(x >= r for x in row):

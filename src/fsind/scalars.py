@@ -6,10 +6,17 @@ Three coefficient fields are supported:
 * cyclotomic fields Q(z), z a primitive n-th root of unity,
 * rational functions Q(q) in a single variable.
 
-Every element is kept in a canonical form, so equality is literal
-coefficient comparison and repeated runs print identical strings:
+Every element is kept in a canonical form, so equality within a field is
+literal comparison and repeated runs print identical strings.  Across
+fields, rational constants are equal when their values are, and hash like
+their Fraction; nothing else is equal across fields.  The canonical
+forms:
 
-* a cyclotomic is reduced modulo the n-th cyclotomic polynomial;
+* a cyclotomic in Q(z_n) is reduced modulo the n-th cyclotomic
+  polynomial and stored as n/d, with n a tuple of phi(n) ints and d a
+  positive int coprime to them; its arithmetic runs over Z, folding high
+  powers of z through a per-order table.  It prints as phi(n) Fraction
+  coefficients of 1, z, ..., z^(phi(n)-1);
 * a rational function is stored as c * n/d with c a Fraction and n, d
   coprime primitive integer polynomials with positive leading
   coefficients; its arithmetic runs over Z[q], with a heuristic integer
@@ -157,23 +164,113 @@ def _as_fraction(x):
     return None
 
 
-class Cyclotomic:
-    """Element of Q(z) with z = exp(2*pi*i/n), reduced mod cyclotomic_poly(n).
+def _eq_across_fields(x, other):
+    """x == other for a Cyclotomic or RatFun x and a value outside its own
+    field.  Rational constants of any two fields are equal exactly when
+    their values are; nothing else is equal across fields."""
+    if isinstance(other, (Cyclotomic, RatFun)):
+        w = other._rational()
+    else:
+        w = _as_fraction(other)
+        if w is None:
+            return NotImplemented
+    v = x._rational()
+    return v is not None and v == w
 
-    coeffs has fixed length phi(n) = deg of the cyclotomic polynomial, so
-    two equal elements always have equal coefficient tuples.
+
+@lru_cache(maxsize=None)
+def _reduction_table(order):
+    """(phi, low, rows): how Q(z_order) folds powers of z down to degree < phi.
+
+    The order-th cyclotomic polynomial m is monic over Z of degree phi, so
+    z^phi = -sum m_i z^i.  low lists the nonzero (i, m_i) for i < phi, and
+    rows[k] lists the nonzero (i, c) of z^(phi + k) reduced, for
+    k = 0 .. phi - 2: the powers a product of two reduced values reaches.
+    """
+    m = [int(c) for c in cyclotomic_poly(order)]
+    phi = len(m) - 1
+    row = [-c for c in m[:phi]]
+    rows = []
+    for _ in range(phi - 1):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top = row[-1]
+        row = [0] + row[:-1]
+        for i in range(phi):
+            row[i] -= top * m[i]
+    return phi, tuple((i, c) for i, c in enumerate(m[:phi]) if c), tuple(rows)
+
+
+def _fold(v, order):
+    """Reduce the integer list v (index = power of z) in place to its phi
+    coefficients in Q(z_order) and return it.  Powers above the table,
+    which only constructor inputs reach, are divided out by the monic
+    cyclotomic polynomial from the top down."""
+    phi, low, rows = _reduction_table(order)
+    for k in range(len(v) - 1, 2 * phi - 2, -1):
+        c = v[k]
+        if c:
+            for i, mi in low:
+                v[k - phi + i] -= c * mi
+    for k in range(phi, min(len(v), 2 * phi - 1)):
+        c = v[k]
+        if c:
+            for i, r in rows[k - phi]:
+                v[i] += c * r
+    if len(v) < phi:
+        v.extend([0] * (phi - len(v)))
+    del v[phi:]
+    return v
+
+
+def _new_cyclotomic(order, n, d):
+    x = object.__new__(Cyclotomic)
+    x.order, x._n, x._d = order, n, d
+    return x
+
+
+def _cyclotomic(order, n, d):
+    """The canonical Cyclotomic equal to n/d (n a list of phi(order) ints,
+    d a positive int)."""
+    g = gcd(d, *n)
+    if g != 1:
+        return _new_cyclotomic(order, tuple([x // g for x in n]), d // g)
+    return _new_cyclotomic(order, tuple(n), d)
+
+
+def _cyclotomic_constant(order, f):
+    """The canonical Cyclotomic equal to the int or Fraction f."""
+    phi = _reduction_table(order)[0]
+    if isinstance(f, int):
+        return _new_cyclotomic(order, (f,) + (0,) * (phi - 1), 1)
+    return _new_cyclotomic(order, (f.numerator,) + (0,) * (phi - 1),
+                           f.denominator)
+
+
+class Cyclotomic:
+    """Element of Q(z) with z = exp(2*pi*i/n), stored as n/d.
+
+    n is a tuple of phi(order) ints, the coefficients of 1, z, ...,
+    z^(phi-1) over the common denominator d; d is positive and
+    gcd(d, *n) = 1, and zero is ((0,)*phi, 1).  That pair is unique, so
+    equality compares it literally.  Products fold z^phi ... z^(2 phi - 2)
+    through a per-order table of reduced powers.  ``coeffs`` gives the
+    printed form: phi Fraction coefficients, reduced modulo the n-th
+    cyclotomic polynomial.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_n", "_d")
 
     def __init__(self, order, coeffs):
-        modulus = cyclotomic_poly(order)
-        deg = len(modulus) - 1
-        cs = _trim(Fraction(c) for c in coeffs)
-        if len(cs) > deg:
-            cs = poly_divmod(cs, modulus)[1]
-        self.order = order
-        self.coeffs = tuple(cs) + (Fraction(0),) * (deg - len(cs))
+        fs = [Fraction(c) for c in coeffs]
+        d = lcm(1, *(f.denominator for f in fs))
+        n = _fold([f.numerator * (d // f.denominator) for f in fs], order)
+        x = _cyclotomic(order, n, d)
+        self.order, self._n, self._d = order, x._n, x._d
+
+    @property
+    def coeffs(self):
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._n)
 
     @staticmethod
     def generator(order):
@@ -186,22 +283,29 @@ class Cyclotomic:
                     "cannot mix cyclotomic orders %d and %d"
                     % (self.order, other.order))
             return other
-        f = _as_fraction(other)
-        if f is None:
-            return None
-        return Cyclotomic(self.order, (f,))
+        if isinstance(other, (int, Fraction)):
+            return _cyclotomic_constant(self.order, other)
+        return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order,
-                          [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _cyclotomic(self.order,
+                               [x + y for x, y in zip(self._n, o._n)], d1)
+        g = gcd(d1, d2)
+        u, v = d2 // g, d1 // g
+        return _cyclotomic(self.order,
+                           [x * u + y * v for x, y in zip(self._n, o._n)],
+                           d1 * u)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs])
+        return _new_cyclotomic(self.order, tuple([-x for x in self._n]),
+                               self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -219,18 +323,30 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order, poly_mul(_trim(self.coeffs),
-                                               _trim(o.coeffs)))
+        a = self._n
+        b = [(j, y) for j, y in enumerate(o._n) if y]
+        out = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b:
+                    out[i + j] += x * y
+        return _cyclotomic(self.order, _fold(out, self.order),
+                           self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        p = _trim(self.coeffs)
-        if not p:
-            raise ZeroDivisionError("division by zero in cyclotomic field")
-        g, s, _ = poly_ext_gcd(p, cyclotomic_poly(self.order))
+        n, d = self._n, self._d
+        if not any(n[1:]):
+            c = n[0]
+            if not c:
+                raise ZeroDivisionError("division by zero in cyclotomic field")
+            return _new_cyclotomic(self.order,
+                                   (d if c > 0 else -d,) + n[1:], abs(c))
+        g, s, _ = poly_ext_gcd(_trim(Fraction(x) for x in n),
+                               cyclotomic_poly(self.order))
         assert g == (Fraction(1),)
-        return Cyclotomic(self.order, s)
+        return Cyclotomic(self.order, [d * c for c in s])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -250,7 +366,7 @@ class Cyclotomic:
         base = self
         if e < 0:
             base, e = self.inverse(), -e
-        out = Cyclotomic(self.order, (1,))
+        out = _cyclotomic_constant(self.order, 1)
         while e:
             if e & 1:
                 out = out * base
@@ -258,22 +374,26 @@ class Cyclotomic:
             e >>= 1
         return out
 
+    def _rational(self):
+        """The value as a Fraction if it is rational, else None."""
+        n = self._n
+        if any(n[1:]):
+            return None
+        return Fraction(n[0], self._d)
+
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except FieldMismatch:
-            return NotImplemented
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        if isinstance(other, Cyclotomic) and other.order == self.order:
+            return self._n == other._n and self._d == other._d
+        return _eq_across_fields(self, other)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self._n)
 
     def __hash__(self):
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])  # a constant hashes like its Fraction
-        return hash((self.order, self.coeffs))
+        v = self._rational()
+        if v is not None:
+            return hash(v)  # a constant hashes like its Fraction
+        return hash((self.order, self._n, self._d))
 
     def __repr__(self):
         return "Cyclotomic(%d, %r)" % (self.order, list(self.coeffs))
@@ -569,18 +689,25 @@ class RatFun:
             e >>= 1
         return out
 
+    def _rational(self):
+        """The value as a Fraction if it is a constant, else None."""
+        if self._d == (1,) and len(self._n) <= 1:
+            return self._c
+        return None
+
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._n == o._n and self._d == o._d and self._c == o._c
+        if isinstance(other, RatFun):
+            return (self._n == other._n and self._d == other._d
+                    and self._c == other._c)
+        return _eq_across_fields(self, other)
 
     def __bool__(self):
         return bool(self._n)
 
     def __hash__(self):
-        if self._d == (1,) and len(self._n) <= 1:
-            return hash(self._c)  # a constant hashes like its Fraction
+        v = self._rational()
+        if v is not None:
+            return hash(v)  # a constant hashes like its Fraction
         return hash((self._c, self._n, self._d))
 
     def __repr__(self):
@@ -634,9 +761,8 @@ class FieldTag:
                     return x
                 raise FieldMismatch("cyclotomic order %d does not match %s"
                                     % (x.order, self))
-            f = _as_fraction(x)
-            if f is not None:
-                return Cyclotomic(self.order, (f,))
+            if isinstance(x, (int, Fraction)):
+                return _cyclotomic_constant(self.order, x)
         else:
             if isinstance(x, RatFun):
                 return x
@@ -671,7 +797,7 @@ def field_tag_from_string(text):
         return RATIONAL_FUNCTION
     if text.startswith("cyclotomic(") and text.endswith(")"):
         inner = text[len("cyclotomic("):-1].strip()
-        if inner.isdigit():
+        if inner.isascii() and inner.isdigit():
             return cyclotomic_field(int(inner))
     raise ValueError("unknown field %r" % (text,))
 
@@ -683,6 +809,10 @@ def field_tag_from_string(text):
 #   term   := factor (('*'|'/') factor)*        '/' binds like '*', left assoc
 #   factor := atom ['^' sint]
 #   atom   := uint | 'z' | 'q' | '(' expr ')'
+#   uint   := ASCII digits 0-9, one or more
+
+_DIGITS = frozenset("0123456789")
+
 
 class _Parser:
     def __init__(self, text, tag):
@@ -766,7 +896,7 @@ class _Parser:
     def uint(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             if self.pos < len(self.text):
@@ -776,7 +906,7 @@ class _Parser:
 
     def atom(self):
         ch = self.peek()
-        if ch.isdigit():
+        if ch in _DIGITS:
             return self.tag.coerce(self.uint())
         if ch == "z":
             if self.tag.kind != "cyclotomic":

@@ -75,6 +75,33 @@ def test_check_unreadable_and_unparseable(tmp_path, capsys):
     assert code == 2 and "invalid JSON" in err
 
 
+def _check_in_subprocess(path):
+    src = str(PYPROJECT.parent / "src")
+    return subprocess.run([sys.executable, "-m", "fsind.cli", "check", path],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_non_ascii_digit_in_a_matrix_entry_is_exit_2(tmp_path):
+    # "²".isdigit() is True, but int("²") raises ValueError
+    path = write_builtin(
+        tmp_path, "C2",
+        mutate=lambda raw: raw["modules"][0].update(action=[[["1"]], [["²"]]]))
+    out = _check_in_subprocess(path)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "unexpected '²'" in out.stderr
+
+
+def test_non_ascii_digit_in_scheme_text_is_exit_2(tmp_path):
+    path = tmp_path / "k3.scheme"
+    path.write_text(K3_TEXT.replace("0 1 1\n", "0 1 ²\n"), encoding="utf-8")
+    out = _check_in_subprocess(str(path))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "non-negative integers" in out.stderr
+
+
 def test_bad_usage_is_exit_2(capsys):
     assert main([]) == 2
     assert main(["indicator"]) == 2

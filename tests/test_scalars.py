@@ -1,7 +1,7 @@
 """Field arithmetic, cyclotomic polynomials, parsing and printing."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -17,9 +17,11 @@ from fsind.scalars import (
     cyclotomic_poly,
     field_tag_from_string,
     parse_scalar,
+    poly_add,
     poly_divmod,
     poly_gcd,
     poly_mul,
+    poly_sub,
     scalar_to_string,
     _gcd_heu,
     _primitive,
@@ -197,6 +199,105 @@ def test_heuristic_gcd_rejects_a_candidate_that_does_not_divide():
     assert _prs_gcd([4, 5], [-1, 4]) == [1]
 
 
+# --- Q(z_n) against polynomials over Q modulo the cyclotomic polynomial ------
+
+# orders 1 and 2 have phi = 1; 9 and 15 have zero and negative coefficients
+REFERENCE_ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 15)
+
+
+def _phi(order):
+    return len(cyclotomic_poly(order)) - 1
+
+
+def _reduced(cs, order):
+    """cs modulo the order-th cyclotomic polynomial, padded to phi entries."""
+    r = poly_divmod(tuple(cs), cyclotomic_poly(order))[1]
+    return r + (F(0),) * (_phi(order) - len(r))
+
+
+def _stored(x):
+    """The stored pair (n, d), checked to be canonical."""
+    n, d = x._n, x._d
+    assert len(n) == _phi(x.order) and all(type(c) is int for c in n)
+    assert d > 0 and gcd(d, *n) == 1
+    return n, d
+
+
+@st.composite
+def reference_operands(draw):
+    """(order, p, r, h): coefficient lists of any length up to 2 phi + 1."""
+    order = draw(st.sampled_from(REFERENCE_ORDERS))
+    coeffs = st.lists(small_fractions, max_size=2 * _phi(order) + 1)
+    return order, draw(coeffs), draw(coeffs), draw(coeffs)
+
+
+@given(reference_operands(), st.integers(-3, 5))
+def test_cyclotomic_matches_the_polynomial_reference(operands, e):
+    order, p, r, h = operands
+    a, b = Cyclotomic(order, p), Cyclotomic(order, r)
+    pa, pb = _reduced(p, order), _reduced(r, order)
+    one = _reduced((1,), order)
+    assert a.coeffs == pa and b.coeffs == pb
+    for x, expected in ((a + b, poly_add(pa, pb)), (a - b, poly_sub(pa, pb)),
+                        (a * b, poly_mul(pa, pb)), (-a, poly_sub((), pa))):
+        _stored(x)
+        assert x.coeffs == _reduced(expected, order)
+    if b:
+        _stored(b.inverse())
+        assert _reduced(poly_mul(pb, b.inverse().coeffs), order) == one
+        assert (a / b).coeffs == _reduced(
+            poly_mul(pa, b.inverse().coeffs), order)
+    power = one
+    for _ in range(abs(e)):
+        power = _reduced(poly_mul(power, pa), order)
+    if e >= 0:
+        assert (a ** e).coeffs == power
+    elif a:
+        assert _reduced(poly_mul((a ** e).coeffs, power), order) == one
+    # the same value built from another representative: same pair, same hash
+    c = Cyclotomic(order, poly_add(p, poly_mul(h, cyclotomic_poly(order))))
+    assert _stored(c) == _stored(a) and c == a and hash(c) == hash(a)
+    tag = cyclotomic_field(order)
+    assert parse_scalar(scalar_to_string(a), tag).coeffs == a.coeffs
+
+
+def test_equal_cyclotomics_built_differently_share_the_stored_pair():
+    z = Cyclotomic.generator(12)
+    w = Cyclotomic.generator(9)
+    pairs = [
+        (z ** 12, Cyclotomic(12, (1,))),
+        (Cyclotomic(12, (0,) * 6 + (1,)), -1),
+        ((1 + z) / 2, Cyclotomic(12, (F(2, 4), F(3, 6)))),
+        (z ** -1, z ** 11),
+        (w ** 9, Cyclotomic(9, (0,) * 9 + (1,))),
+        (parse_scalar("(1+z)^2/(2*z)", cyclotomic_field(4)), 1),
+        (Cyclotomic(1, (3, 4)), 7),
+        (Cyclotomic(2, (3, 4)), -1),
+        (Cyclotomic(5, (F(-1, 2),)).inverse(), -2),
+    ]
+    for a, b in pairs:
+        b = cyclotomic_field(a.order).coerce(b)
+        assert _stored(a) == _stored(b)
+        assert a == b and hash(a) == hash(b)
+
+
+def test_equality_across_fields_is_transitive():
+    a, b, r = Cyclotomic(3, (1,)), Cyclotomic(4, (1,)), RatFun((1,))
+    assert a == b and b == a and r == b and b == r and a == 1 and r == 1
+    assert hash(a) == hash(b) == hash(r) == hash(1)
+    assert len({a, b, 1}) == len({1, a, b}) == len({r, b, a}) == 1
+    half = Cyclotomic(5, (F(1, 2),))
+    assert half == RatFun((F(1, 2),)) == F(1, 2)
+    assert hash(half) == hash(RatFun((F(1, 2),))) == hash(F(1, 2))
+    assert Cyclotomic(3, (2,)) != Cyclotomic(4, (1,)) != RatFun((2,))
+    # non-constants of different fields are unequal, and raise nothing
+    z3, z4, q = (Cyclotomic.generator(3), Cyclotomic.generator(4),
+                 RatFun.generator())
+    assert z3 != z4 and z4 != q and q != z4 and z3 != 1 and q != a
+    assert len({a, b, r, 1, z3, z4, q}) == 4
+    assert len({z3, z4, q, 1, a, b, r}) == 4
+
+
 def test_root_of_unity_relations():
     z = Cyclotomic.generator(4)
     assert z * z == -1
@@ -274,6 +375,25 @@ def test_parse_ratfun_examples():
     assert parse_scalar("(q - q^-1)/(q - q^-1)", tag) == 1
     assert parse_scalar("q^-2", tag) == RatFun((1,), (0, 0, 1))
     assert parse_scalar("(q^2-1)/(q-1)", tag) == q + 1
+
+
+@given(st.text(alphabet=list("0123456789zq+-*/^() \t²٣"), max_size=6),
+       st.sampled_from((RATIONAL, cyclotomic_field(4))))
+def test_parse_scalar_parses_or_reports(text, tag):
+    # six characters keep exponents small; "²" and "٣" are digits to
+    # str.isdigit() but not in the grammar
+    try:
+        parse_scalar(text, tag)
+    except (ParseError, FieldMismatch):
+        pass
+
+
+def test_non_ascii_digits_are_refused():
+    for text in ("²", "٣", "1²", "z^²"):
+        with pytest.raises(ParseError):
+            parse_scalar(text, cyclotomic_field(4))
+    with pytest.raises(ValueError):
+        field_tag_from_string("cyclotomic(٣)")
 
 
 def test_parse_errors_carry_position():
