@@ -55,7 +55,6 @@ from .pivotal import (
     invariant_form_space,
     pivotal_from_character,
     regular_module,
-    resolve_involution,
     span_contains_invertible,
     transposition_on_forms,
     twist_algebra,

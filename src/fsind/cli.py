@@ -87,20 +87,6 @@ def _report_json(rep):
     }
 
 
-def _matrix_to_perm(T):
-    """Index permutation of a permutation matrix, else None."""
-    perm = []
-    one = T.tag.one()
-    for j in range(T.ncols):
-        hits = [i for i in range(T.nrows) if T.rows[i][j]]
-        if len(hits) != 1 or T.rows[hits[0]][j] != one:
-            return None
-        perm.append(hits[0])
-    if sorted(perm) != list(range(T.ncols)):
-        return None
-    return tuple(perm)
-
-
 def _reason(e):
     if isinstance(e, ValidationError):
         return "; ".join(e.violations)
@@ -108,7 +94,11 @@ def _reason(e):
 
 
 class MethodRunner:
-    """Per-document caches for the formula routes."""
+    """Per-document caches for the formula routes.
+
+    The idempotent and the symmetric data come from the untwisted algebra;
+    each route then runs over the twisted algebra of its cell.
+    """
 
     def __init__(self, doc: Document):
         self.doc = doc
@@ -127,11 +117,14 @@ class MethodRunner:
             self.symdata_err = _reason(e)
 
     def twists(self):
-        """(name, matrix) pairs, untwisted first."""
-        return [(None, None)] + list(self.A.involutions.items())
+        """(name, twisted algebra) pairs, untwisted first."""
+        return [(None, self.A)] + [(name, twist_algebra(self.A, T))
+                                   for name, T in self.A.involutions.items()]
 
-    def cell(self, V, twist_name, T, methods=("def", "sep", "sym")):
-        rep = fs_indicator(self.A, V, twist=T) if "def" in methods else None
+    def cell(self, V, twist_name, At, methods=("def", "sep", "sym")):
+        """(cell, report): the cell of V over the twisted algebra At, and
+        the definition route's IndicatorReport (None without "def")."""
+        rep = fs_indicator(At, V) if "def" in methods else None
         out = {
             "module": V.name,
             "twist": twist_name,
@@ -149,31 +142,31 @@ class MethodRunner:
                 out["methods"]["separability"] = {
                     "skipped": self.idempotent_err}
             else:
-                nu = fs_via_separability(self.A, V, self.idempotent, twist=T)
+                nu = fs_via_separability(At, V, self.idempotent)
                 out["methods"]["separability"] = {"nu": _s(nu)}
                 values.append(nu)
         if "sym" in methods:
-            entry, value = self._symmetric_entry(V, T, rep)
+            entry, value = self._symmetric_entry(V, At, rep)
             out["methods"]["symmetric"] = entry
             if value is not None:
                 values.append(value)
         if self.A.grouplike is not None and "def" in methods:
             entry, value = self._doi_entry(
-                V.character_on_basis(), V.dim, T, rep)
+                V.character_on_basis(), V.dim, At, rep)
             out["methods"]["doi"] = entry
             if value is not None:
                 values.append(value)
         out["nu"] = _s(values[0]) if values else None
         out["discrepancy"] = any(v != values[0] for v in values[1:])
-        return out
+        return out, rep
 
-    def _symmetric_entry(self, V, T, rep):
+    def _symmetric_entry(self, V, At, rep):
         if self.symdata is None:
             return {"skipped": self.symdata_err}, None
         if rep is not None and rep.end_dim != 1:
             return {"skipped": "module is not absolutely simple"}, None
         try:
-            r = fs_via_symmetric(self.A, V, self.symdata, twist=T,
+            r = fs_via_symmetric(At, V, self.symdata,
                                  check_simple=rep is None)
         except ZeroVolumeCharacter as e:
             return {"skipped": str(e)}, None
@@ -181,16 +174,11 @@ class MethodRunner:
             return {"skipped": r.warnings[0]}, None
         return {"nu": _s(r.nu), "schur": _s(r.schur)}, r.nu
 
-    def _doi_entry(self, chi, dim, T, rep=None):
-        perm = None
-        if T is not None:
-            perm = _matrix_to_perm(T)
-            if perm is None:
-                return {"skipped": "twist is not an index permutation"}, None
+    def _doi_entry(self, chi, dim, At, rep=None):
         if rep is not None and rep.end_dim != 1:
             return {"skipped": "module is not absolutely simple"}, None
         try:
-            nu = doi_grouplike_indicator(self.A, chi, dim, tau=perm)
+            nu = doi_grouplike_indicator(At, chi, dim)
         except (ZeroValency, ZeroVolumeCharacter) as e:
             return {"skipped": str(e)}, None
         return {"nu": _s(nu)}, nu
@@ -237,7 +225,8 @@ def cmd_indicator(args):
     runner = MethodRunner(doc)
     methods = (("def", "sep", "sym") if args.method == "all"
                else (args.method,))
-    cell = runner.cell(V, twist_name, T, methods=methods)
+    cell, _ = runner.cell(V, twist_name, twist_algebra(doc.algebra, T),
+                          methods=methods)
     if args.method != "all":
         label = _METHOD_NAMES[args.method]
         entry = cell["methods"][label]
@@ -298,6 +287,7 @@ def _yn(b):
 def cmd_table(args):
     doc = load_document(args.file)
     runner = MethodRunner(doc)
+    twists = runner.twists()
     out = {
         "document": doc.name,
         "kind": doc.kind,
@@ -310,19 +300,22 @@ def cmd_table(args):
         "trace_s_checks": [],
         "discrepancy": False,
     }
+    nus = {}
     for V in doc.modules.values():
-        for twist_name, T in runner.twists():
-            out["cells"].append(runner.cell(V, twist_name, T))
+        for twist_name, At in twists:
+            cell, rep = runner.cell(V, twist_name, At)
+            out["cells"].append(cell)
+            nus[V.name, twist_name] = rep.nu
 
-    for twist_name, T in runner.twists():
+    for twist_name, At in twists:
         out["regular"].append({
             "twist": twist_name,
-            "trace_q": _s(fs_regular_trace_q(doc.algebra, twist=T)),
+            "trace_q": _s(fs_regular_trace_q(At)),
         })
 
     if doc.algebra.grouplike is not None and not doc.modules:
-        for twist_name, T in runner.twists():
-            entry, _ = runner._doi_entry(doc.algebra.grouplike.eps, 1, T)
+        for twist_name, At in twists:
+            entry, _ = runner._doi_entry(doc.algebra.grouplike.eps, 1, At)
             out["doi_rows"].append({"module": "(valency)",
                                     "twist": twist_name, **entry})
 
@@ -342,10 +335,9 @@ def cmd_table(args):
 
     if doc.simples:
         simples = [doc.modules[n] for n in doc.simples]
-        for twist_name, T in runner.twists():
-            At = twist_algebra(doc.algebra, T) if T is not None \
-                else doc.algebra
-            chk = trace_S_global(At, simples)
+        for twist_name, At in twists:
+            chk = trace_S_global(At, simples, [nus[n, twist_name]
+                                               for n in doc.simples])
             out["trace_s_checks"].append({
                 "twist": twist_name,
                 "lhs": _s(chk.lhs),

@@ -276,6 +276,13 @@ def _load_module(A, entry, where):
     return ModuleRep(name, dim, mats)
 
 
+def _list(doc, key):
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise DocumentError("%s: expected a list of objects" % key)
+    return entries
+
+
 def document_from_dict(doc, name=None, validate=None):
     if validate is None:
         validate = validation_enabled()
@@ -338,18 +345,17 @@ def document_from_dict(doc, name=None, validate=None):
         violations.extend(validate_pivotal(A))
 
     modules = {}
-    for i, entry in enumerate(doc.get("modules", ())):
+    for i, entry in enumerate(_list(doc, "modules")):
         V = _load_module(A, entry, "modules[%d]" % i)
         if V.name in modules:
             raise DocumentError("modules[%d]: duplicate module name %r"
                                 % (i, V.name))
         modules[V.name] = V
         if validate:
-            violations.extend("module %r: %s" % (V.name, v)
-                              for v in validate_module(A, V))
+            violations.extend(validate_module(A, V))
 
     involutions = {}
-    for i, entry in enumerate(doc.get("involutions", ())):
+    for i, entry in enumerate(_list(doc, "involutions")):
         where = "involutions[%d]" % i
         if not isinstance(entry, dict) or not isinstance(entry.get("name"),
                                                          str):

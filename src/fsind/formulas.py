@@ -13,6 +13,11 @@ Three independent ways to the same number:
 Trace identities on the antipode (Trace(S) globally, Trace(S_V) on the
 image of a self-dual simple, Trace(Q) for the regular module) round out the
 cross-checks.
+
+No route takes a twist. Each reads S and g from the pivotal algebra it is
+given, so the twisted value nu^tau comes from passing
+pivotal.twist_algebra(A, T) = (A, S o tau, g). The idempotent E and the
+symmetric data do not involve S and are computed once from A.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .pivotal import (
     ValidationError,
     fs_indicator,
     hom_space,
-    twist_algebra,
 )
 
 
@@ -117,8 +121,9 @@ def validate_separability(A: PivotalAlgebra, E: SeparabilityIdempotent):
     return bad
 
 
-def hopf_integral_idempotent(A: PivotalAlgebra, validate=True):
-    """E = S(L_1) x L_2 from a normalized two-sided integral L."""
+def hopf_integral_idempotent(A: PivotalAlgebra):
+    """E = S(L_1) x L_2 from a normalized two-sided integral L, checked by
+    validate_separability."""
     if A.comult is None or A.counit is None:
         raise MissingData("separability from an integral needs comult and counit")
     if A.integral is None:
@@ -154,21 +159,19 @@ def hopf_integral_idempotent(A: PivotalAlgebra, validate=True):
         if any(vec):
             terms.append((vec, A.basis_vector(j)))
     E = SeparabilityIdempotent(terms)
-    if validate:
-        bad = validate_separability(A, E)
-        if bad:
-            raise NotSeparable(bad)
+    bad = validate_separability(A, E)
+    if bad:
+        raise NotSeparable(bad)
     return E
 
 
 def fs_via_separability(A: PivotalAlgebra, V: ModuleRep,
-                        E: SeparabilityIdempotent, twist=None):
-    """nu(V) = chi_V(S(E') g E''), twisting through S o tau as usual."""
-    At = twist_algebra(A, twist) if twist is not None else A
-    rg = V.of_vector(At.g)
-    acc = At.tag.zero()
+                        E: SeparabilityIdempotent):
+    """nu(V) = chi_V(S(E') g E'')."""
+    rg = V.of_vector(A.g)
+    acc = A.tag.zero()
     for u, v in E.terms:
-        m = V.of_vector(At.apply_S(u)) * rg * V.of_vector(v)
+        m = V.of_vector(A.apply_S(u)) * rg * V.of_vector(v)
         acc = acc + m.trace()
     return acc
 
@@ -217,29 +220,28 @@ def symmetric_form_data(A: PivotalAlgebra):
 
 
 def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
-                     data: SymmetricFormData | None = None, twist=None,
+                     data: SymmetricFormData | None = None,
                      check_simple=True):
     """Dual-basis character sum; also reports the Schur element.
 
     The formula needs V absolutely simple; when it is not, the value is
     still computed but flagged in .warnings.
     """
-    At = twist_algebra(A, twist) if twist is not None else A
     if data is None:
         data = symmetric_form_data(A)
     chi_vol = V.character(data.volume)
     if not chi_vol:
         raise ZeroVolumeCharacter(
             "chi_%s vanishes on the volume element" % V.name)
-    d = At.tag.coerce(V.dim)
-    rg = V.of_vector(At.g)
-    acc = At.tag.zero()
+    d = A.tag.coerce(V.dim)
+    rg = V.of_vector(A.g)
+    acc = A.tag.zero()
     for i in range(A.dim):
-        m = (V.of_vector(At.apply_S(At.basis_vector(i)))
+        m = (V.of_vector(A.apply_S(A.basis_vector(i)))
              * rg * V.of_vector(data.dual_basis[i]))
         acc = acc + m.trace()
     warnings = ()
-    if check_simple and len(hom_space(At, V, V)) != 1:
+    if check_simple and len(hom_space(A, V, V)) != 1:
         warnings = ("module %r is not absolutely simple; the dual-basis"
                     " formula is heuristic here" % V.name,)
     return SymmetricIndicator(
@@ -252,59 +254,57 @@ def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
 # ---------------------------------------------------------------------------
 # antipode traces
 
-def fs_regular_trace_q(A: PivotalAlgebra, twist=None):
+def fs_regular_trace_q(A: PivotalAlgebra):
     """Trace of a -> S(a) g; equals nu of the regular module for Frobenius
     algebras, and the number of square roots of 1 for group algebras."""
-    At = twist_algebra(A, twist) if twist is not None else A
-    acc = At.tag.zero()
-    for i in range(At.dim):
-        v = At.multiply(At.apply_S(At.basis_vector(i)), At.g)
+    acc = A.tag.zero()
+    for i in range(A.dim):
+        v = A.multiply(A.apply_S(A.basis_vector(i)), A.g)
         acc = acc + v[i]
     return acc
 
 
-def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep, twist=None):
+def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep):
     """(Trace(S_V), Trace(Q_V)) with S_V(rho(a)) = rho(S(a)) on the image.
 
     Requires V absolutely simple and self-dual, which is exactly when S_V
     is well defined; both preconditions are verified.
     """
-    At = twist_algebra(A, twist) if twist is not None else A
-    rep = fs_indicator(At, V)
+    rep = fs_indicator(A, V)
     if rep.end_dim != 1:
         raise NotAbsolutelySimple("End(%s) has dimension != 1" % V.name)
     if not rep.self_dual:
         raise NotSelfDual("%s is not isomorphic to its dual" % V.name)
 
-    images = [V.action[i].vec() for i in range(At.dim)]
+    images = [V.action[i].vec() for i in range(A.dim)]
     span_idx = []
     span_vecs = []
     for i, v in enumerate(images):
-        if rank(Matrix(At.tag, span_vecs + [list(v)])) > len(span_vecs):
+        if rank(Matrix(A.tag, span_vecs + [list(v)])) > len(span_vecs):
             span_idx.append(i)
             span_vecs.append(list(v))
     span = [tuple(v) for v in span_vecs]
-    span_t = Matrix(At.tag, span_vecs).transpose()
+    span_t = Matrix(A.tag, span_vecs).transpose()
 
     def op_matrix(post):
         cols = []
         for i in span_idx:
-            m = V.of_vector(At.apply_S(At.basis_vector(i)))
+            m = V.of_vector(A.apply_S(A.basis_vector(i)))
             if post is not None:
                 m = m * post
-            cols.append(solve_in_span(At.tag, span, m.vec()))
-        return Matrix(At.tag, list(zip(*cols)))
+            cols.append(solve_in_span(A.tag, span, m.vec()))
+        return Matrix(A.tag, list(zip(*cols)))
 
     # consistency: the assignment rho(b_i) -> rho(S(b_i)) must be linear on
     # the whole image, not only on the chosen spanning subset
     s_op = op_matrix(None)
-    for i in range(At.dim):
-        coeffs = solve_in_span(At.tag, span, images[i])
-        expected = V.of_vector(At.apply_S(At.basis_vector(i))).vec()
+    for i in range(A.dim):
+        coeffs = solve_in_span(A.tag, span, images[i])
+        expected = V.of_vector(A.apply_S(A.basis_vector(i))).vec()
         if span_t.apply(s_op.apply(coeffs)) != expected:
             raise NotSelfDual(
                 "the antipode does not descend to the image of %s" % V.name)
-    q_op = op_matrix(V.of_vector(At.g))
+    q_op = op_matrix(V.of_vector(A.g))
     return s_op.trace(), q_op.trace()
 
 
@@ -319,8 +319,9 @@ class TraceSCheck:
         return self.lhs == self.rhs
 
 
-def trace_S_global(A: PivotalAlgebra, simples):
-    """Trace(S) = sum nu(V) chi_V(g) over a complete list of simples."""
+def trace_S_global(A: PivotalAlgebra, simples, nus):
+    """Trace(S) = sum nu(V) chi_V(g) over a complete list of simples, with
+    nus their indicators over A."""
     total = sum(V.dim * V.dim for V in simples)
     if total != A.dim:
         raise IncompleteSimplesList(
@@ -328,8 +329,7 @@ def trace_S_global(A: PivotalAlgebra, simples):
     lhs = A.S.trace()
     rhs = A.tag.zero()
     per = []
-    for V in simples:
-        nu = fs_indicator(A, V).nu
+    for V, nu in zip(simples, nus, strict=True):
         chig = V.character(A.g)
         per.append((V.name, nu, chig))
         rhs = rhs + nu * chig
@@ -339,11 +339,14 @@ def trace_S_global(A: PivotalAlgebra, simples):
 # ---------------------------------------------------------------------------
 # Doi's formula for group-like algebras
 
-def doi_grouplike_indicator(A: PivotalAlgebra, chi, dim, tau=None):
-    """nu^tau(V) = (c_V dim)^-1 sum_i eps(b_i)^-1 chi(b_{tau(i)} b_i).
+def doi_grouplike_indicator(A: PivotalAlgebra, chi, dim):
+    """nu(V) = (c_V dim)^-1 sum_i eps(b_i)^-1 chi(S(b_{i*}) b_i).
 
     chi gives the character values on the basis; dim is the degree of the
-    underlying module. tau is a permutation of indices (None = untwisted).
+    underlying module. This is the symmetric route with the dual basis
+    eps(b_i)^-1 b_{i*} and g = 1, so it holds under any twist: untwisted
+    S(b_{i*}) = b_i, and over twist_algebra(A, T) the S there sends b_{i*}
+    to S(tau(b_{i*})), which is b_{tau(i)} when tau permutes the basis.
     """
     if A.grouplike is None:
         raise MissingData("%s carries no group-like structure" % A.name)
@@ -352,7 +355,6 @@ def doi_grouplike_indicator(A: PivotalAlgebra, chi, dim, tau=None):
         raise ZeroValency("a basis element has vanishing valency")
     chi = tuple(A.tag.coerce(x) for x in chi)
     n = A.dim
-    perm = tuple(tau) if tau is not None else tuple(range(n))
 
     def chi_of(vec):
         return A.pair(chi, vec)
@@ -368,7 +370,8 @@ def doi_grouplike_indicator(A: PivotalAlgebra, chi, dim, tau=None):
     c_v = chi_vol / (d * d)
     acc = A.tag.zero()
     for i in range(n):
-        prod = A.multiply(A.basis_vector(perm[i]), A.basis_vector(i))
+        prod = A.multiply(A.apply_S(A.basis_vector(star[i])),
+                          A.basis_vector(i))
         acc = acc + chi_of(prod) / eps[i]
     return acc / (c_v * d)
 

@@ -16,8 +16,10 @@ linalg.intertwiner_constraint, one per generator, not one per basis
 element: b -> R(b) and b -> R(S(b))^T are algebra maps, so a map
 intertwining them on generators does so on all of A.
 
-Twisting by an involution tau replaces S by S o tau and keeps g; all twisted
-quantities route through twist_algebra so there is exactly one code path.
+Twisting by an involution tau replaces S by S o tau and keeps g. That is
+the only place a twist enters: twist_algebra builds (A, S o tau, g), and
+every indicator route, here and in formulas, reads S from the algebra it is
+given, so nu^tau(V) is fs_indicator(twist_algebra(A, T), V).
 """
 
 from __future__ import annotations
@@ -385,20 +387,12 @@ def transposition_on_forms(A: PivotalAlgebra, basis: FormBasis):
 # ---------------------------------------------------------------------------
 # twisting
 
-def twist_algebra(A: PivotalAlgebra, tau):
-    """The same algebra with S replaced by S o tau (tau applied first)."""
-    t = resolve_involution(A, tau)
-    return replace(A, S=A.S * t, name="%s^tau" % A.name)
-
-
-def resolve_involution(A: PivotalAlgebra, tau):
-    if tau is None:
-        return Matrix.identity(A.tag, A.dim)
-    if isinstance(tau, str):
-        if tau not in A.involutions:
-            raise MissingData("no involution named %r on %s" % (tau, A.name))
-        return A.involutions[tau]
-    return tau
+def twist_algebra(A: PivotalAlgebra, T):
+    """(A, S o tau, g) for the involution matrix T of tau (tau applied
+    first); A itself when T is None."""
+    if T is None:
+        return A
+    return replace(A, S=A.S * T, name="%s^tau" % A.name)
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +460,10 @@ def indicator_from_presentation(tag, gens, dual_gens, g):
     )
 
 
-def fs_indicator(A: PivotalAlgebra, V: ModuleRep, twist=None):
+def fs_indicator(A: PivotalAlgebra, V: ModuleRep):
     """Definition-level Frobenius-Schur indicator of V over (A, S, g)."""
-    At = twist_algebra(A, twist) if twist is not None else A
-    return indicator_from_presentation(At.tag, *_presentation(At, V),
-                                       V.of_vector(At.g))
+    return indicator_from_presentation(A.tag, *_presentation(A, V),
+                                       V.of_vector(A.g))
 
 
 # ---------------------------------------------------------------------------

@@ -118,24 +118,6 @@ def poly_gcd(a, b):
     return poly_monic(a)
 
 
-def poly_ext_gcd(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
-    if r0:
-        lead = r0[-1]
-        r0 = tuple(c / lead for c in r0)
-        s0 = tuple(c / lead for c in s0)
-        t0 = tuple(c / lead for c in t0)
-    return r0, s0, t0
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n):
     """Coefficients of the n-th cyclotomic polynomial.
@@ -336,17 +318,26 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
-        n, d = self._n, self._d
+        """d/n for a constant n; otherwise d * c / N(n), where c is the
+        product of the conjugates sigma_k(n), z -> z^k, over the k coprime
+        to the order other than 1, and N(n) = n * c is the integer norm."""
+        order, n, d = self.order, self._n, self._d
         if not any(n[1:]):
             c = n[0]
             if not c:
                 raise ZeroDivisionError("division by zero in cyclotomic field")
-            return _new_cyclotomic(self.order,
-                                   (d if c > 0 else -d,) + n[1:], abs(c))
-        g, s, _ = poly_ext_gcd(_trim(Fraction(x) for x in n),
-                               cyclotomic_poly(self.order))
-        assert g == (Fraction(1),)
-        return Cyclotomic(self.order, [d * c for c in s])
+            return _new_cyclotomic(order, (d if c > 0 else -d,) + n[1:],
+                                   abs(c))
+        conj = _cyclotomic_constant(order, 1)
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                v = [0] * order
+                for i, x in enumerate(n):
+                    v[i * k % order] += x
+                conj = conj * _new_cyclotomic(order, tuple(_fold(v, order)), 1)
+        norm = (_new_cyclotomic(order, n, 1) * conj)._n[0]
+        s = d if norm > 0 else -d
+        return _cyclotomic(order, [s * x for x in conj._n], abs(norm))
 
     def __truediv__(self, other):
         o = self._coerce(other)

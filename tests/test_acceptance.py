@@ -42,6 +42,7 @@ from fsind.pivotal import (
     pivotal_from_character,
     regular_module,
     transposition_on_forms,
+    twist_algebra,
 )
 from fsind.qsl2 import qsl2_indicator
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION
@@ -139,8 +140,10 @@ def test_criterion_04_trichotomy_and_canonical_form():
 def test_criterion_05_global_trace_identity():
     for name in ("S3", "D4", "Q8"):
         doc = load(name)
-        chk = trace_S_global(doc.algebra,
-                             [doc.modules[n] for n in doc.simples])
+        simples = [doc.modules[n] for n in doc.simples]
+        chk = trace_S_global(doc.algebra, simples,
+                             [fs_indicator(doc.algebra, V).nu
+                              for V in simples])
         assert chk.equal, name
     print("criterion 5 PASS: Trace(S) equals sum of nu(V) chi_V(g) over"
           " the complete simples of S3, D4, Q8")
@@ -231,7 +234,8 @@ def test_criterion_08_twisted_cases():
     A = doc.algebra
     chi1 = doc.modules["chi1"]
     assert fs_indicator(A, chi1).nu == A.tag.zero()
-    assert fs_indicator(A, chi1, twist="inv").nu == A.tag.one()
+    At = twist_algebra(A, A.involutions["inv"])
+    assert fs_indicator(At, chi1).nu == A.tag.one()
 
     s3 = load("S3")
     B = s3.algebra

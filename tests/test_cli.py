@@ -15,7 +15,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
-from fsind import cli
+from fsind import cli, pivotal
 from fsind.cli import main
 from fsind.constructors import builtin_document, builtin_names
 
@@ -102,6 +102,29 @@ def test_non_ascii_digit_in_scheme_text_is_exit_2(tmp_path):
     assert "non-negative integers" in out.stderr
 
 
+@pytest.mark.parametrize("key", ["modules", "involutions"])
+def test_non_list_section_is_exit_2(tmp_path, key):
+    path = write_builtin(tmp_path, "C2", mutate=lambda raw: raw.update({key: 5}))
+    out = _check_in_subprocess(path)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr == "error: %s: expected a list of objects\n" % key
+
+
+def test_module_violation_names_the_module_once(tmp_path, capsys):
+    def mutate(raw):
+        raw["modules"] = [{"name": "a", "dim": 1, "action": [[["1"]], [["2"]]]}]
+        raw.pop("simples", None)
+
+    path = write_builtin(tmp_path, "C2", mutate=mutate)
+    code, out, _ = run(capsys, "check", path)
+    assert code == 1
+    assert out == "invalid: module 'a': action breaks at (1, 1)\n"
+    code, _, err = run(capsys, "table", path)
+    assert code == 1
+    assert err == "invalid: module 'a': action breaks at (1, 1)\n"
+
+
 def test_bad_usage_is_exit_2(capsys):
     assert main([]) == 2
     assert main(["indicator"]) == 2
@@ -180,7 +203,7 @@ def test_indicator_single_method_unavailable(tmp_path, capsys):
 def test_indicator_discrepancy_path(tmp_path, capsys, monkeypatch):
     path = write_builtin(tmp_path, "S3")
     monkeypatch.setattr(cli, "fs_via_separability",
-                        lambda A, V, E, twist=None: A.tag.coerce(7))
+                        lambda A, V, E: A.tag.coerce(7))
     code, out, err = run(capsys, "indicator", path, "--module", "std",
                          "--json")
     assert code == 1
@@ -214,6 +237,44 @@ def test_table_runs_twists(tmp_path, capsys):
     assert twists[("chi1", "inv")] == "1"
     regular = {e["twist"]: e["trace_q"] for e in payload["regular"]}
     assert regular == {None: "1", "inv": "3"}
+
+
+def test_table_computes_each_indicator_once(tmp_path, capsys, monkeypatch):
+    # C3-inv: 3 modules x 2 twists, and the trace(S) checks reuse the cells
+    original = pivotal.fs_indicator
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("fsind")
+                and getattr(mod, "fs_indicator", None) is original):
+            monkeypatch.setattr(mod, "fs_indicator", counting)
+    path = write_builtin(tmp_path, "C3-inv")
+    code, out, _ = run(capsys, "table", path, "--json")
+    assert code == 0
+    assert len(json.loads(out)["trace_s_checks"]) == 2
+    assert len(calls) == 6
+
+
+def test_doi_runs_under_a_matrix_involution(tmp_path, capsys):
+    # R1 -> R0 - R1 swaps the two characters of K3; it is no permutation
+    swap = {"name": "swap", "matrix": [["1", "1"], ["0", "-1"]]}
+    path = write_builtin(tmp_path, "scheme-K3",
+                         mutate=lambda raw: raw.update(involutions=[swap]))
+    code, out, _ = run(capsys, "table", path, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["discrepancy"] is False
+    cells = {c["module"]: c for c in payload["cells"] if c["twist"] == "swap"}
+    assert sorted(cells) == ["chi1", "valency"]
+    for c in cells.values():
+        assert c["nu"] == "0" and not c["discrepancy"]
+        assert c["methods"]["definition"] == {"nu": "0"}
+        assert c["methods"]["symmetric"]["nu"] == "0"
+        assert c["methods"]["doi"] == {"nu": "0"}
 
 
 def test_table_coalgebra_cross_check(tmp_path, capsys):

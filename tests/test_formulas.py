@@ -10,6 +10,7 @@ from fsind.constructors import (
     cyclic_table,
     d4_table,
     group_algebra,
+    perm_matrix,
     q8_table,
     s3_table,
     scheme_to_grouplike,
@@ -46,6 +47,7 @@ from fsind.pivotal import (
     fs_indicator,
     pivotal_from_character,
     regular_module,
+    twist_algebra,
     validate_module,
     validate_pivotal,
 )
@@ -134,7 +136,8 @@ def test_separability_route_twisted():
     A = doc.algebra
     E = hopf_integral_idempotent(A)
     chi1 = doc.modules["chi1"]
-    assert fs_via_separability(A, chi1, E, twist="inv") == A.tag.one()
+    At = twist_algebra(A, A.involutions["inv"])
+    assert fs_via_separability(At, chi1, E) == A.tag.one()
     assert fs_via_separability(A, chi1, E) == A.tag.zero()
 
 
@@ -217,7 +220,8 @@ def test_regular_trace_q_counts_square_roots():
 def test_regular_trace_q_twisted():
     A = load("C3-inv").algebra
     # tau is inversion, so every basis element satisfies S(tau(x)) g = x
-    assert fs_regular_trace_q(A, twist="inv") == A.tag.coerce(3)
+    At = twist_algebra(A, A.involutions["inv"])
+    assert fs_regular_trace_q(At) == A.tag.coerce(3)
     assert fs_regular_trace_q(A) == A.tag.one()
 
 
@@ -230,8 +234,8 @@ def test_trace_s_on_image_frozen_values():
     assert trace_S_on_image(q8.algebra, q8.modules["twodim"]) == (m2, m2)
     c3 = load("C3-inv")
     one = c3.algebra.tag.one()
-    assert trace_S_on_image(c3.algebra, c3.modules["chi1"],
-                            twist="inv") == (one, one)
+    c3t = twist_algebra(c3.algebra, c3.algebra.involutions["inv"])
+    assert trace_S_on_image(c3t, c3.modules["chi1"]) == (one, one)
 
 
 def test_trace_s_on_image_preconditions():
@@ -247,7 +251,9 @@ def test_trace_s_global():
     for name, lhs in (("S3", 4), ("D4", 6), ("Q8", 2)):
         doc = load(name)
         A = doc.algebra
-        check = trace_S_global(A, list(doc.modules.values()))
+        simples = list(doc.modules.values())
+        check = trace_S_global(A, simples,
+                               [fs_indicator(A, V).nu for V in simples])
         assert check.lhs == A.tag.coerce(lhs)
         assert check.equal
         assert len(check.per_module) == len(doc.modules)
@@ -256,7 +262,8 @@ def test_trace_s_global():
 def test_trace_s_global_needs_complete_list():
     doc = load("S3")
     with pytest.raises(IncompleteSimplesList):
-        trace_S_global(doc.algebra, [doc.modules["triv"], doc.modules["sign"]])
+        trace_S_global(doc.algebra, [doc.modules["triv"], doc.modules["sign"]],
+                       [1, 1])
 
 
 # --- Doi's valency formula ------------------------------------------------------
@@ -272,7 +279,8 @@ def test_doi_on_the_complete_graph():
     assert doi_grouplike_indicator(A, (1, 2), 1) == RATIONAL.one()
     assert doi_grouplike_indicator(A, (1, -1), 1) == RATIONAL.one()
     # the identity permutation is the trivial twist
-    assert doi_grouplike_indicator(A, (1, -1), 1, tau=(0, 1)) == RATIONAL.one()
+    At = twist_algebra(A, perm_matrix(RATIONAL, (0, 1)))
+    assert doi_grouplike_indicator(At, (1, -1), 1) == RATIONAL.one()
 
 
 def test_doi_preconditions():

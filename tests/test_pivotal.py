@@ -1,13 +1,17 @@
 """Pivotal axioms, form spaces, and the definition-level indicator."""
 
 import dataclasses
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fsind
 from fsind.constructors import (
     CayleyTable,
     coalgebra_regular_module,
@@ -36,7 +40,6 @@ from fsind.linalg import (
 from fsind.pivotal import (
     FormBasis,
     MissingComultiplication,
-    MissingData,
     ModuleRep,
     NotCentralCharacter,
     PivotalAlgebra,
@@ -48,7 +51,6 @@ from fsind.pivotal import (
     invariant_form_space,
     pivotal_from_character,
     regular_module,
-    resolve_involution,
     span_contains_invertible,
     transposition_on_forms,
     twist_algebra,
@@ -164,7 +166,7 @@ def test_c3_character_not_self_dual_until_twisted():
     plain = fs_indicator(A, chi1)
     assert plain.nu == A.tag.zero()
     assert plain.dim_bil == 0 and not plain.self_dual
-    twisted = fs_indicator(A, chi1, twist="inv")
+    twisted = fs_indicator(twist_algebra(A, A.involutions["inv"]), chi1)
     assert twisted.nu == A.tag.one() and twisted.self_dual
 
 
@@ -264,8 +266,8 @@ def test_form_space_is_invariant_on_every_builtin():
         doc = load(name)
         A = doc.algebra
         modules = list(doc.modules.values()) + [regular_module(A)]
-        for tau in [None] + list(A.involutions):
-            At = twist_algebra(A, tau) if tau is not None else A
+        for T in [None] + list(A.involutions.values()):
+            At = twist_algebra(A, T)
             for V in modules:
                 assert_forms_are_invariant(A, At, V)
 
@@ -330,8 +332,8 @@ def builtin_pairs():
         modules = list(doc.modules.values()) + [regular_module(A)]
         if doc.coalgebra is not None:
             modules.append(coalgebra_regular_module(doc.coalgebra))
-        for tau in [None] + list(A.involutions):
-            At = twist_algebra(A, tau) if tau is not None else A
+        for tau, T in [(None, None)] + list(A.involutions.items()):
+            At = twist_algebra(A, T)
             for V in modules:
                 yield name, tau, At, V
 
@@ -407,8 +409,8 @@ def test_builtin_generators_generate():
         A = load(name).algebra
         assert generated_dimension(A, A.generators) == A.dim, name
         # the twist changes S only, and the generators ride along
-        for tau in A.involutions:
-            assert twist_algebra(A, tau).generators == A.generators
+        for T in A.involutions.values():
+            assert twist_algebra(A, T).generators == A.generators
 
 
 def test_transposition_outside_the_span_is_rejected():
@@ -466,17 +468,36 @@ def test_indicator_additive_on_direct_sums(left, right):
 
 def test_twisted_algebra_is_still_pivotal():
     doc = load("C3-inv")
-    At = twist_algebra(doc.algebra, "inv")
+    At = twist_algebra(doc.algebra, doc.algebra.involutions["inv"])
     assert validate_pivotal(At) == []
 
 
-def test_resolve_involution():
+def test_twist_algebra_is_the_only_twist_point():
     doc = load("C3-inv")
     A = doc.algebra
-    assert resolve_involution(A, None) == Matrix.identity(A.tag, A.dim)
-    assert resolve_involution(A, "inv") is A.involutions["inv"]
-    with pytest.raises(MissingData):
-        resolve_involution(A, "nope")
+    T = A.involutions["inv"]
+    assert twist_algebra(A, None) is A
+    At = twist_algebra(A, T)
+    assert At.S == A.S * T and At.g == A.g
+    assert At.generators == A.generators
+
+
+def test_no_function_takes_a_twist_or_tau():
+    # twist_algebra(A, T) is the only way a twist enters
+    for info in pkgutil.iter_modules(fsind.__path__):
+        mod = importlib.import_module("fsind." + info.name)
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                funcs = [obj]
+            elif inspect.isclass(obj):
+                funcs = [f for f in vars(obj).values() if inspect.isfunction(f)]
+            else:
+                continue
+            for f in funcs:
+                params = set(inspect.signature(f).parameters)
+                assert not params & {"twist", "tau"}, f.__qualname__
 
 
 def test_pivotal_from_character_sign_twist():

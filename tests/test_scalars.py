@@ -261,6 +261,16 @@ def test_cyclotomic_matches_the_polynomial_reference(operands, e):
     assert parse_scalar(scalar_to_string(a), tag).coeffs == a.coeffs
 
 
+def test_cyclotomic_inverse_at_order_105():
+    # phi(105) = 48: the conjugates z -> z^k reach z^104, above the
+    # z^94 the reduction table covers, so they take the top-down fold
+    one = _reduced((1,), 105)
+    for cs in ([F(1), F(1)], [F(i % 7 - 3, i % 4 + 1) for i in range(48)]):
+        inv = Cyclotomic(105, cs).inverse()
+        _stored(inv)
+        assert _reduced(poly_mul(_reduced(cs, 105), inv.coeffs), 105) == one
+
+
 def test_equal_cyclotomics_built_differently_share_the_stored_pair():
     z = Cyclotomic.generator(12)
     w = Cyclotomic.generator(9)
