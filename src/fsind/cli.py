@@ -30,6 +30,7 @@ from .constructors import (
 from .documents import Document, DocumentError, load_document
 from .formulas import (
     IncompleteSimplesList,
+    NotAbsolutelySimple,
     NotAnIntegral,
     NotSeparable,
     ZeroValency,
@@ -163,19 +164,16 @@ class MethodRunner:
     def _symmetric_entry(self, V, At, rep):
         if self.symdata is None:
             return {"skipped": self.symdata_err}, None
-        if rep is not None and rep.end_dim != 1:
+        if rep is not None and not rep.abs_simple:
             return {"skipped": "module is not absolutely simple"}, None
         try:
-            r = fs_via_symmetric(At, V, self.symdata,
-                                 check_simple=rep is None)
-        except ZeroVolumeCharacter as e:
+            r = fs_via_symmetric(At, V, self.symdata)
+        except (NotAbsolutelySimple, ZeroVolumeCharacter) as e:
             return {"skipped": str(e)}, None
-        if r.warnings:
-            return {"skipped": r.warnings[0]}, None
         return {"nu": _s(r.nu), "schur": _s(r.schur)}, r.nu
 
     def _doi_entry(self, chi, dim, At, rep=None):
-        if rep is not None and rep.end_dim != 1:
+        if rep is not None and not rep.abs_simple:
             return {"skipped": "module is not absolutely simple"}, None
         try:
             nu = doi_grouplike_indicator(At, chi, dim)

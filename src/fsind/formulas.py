@@ -1,18 +1,24 @@
 """Closed-form indicator routes that cross-check the definition.
 
-Three independent ways to the same number:
+Every route is one character sum over a Casimir-type element
+x' (x) x'' of A (x) A:
 
-* a separability idempotent E gives nu(V) = chi_V(S(E') g E'');
-  for a Hopf algebra E comes from a normalized integral as S(L_1) x L_2;
-* a symmetric trace form phi gives the dual-basis sum
-  nu(V) = (dim V / chi_V(v)) sum_i chi_V(S(b_i) g b_i-dual), with the Schur
-  element chi_V(v) / dim^2 as a byproduct;
-* for group-like (Doi) algebras the dual basis is eps(b_i)^-1 b_{i*}, which
-  collapses the sum to valency-weighted character values.
+    nu(V) = chi_V(S(x') g x'')
+
+* a separability idempotent E is such an element, so nu(V) is the sum
+  itself; for a Hopf algebra E comes from a normalized integral as
+  S(L_1) x L_2;
+* a symmetric trace form phi gives the dual basis sum_i b_i x b_i-dual,
+  and nu(V) is the sum scaled by dim V / chi_V(v), v = sum_i b_i b_i-dual;
+  the Schur element chi_V(v) / dim^2 comes as a byproduct;
+* Doi's formula for group-like algebras is the same dual-basis route with
+  b_i-dual = eps(b_i)^-1 b_{i*}.
 
 Trace identities on the antipode (Trace(S) globally, Trace(S_V) on the
 image of a self-dual simple, Trace(Q) for the regular module) round out the
-cross-checks.
+cross-checks. fs_via_symmetric and trace_S_on_image decide their
+preconditions themselves, each by one exact elimination; no route calls
+the definition solver, so the routes stay independent of it.
 
 No route takes a twist. Each reads S and g from the pivotal algebra it is
 given, so the twisted value nu^tau comes from passing
@@ -24,15 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, SingularMatrix, inverse, rank, solve_in_span
-from .pivotal import (
-    MissingData,
-    ModuleRep,
-    PivotalAlgebra,
-    ValidationError,
-    fs_indicator,
-    hom_space,
-)
+from .linalg import Matrix, SingularMatrix, _rref_in_place, inverse, rank
+from .pivotal import MissingData, ModuleRep, PivotalAlgebra, ValidationError
 
 
 class NotAnIntegral(ValidationError):
@@ -165,15 +164,19 @@ def hopf_integral_idempotent(A: PivotalAlgebra):
     return E
 
 
+def _casimir_sum(A: PivotalAlgebra, chi, terms):
+    """sum chi(S(u) g v) over the terms u x v; chi holds the character
+    values on the basis."""
+    acc = A.tag.zero()
+    for u, v in terms:
+        acc = acc + A.pair(chi, A.multiply(A.multiply(A.apply_S(u), A.g), v))
+    return acc
+
+
 def fs_via_separability(A: PivotalAlgebra, V: ModuleRep,
                         E: SeparabilityIdempotent):
     """nu(V) = chi_V(S(E') g E'')."""
-    rg = V.of_vector(A.g)
-    acc = A.tag.zero()
-    for u, v in E.terms:
-        m = V.of_vector(A.apply_S(u)) * rg * V.of_vector(v)
-        acc = acc + m.trace()
-    return acc
+    return _casimir_sum(A, V.character_on_basis(), E.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +184,6 @@ def fs_via_separability(A: PivotalAlgebra, V: ModuleRep,
 
 @dataclass
 class SymmetricFormData:
-    gram: Matrix
     dual_basis: list   # vectors b_i-dual with phi(b_i b_j-dual) = delta_ij
     volume: tuple      # sum_i b_i b_i-dual, a central element
 
@@ -190,7 +192,28 @@ class SymmetricFormData:
 class SymmetricIndicator:
     nu: object
     schur: object
-    warnings: tuple
+
+
+def _dual_basis_data(A: PivotalAlgebra, dual):
+    """The dual basis with its volume sum_i b_i b_i-dual."""
+    vol = A.zero_vector()
+    for i, w in enumerate(dual):
+        vol = tuple(x + y for x, y in
+                    zip(vol, A.multiply(A.basis_vector(i), w)))
+    return SymmetricFormData(dual_basis=dual, volume=vol)
+
+
+def _dual_basis_sum(A: PivotalAlgebra, chi, dim, data, chi_name):
+    """(nu, schur) = ((d / chi(v)) sum_i chi(S(b_i) g b_i-dual),
+    chi(v) / d^2) with d = dim, over the dual basis and the volume v of
+    data."""
+    chi_vol = A.pair(chi, data.volume)
+    if not chi_vol:
+        raise ZeroVolumeCharacter(
+            "%s vanishes on the volume element" % chi_name)
+    d = A.tag.coerce(dim)
+    terms = [(A.basis_vector(i), w) for i, w in enumerate(data.dual_basis)]
+    return (d / chi_vol) * _casimir_sum(A, chi, terms), chi_vol / (d * d)
 
 
 def symmetric_form_data(A: PivotalAlgebra):
@@ -208,47 +231,30 @@ def symmetric_form_data(A: PivotalAlgebra):
     except SingularMatrix:
         raise DegenerateTraceForm("the Gram matrix of phi is singular")
     dual = [tuple(graminv.rows[j][i] for j in range(n)) for i in range(n)]
-    vol = A.zero_vector()
-    for i in range(n):
-        vol = tuple(x + y for x, y in
-                    zip(vol, A.multiply(A.basis_vector(i), dual[i])))
+    data = _dual_basis_data(A, dual)
     for i in range(n):
         b = A.basis_vector(i)
-        if A.multiply(vol, b) != A.multiply(b, vol):
+        if A.multiply(data.volume, b) != A.multiply(b, data.volume):
             raise VolumeNotCentral("volume fails to commute with basis %d" % i)
-    return SymmetricFormData(gram=gram, dual_basis=dual, volume=vol)
+    return data
 
 
 def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
-                     data: SymmetricFormData | None = None,
-                     check_simple=True):
+                     data: SymmetricFormData | None = None):
     """Dual-basis character sum; also reports the Schur element.
 
-    The formula needs V absolutely simple; when it is not, the value is
-    still computed but flagged in .warnings.
+    The formula needs V absolutely simple, which holds exactly when the
+    R(b_i) span End(V) (Burnside); NotAbsolutelySimple otherwise.
     """
     if data is None:
         data = symmetric_form_data(A)
-    chi_vol = V.character(data.volume)
-    if not chi_vol:
-        raise ZeroVolumeCharacter(
-            "chi_%s vanishes on the volume element" % V.name)
-    d = A.tag.coerce(V.dim)
-    rg = V.of_vector(A.g)
-    acc = A.tag.zero()
-    for i in range(A.dim):
-        m = (V.of_vector(A.apply_S(A.basis_vector(i)))
-             * rg * V.of_vector(data.dual_basis[i]))
-        acc = acc + m.trace()
-    warnings = ()
-    if check_simple and len(hom_space(A, V, V)) != 1:
-        warnings = ("module %r is not absolutely simple; the dual-basis"
-                    " formula is heuristic here" % V.name,)
-    return SymmetricIndicator(
-        nu=(d / chi_vol) * acc,
-        schur=chi_vol / (d * d),
-        warnings=warnings,
-    )
+    if rank(Matrix(A.tag, [m.vec() for m in V.action])) != V.dim * V.dim:
+        raise NotAbsolutelySimple(
+            "module %r is not absolutely simple; the dual-basis formula is"
+            " heuristic here" % V.name)
+    nu, schur = _dual_basis_sum(A, V.character_on_basis(), V.dim, data,
+                                "chi_%s" % V.name)
+    return SymmetricIndicator(nu=nu, schur=schur)
 
 
 # ---------------------------------------------------------------------------
@@ -268,44 +274,30 @@ def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep):
     """(Trace(S_V), Trace(Q_V)) with S_V(rho(a)) = rho(S(a)) on the image.
 
     Requires V absolutely simple and self-dual, which is exactly when S_V
-    is well defined; both preconditions are verified.
+    is well defined. One elimination of the rows vec R(b_i) | vec R(S(b_i))
+    decides both: the left halves span End(V) exactly when V is absolutely
+    simple (Burnside), and S descends exactly when no pivot falls in the
+    right half. Row k is then E_k | vec S_V(E_k) for the matrix unit E_k.
     """
-    rep = fs_indicator(A, V)
-    if rep.end_dim != 1:
-        raise NotAbsolutelySimple("End(%s) has dimension != 1" % V.name)
-    if not rep.self_dual:
-        raise NotSelfDual("%s is not isomorphic to its dual" % V.name)
-
-    images = [V.action[i].vec() for i in range(A.dim)]
-    span_idx = []
-    span_vecs = []
-    for i, v in enumerate(images):
-        if rank(Matrix(A.tag, span_vecs + [list(v)])) > len(span_vecs):
-            span_idx.append(i)
-            span_vecs.append(list(v))
-    span = [tuple(v) for v in span_vecs]
-    span_t = Matrix(A.tag, span_vecs).transpose()
-
-    def op_matrix(post):
-        cols = []
-        for i in span_idx:
-            m = V.of_vector(A.apply_S(A.basis_vector(i)))
-            if post is not None:
-                m = m * post
-            cols.append(solve_in_span(A.tag, span, m.vec()))
-        return Matrix(A.tag, list(zip(*cols)))
-
-    # consistency: the assignment rho(b_i) -> rho(S(b_i)) must be linear on
-    # the whole image, not only on the chosen spanning subset
-    s_op = op_matrix(None)
-    for i in range(A.dim):
-        coeffs = solve_in_span(A.tag, span, images[i])
-        expected = V.of_vector(A.apply_S(A.basis_vector(i))).vec()
-        if span_t.apply(s_op.apply(coeffs)) != expected:
-            raise NotSelfDual(
-                "the antipode does not descend to the image of %s" % V.name)
-    q_op = op_matrix(V.of_vector(A.g))
-    return s_op.trace(), q_op.trace()
+    d = V.dim
+    d2 = d * d
+    rows = [list(V.action[i].vec())
+            + list(V.of_vector(A.apply_S(A.basis_vector(i))).vec())
+            for i in range(A.dim)]
+    pivots = _rref_in_place(rows, 2 * d2)
+    if pivots[:d2] != list(range(d2)):
+        raise NotAbsolutelySimple(
+            "the action does not span End(%s)" % V.name)
+    if len(pivots) > d2:
+        raise NotSelfDual(
+            "the antipode does not descend to the image of %s" % V.name)
+    rg = V.of_vector(A.g)
+    trace_s = trace_q = A.tag.zero()
+    for k in range(d2):
+        s_k = Matrix.from_vec(A.tag, d, d, rows[k][d2:])  # S_V(E_k)
+        trace_s = trace_s + s_k.vec()[k]
+        trace_q = trace_q + (s_k * rg).vec()[k]  # Q_V(E_k) = S_V(E_k) R(g)
+    return trace_s, trace_q
 
 
 @dataclass
@@ -340,40 +332,24 @@ def trace_S_global(A: PivotalAlgebra, simples, nus):
 # Doi's formula for group-like algebras
 
 def doi_grouplike_indicator(A: PivotalAlgebra, chi, dim):
-    """nu(V) = (c_V dim)^-1 sum_i eps(b_i)^-1 chi(S(b_{i*}) b_i).
+    """nu(V) = (dim / chi(v)) sum_i eps(b_i)^-1 chi(S(b_i) b_{i*}).
 
-    chi gives the character values on the basis; dim is the degree of the
-    underlying module. This is the symmetric route with the dual basis
-    eps(b_i)^-1 b_{i*} and g = 1, so it holds under any twist: untwisted
-    S(b_{i*}) = b_i, and over twist_algebra(A, T) the S there sends b_{i*}
-    to S(tau(b_{i*})), which is b_{tau(i)} when tau permutes the basis.
+    chi gives the character values on the basis and dim its degree; they
+    need not come from a ModuleRep, as the valency character eps does not.
+    This is the dual-basis route with b_i-dual = eps(b_i)^-1 b_{i*}
+    and g = 1, so it holds under any twist: it reads S, S o tau over
+    twist_algebra(A, T), from the algebra.
     """
     if A.grouplike is None:
         raise MissingData("%s carries no group-like structure" % A.name)
     star, eps = A.grouplike.star, A.grouplike.eps
     if any(not e for e in eps):
         raise ZeroValency("a basis element has vanishing valency")
-    chi = tuple(A.tag.coerce(x) for x in chi)
-    n = A.dim
-
-    def chi_of(vec):
-        return A.pair(chi, vec)
-
-    vol = A.zero_vector()
-    for i in range(n):
-        prod = A.multiply(A.basis_vector(i), A.basis_vector(star[i]))
-        vol = tuple(x + y / eps[i] for x, y in zip(vol, prod))
-    chi_vol = chi_of(vol)
-    if not chi_vol:
-        raise ZeroVolumeCharacter("chi vanishes on the volume element")
-    d = A.tag.coerce(dim)
-    c_v = chi_vol / (d * d)
-    acc = A.tag.zero()
-    for i in range(n):
-        prod = A.multiply(A.apply_S(A.basis_vector(star[i])),
-                          A.basis_vector(i))
-        acc = acc + chi_of(prod) / eps[i]
-    return acc / (c_v * d)
+    dual = [tuple(x / e for x in A.basis_vector(j))
+            for j, e in zip(star, eps)]
+    nu, _ = _dual_basis_sum(A, tuple(A.tag.coerce(x) for x in chi), dim,
+                            _dual_basis_data(A, dual), "chi")
+    return nu
 
 
 # ---------------------------------------------------------------------------

@@ -135,15 +135,8 @@ class PivotalAlgebra:
         cols = [self.multiply(u, self.basis_vector(j)) for j in range(self.dim)]
         return Matrix(self.tag, list(zip(*cols)))
 
-    def right_mult(self, u):
-        cols = [self.multiply(self.basis_vector(j), u) for j in range(self.dim)]
-        return Matrix(self.tag, list(zip(*cols)))
-
     def apply_S(self, u):
         return self.S.apply(u)
-
-    def g_inverse(self):
-        return inverse(self.left_mult(self.g)).apply(self.unit)
 
     def pair(self, covector, u):
         acc = self.tag.zero()

@@ -200,6 +200,16 @@ def test_indicator_single_method_unavailable(tmp_path, capsys):
     assert code == 0 and json.loads(out)["nu"] == "1"
 
 
+def test_symmetric_method_refuses_a_non_simple_module(tmp_path, capsys):
+    path = write_builtin(tmp_path, "S3-grouplike")
+    code, out, err = run(capsys, "indicator", path, "--module", "standard",
+                         "--method", "sym")
+    assert code == 2 and out == ""
+    assert err == ("error: method 'sym' unavailable: module 'standard' is"
+                   " not absolutely simple; the dual-basis formula is"
+                   " heuristic here\n")
+
+
 def test_indicator_discrepancy_path(tmp_path, capsys, monkeypatch):
     path = write_builtin(tmp_path, "S3")
     monkeypatch.setattr(cli, "fs_via_separability",

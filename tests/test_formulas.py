@@ -16,6 +16,7 @@ from fsind.constructors import (
     scheme_to_grouplike,
     SchemeSpec,
 )
+from fsind import formulas
 from fsind.documents import document_from_dict
 from fsind.formulas import (
     DegenerateTraceForm,
@@ -52,6 +53,7 @@ from fsind.pivotal import (
     validate_pivotal,
 )
 from fsind.scalars import RATIONAL
+from small_algebras import upper_triangular, upper_triangular_natural
 
 F = Fraction
 
@@ -165,15 +167,12 @@ def test_symmetric_route_frozen_values():
         out = fs_via_symmetric(A, doc.modules[mod])
         assert out.nu == A.tag.coerce(nu), (name, mod)
         assert out.schur == A.tag.coerce(schur), (name, mod)
-        assert out.warnings == ()
 
 
 def test_symmetric_route_flags_non_simple_modules():
     A = load("S3").algebra
-    reg = regular_module(A)
-    out = fs_via_symmetric(A, reg)
-    assert out.warnings
-    assert fs_via_symmetric(A, reg, check_simple=False).warnings == ()
+    with pytest.raises(NotAbsolutelySimple):
+        fs_via_symmetric(A, regular_module(A))
 
 
 def test_trace_form_validation():
@@ -245,6 +244,21 @@ def test_trace_s_on_image_preconditions():
     s3 = load("S3")
     with pytest.raises(NotAbsolutelySimple):
         trace_S_on_image(s3.algebra, regular_module(s3.algebra))
+
+
+def test_trace_s_on_image_refuses_a_non_simple_module_with_trivial_end():
+    # End(V) = Q, but the action spans only the upper triangular matrices:
+    # V is not simple, and S has no trace on End(V) to report
+    A, V = upper_triangular(), upper_triangular_natural()
+    assert validate_pivotal(A) == [] and validate_module(A, V) == []
+    with pytest.raises(NotAbsolutelySimple):
+        trace_S_on_image(A, V)
+
+
+def test_routes_do_not_call_the_definition_solver():
+    for name in ("fs_indicator", "hom_space", "kernel_intersection",
+                 "solve_in_span"):
+        assert not hasattr(formulas, name), name
 
 
 def test_trace_s_global():
