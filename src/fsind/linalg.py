@@ -1,10 +1,11 @@
-"""Dense exact linear algebra over the scalar fields.
+"""Exact linear algebra over the scalar fields.
 
-Matrices are immutable by convention (nothing mutates rows after
-construction). Elimination is Gauss-Jordan with explicit zero tests, which
-keeps the inner loops cheap on the very sparse constraint matrices this
-package produces; determinants use fraction-free Bareiss elimination so
-rational-function entries do not balloon mid-computation.
+Matrix is dense and immutable by convention (nothing mutates rows after
+construction); Gauss-Jordan on its rows (rank, inverse, span solving) skips
+zero cells, and determinants use fraction-free Bareiss elimination so
+rational-function entries do not balloon mid-computation. The intertwiner
+solver never goes dense: its d^2 x d^2 systems have a few nonzeros a row,
+so they are built, eliminated and restricted as SparseRows.
 
 Kernel bases are canonical: the rows of the unique reduced row echelon
 basis of the null space, ordered by leading index. Repeated runs therefore
@@ -155,6 +156,29 @@ class Matrix:
         return "Matrix(%s, %r)" % (self.tag, self.rows)
 
 
+class SparseRows:
+    """Rows of a linear map, each the list of its nonzero (column, value)
+    pairs: the constraint type that kernel_basis eliminates on."""
+
+    __slots__ = ("tag", "nrows", "ncols", "rows")
+
+    def __init__(self, tag: FieldTag, ncols, rows):
+        self.tag, self.ncols, self.rows = tag, ncols, rows
+        self.nrows = len(rows)
+
+    @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
+    def apply(self, vec):
+        """The map applied to a dense vector, returned as a tuple."""
+        if len(vec) != self.ncols:
+            raise DimensionMismatch("vector length %d != %d"
+                                    % (len(vec), self.ncols))
+        z = self.tag.zero()
+        return tuple(sum((a * vec[j] for j, a in row), z) for row in self.rows)
+
+
 def _rref_in_place(rows, ncols):
     """Reduce rows to RREF; returns the list of pivot column indices."""
     pivots = []
@@ -199,27 +223,56 @@ def rank(m: Matrix):
     return len(_rref_in_place(rows, m.ncols))
 
 
-def kernel_basis(m: Matrix):
-    """Canonical basis of {x : m x = 0} as a list of tuples."""
-    rows = [list(r) for r in m.rows]
-    pivots = _rref_in_place(rows, m.ncols)
-    pivot_set = set(pivots)
-    z, o = m.tag.zero(), m.tag.one()
-    vectors = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        v = [z] * m.ncols
-        v[free] = o
-        for prow, pcol in enumerate(pivots):
-            coeff = rows[prow][free]
-            if coeff:
-                v[pcol] = -coeff
-        vectors.append(v)
-    if not vectors:
-        return []
-    pv = _rref_in_place(vectors, m.ncols)
-    return [tuple(v) for v in vectors[:len(pv)]]
+def _sparse_rows(m):
+    """m as SparseRows; a Matrix keeps only its nonzero cells."""
+    if isinstance(m, SparseRows):
+        return m
+    return SparseRows(m.tag, m.ncols,
+                      [[(j, a) for j, a in enumerate(r) if a] for r in m.rows])
+
+
+def kernel_basis(m):
+    """Canonical basis of {x : m x = 0}, for a Matrix or SparseRows.
+
+    One sparse Gauss-Jordan elimination takes the pivot of each row at its
+    last nonzero column. With that reversed column order the null space
+    vector of a free column f has its 1 at f and its other entries at pivot
+    columns right of f, so ordered by f these vectors are already the
+    canonical RREF basis. A Matrix gets tuples back, SparseRows get sparse
+    vectors [(column, value), ...] in ascending column order.
+    """
+    sparse = _sparse_rows(m)
+    pivots = {}  # column -> {column: value} left of it; the pivot is 1
+    for row in sparse.rows:
+        acc = dict(row)
+        while acc:
+            c = max(acc)
+            p = pivots.get(c)
+            if p is None:
+                f = acc.pop(c)
+                if acc:  # a lone nonzero is a unit pivot as it stands
+                    inv = 1 / f
+                    acc = {j: inv * b for j, b in acc.items()}
+                pivots[c] = acc
+                break
+            _axpy(acc, -acc.pop(c), p.items())
+    one = sparse.tag.one()
+    vectors = {f: [(f, one)] for f in range(sparse.ncols) if f not in pivots}
+    # back substitution, lowest pivot first: each row is reduced against
+    # fully reduced lower ones, so no pivot column survives in another row
+    for c in sorted(pivots):
+        p = pivots[c]
+        for j in [j for j in p if j in pivots]:
+            _axpy(p, -p.pop(j), pivots[j].items())
+        for j, b in p.items():
+            vectors[j].append((c, -b))
+    basis = list(vectors.values())
+    return basis if m is sparse else _dense(m.tag, basis, m.ncols)
+
+
+def _dense(tag, vectors, ncols):
+    z = tag.zero()
+    return [tuple(v.get(j, z) for j in range(ncols)) for v in map(dict, vectors)]
 
 
 def span_canonical(tag, vectors):
@@ -232,83 +285,86 @@ def span_canonical(tag, vectors):
 
 
 def intertwiner_constraint(a: Matrix, b: Matrix):
-    """Matrix of X -> bX - Xa on row-major vec(X), X being b.nrows x a.nrows.
+    """SparseRows of X -> bX - Xa on row-major vec(X), X being b.nrows x a.nrows.
 
     Its kernel is {X : X a = b X}, the maps intertwining a with b. Every
     linear system of the package (hom spaces, invariant forms, commutants)
-    is an intersection of such kernels.
+    is an intersection of such kernels. Row (r, c) holds the nonzeros of
+    row r of b and of column c of a, so a permutation action gives at most
+    two entries a row.
     """
     if a.nrows != a.ncols or b.nrows != b.ncols:
         raise DimensionMismatch("intertwiner constraint needs square matrices,"
                                 " got %s and %s" % (a.shape, b.shape))
     dv, dw = a.nrows, b.nrows
-    n = dw * dv
-    z = a.tag.zero()
+    b_rows = [[(s, x) for s, x in enumerate(row) if x] for row in b.rows]
+    a_cols = [[(t, -y) for t, y in enumerate(col) if y]
+              for col in zip(*a.rows)]
     rows = []
-    for r, brow in enumerate(b.rows):
-        for c in range(dv):
-            row = [z] * n
-            # the two terms share only the cell t = c (s = r); elsewhere
-            # an entry is assigned, sparing a field addition to zero
-            for s, x in enumerate(brow):
-                if x:
-                    row[s * dv + c] = x
-            for t, arow in enumerate(a.rows):
-                y = arow[c]
-                if y:
-                    j = r * dv + t
-                    row[j] = row[j] - y if t == c else -y
-            rows.append(row)
-    return Matrix(a.tag, rows)
+    for r, b_row in enumerate(b_rows):
+        for c, a_col in enumerate(a_cols):
+            row = {s * dv + c: x for s, x in b_row}
+            for t, y in a_col:  # the terms share only the cell t = c, s = r
+                j = r * dv + t
+                x = row.get(j)
+                row[j] = y if x is None else x + y
+            rows.append([(j, x) for j, x in row.items() if x])
+    return SparseRows(a.tag, dw * dv, rows)
+
+
+def _axpy(acc, f, v):
+    """acc += f v, acc a dict and v (column, value) pairs; entries that
+    cancel are dropped."""
+    for j, b in v:
+        x = acc.get(j)
+        if x is None:
+            acc[j] = f * b
+        else:
+            x = x + f * b
+            if x:
+                acc[j] = x
+            else:
+                del acc[j]
 
 
 def _combine(coeffs, vectors):
-    """sum_k coeffs[k] vectors[k], over the nonzero coeffs only."""
+    """sum f vectors[k] over the pairs (k, f) of coeffs, as a sparse vector."""
     out = {}
-    for f, v in zip(coeffs, vectors):
-        if f:
-            for j, b in v:
-                out[j] = out[j] + f * b if j in out else f * b
-    return [(j, a) for j, a in sorted(out.items()) if a]
+    for k, f in coeffs:
+        _axpy(out, f, vectors[k])
+    return sorted(out.items())
 
 
 def kernel_intersection(tag, constraints, ncols):
-    """Canonical basis of the joint kernel of a sequence of matrices.
+    """Canonical basis of the joint kernel of a sequence of constraints.
 
-    Constraints are consumed lazily and each one is restricted to the
-    solution span found so far, so the eliminations stay small once the
-    first few constraints have cut the space down. All of it is sparse: a
-    column index of the spanning vectors meets each constraint row's
-    nonzeros, and a solution recombines only the vectors it uses.
+    Constraints (SparseRows or Matrix) are consumed lazily and each one is
+    restricted to the solution span found so far, so the eliminations stay
+    small once the first few constraints have cut the space down. The span
+    is kept as sparse RREF vectors; recombining such a basis by an RREF
+    coefficient basis gives an RREF basis again, so the result is canonical.
     """
-    z = tag.zero()
     basis = None  # sparse vectors [(column, value), ...] spanning the solutions
     for c in constraints:
         if c.ncols != ncols:
             raise DimensionMismatch("constraint has %d columns, expected %d"
                                     % (c.ncols, ncols))
+        c = _sparse_rows(c)
         if basis is None:
-            basis = [[(j, a) for j, a in enumerate(v) if a]
-                     for v in kernel_basis(c)]
+            basis = kernel_basis(c)
         else:
-            index = [[] for _ in range(ncols)]  # column -> [(k, basis[k] there)]
+            columns = [[] for _ in range(ncols)]  # j -> [(k, basis[k] at j)]
             for k, v in enumerate(basis):
                 for j, b in v:
-                    index[j].append((k, b))
-            restricted = [[z] * len(basis) for _ in c.rows]
-            for row, acc in zip(c.rows, restricted):
-                for j, a in enumerate(row):
-                    if a:
-                        for k, b in index[j]:
-                            acc[k] = acc[k] + a * b
-            basis = [_combine(k, basis)
-                     for k in kernel_basis(Matrix(tag, restricted))]
+                    columns[j].append((k, b))
+            restricted = [_combine(row, columns) for row in c.rows]
+            basis = [_combine(v, basis) for v in
+                     kernel_basis(SparseRows(tag, len(basis), restricted))]
         if not basis:
             return []
     if basis is None:
         return [tuple(r) for r in Matrix.identity(tag, ncols).rows]
-    return span_canonical(tag, [[v.get(j, z) for j in range(ncols)]
-                                for v in map(dict, basis)])
+    return _dense(tag, basis, ncols)
 
 
 def det(m: Matrix):

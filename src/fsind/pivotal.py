@@ -11,10 +11,13 @@ One core, indicator_from_presentation, computes every indicator report. It
 reads a module only through a presentation: R(b) and R(S(b)) for generators
 b of the algebra, and R(g). fs_indicator feeds it PivotalAlgebra.generators;
 qsl2 feeds it K, E and F. Every linear system (the forms, End(V), and
-Hom(V, W) in hom_space) is an intersection of kernels of
-linalg.intertwiner_constraint, one per generator, not one per basis
-element: b -> R(b) and b -> R(S(b))^T are algebra maps, so a map
-intertwining them on generators does so on all of A.
+Hom(V, W) in hom_space) is the joint kernel of one
+linalg.intertwiner_constraint per generator, not one per basis element:
+b -> R(b) and b -> R(S(b))^T are algebra maps, so a map intertwining them
+on generators does so on all of A. A constraint is sparse rows, each
+holding the nonzeros of a row of one matrix and a column of the other, and
+kernel_intersection restricts each to the kernel found so far: no
+d^2 x d^2 system is ever dense.
 
 Twisting by an involution tau replaces S by S o tau and keeps g. That is
 the only place a twist enters: twist_algebra builds (A, S o tau, g), and
@@ -360,8 +363,8 @@ def _transposition(tag, rg_t, forms):
     for f in forms:
         image = (rg_t * f.transpose()).vec()
         cols.append(tuple(image[p] for p in pivots))
-        if _combine(cols[-1], vecs) != [(j, x) for j, x in enumerate(image)
-                                        if x]:
+        coeffs = [(k, x) for k, x in enumerate(cols[-1]) if x]
+        if _combine(coeffs, vecs) != [(j, x) for j, x in enumerate(image) if x]:
             raise NotInSpan("the transposed form lies outside the form span")
     return Matrix(tag, list(zip(*cols))) if cols else Matrix(tag, [])
 

@@ -37,19 +37,20 @@ class UnexpectedFormDimension(Exception):
 
 
 def q_integer(n):
-    """[n] = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n)."""
+    """[n] = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n),
+    built as (1 + q^2 + ... + q^(2n-2)) / q^(n-1)."""
     if n < 0:
         return -q_integer(-n)
-    q = RatFun.generator()
-    acc = TAG.zero()
-    for k in range(n):
-        acc = acc + q ** (n - 1 - 2 * k)
-    return acc
+    if n == 0:
+        return TAG.zero()
+    return RatFun((1, 0) * (n - 1) + (1,), (0,) * (n - 1) + (1,))
 
 
 def q_power(e):
-    q = RatFun.generator()
-    return q ** e
+    """q^e as the Laurent monomial it is."""
+    if e < 0:
+        return RatFun((1,), (0,) * -e + (1,))
+    return RatFun((0,) * e + (1,))
 
 
 @dataclass

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from fsind.constructors import perm_matrix
 from fsind.linalg import (
     DimensionMismatch,
     Matrix,
@@ -150,10 +151,53 @@ def test_kernel_intersection_matches_stacked():
     assert full == [tuple(r) for r in Matrix.identity(RATIONAL, 3).rows]
 
 
-@given(st.lists(matrices_3, min_size=1, max_size=3))
-def test_kernel_intersection_generic(mats):
-    stacked = Matrix(RATIONAL, [r for m in mats for r in m.rows])
-    assert kernel_intersection(RATIONAL, mats, 3) == kernel_basis(stacked)
+def field_values(tag):
+    one = tag.one()
+    if tag is RATIONAL_FUNCTION:
+        q = RatFun.generator()
+        return [one, -one, q, q ** -1 - one, one + q * q]
+    if tag is RATIONAL:
+        return [one, -one, tag.coerce(2), tag.coerce(F(-1, 2))]
+    z = tag.generator()
+    return [one, -one, z, one + z, z - tag.coerce(2)]
+
+
+@st.composite
+def sparse_constraints(draw):
+    """(tag, ncols, matrices) over Q, Q(z_4) or Q(q), mostly zero cells:
+    empty rows and single-nonzero rows (unit pivots) come up often. On
+    request a row is repeated, or the first matrix gets one nonzero a row,
+    so that its kernel is spanned by unit vectors."""
+    tag = draw(st.sampled_from((RATIONAL, cyclotomic_field(4),
+                                RATIONAL_FUNCTION)))
+    ncols = draw(st.integers(1, 5))
+    cell = st.sampled_from([tag.zero()] * 4 + field_values(tag))
+    row = st.lists(cell, min_size=ncols, max_size=ncols)
+    mats = draw(st.lists(st.lists(row, min_size=1, max_size=4),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=1,
+                             max_size=ncols))
+        value = st.sampled_from(field_values(tag))
+        mats[0] = [[draw(value) if j == c else tag.zero()
+                    for j in range(ncols)] for c in cols]
+    if draw(st.booleans()):
+        mats[-1].append(list(draw(st.sampled_from(mats[-1]))))
+    return tag, ncols, [Matrix(tag, m) for m in mats]
+
+
+@given(st.one_of(
+    st.lists(matrices_3, min_size=1, max_size=3).map(
+        lambda mats: (RATIONAL, 3, mats)),
+    sparse_constraints()))
+def test_kernel_intersection_generic(case):
+    tag, ncols, mats = case
+    stacked = Matrix(tag, [r for m in mats for r in m.rows])
+    kernel = kernel_intersection(tag, mats, ncols)
+    assert kernel == kernel_basis(stacked)
+    # against the dense elimination, which shares no code with the sparse one
+    assert len(kernel) == ncols - rank(stacked)
+    assert all(not x for v in kernel for x in stacked.apply(v))
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -178,6 +222,15 @@ def test_intertwiner_constraint_applies_bx_minus_xa(case):
     n = a.nrows * b.nrows
     assert c.shape == (n, n)
     assert c.apply(x.vec()) == (b * x - x * a).vec()
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_intertwiner_constraint_of_permutations_has_two_entries_a_row(perms):
+    a, b = (perm_matrix(RATIONAL, p) for p in perms)
+    c = intertwiner_constraint(a, b)
+    assert c.nrows == c.ncols == len(perms[0]) ** 2
+    assert all(len(row) <= 2 and all(x for _, x in row) for row in c.rows)
 
 
 def test_intertwiner_constraint_needs_square_matrices():

@@ -30,7 +30,6 @@ from fsind.linalg import (
     Matrix,
     NotInSpan,
     det,
-    intertwiner_constraint,
     inverse,
     kernel_basis,
     rank,
@@ -345,10 +344,23 @@ def test_transposition_matches_solves_on_every_builtin():
             transposition_by_solves(At, basis), (name, tau, V.name)
 
 
+def constraint_by_definition(a, b):
+    """Dense matrix of X -> bX - Xa: column (i, j) is vec(b E_ij - E_ij a)."""
+    tag = a.tag
+    n = b.nrows * a.nrows
+    cols = []
+    for ij in range(n):
+        e = Matrix.from_vec(tag, b.nrows, a.nrows,
+                            [tag.one() if k == ij else tag.zero()
+                             for k in range(n)])
+        cols.append((b * e - e * a).vec())
+    return Matrix(tag, list(zip(*cols)))
+
+
 def hom_space_by_full_basis(A, V, W):
     """Reference: the stacked constraints of every basis element of A."""
     stacked = Matrix(A.tag, [r for a, b in zip(V.action, W.action)
-                             for r in intertwiner_constraint(a, b).rows])
+                             for r in constraint_by_definition(a, b).rows])
     return [Matrix.from_vec(A.tag, W.dim, V.dim, list(v))
             for v in kernel_basis(stacked)]
 
@@ -367,7 +379,7 @@ def forms_by_full_basis(A, V):
     """Reference: M R(S(b_i)) = R(b_i)^T M stacked over every basis element."""
     stacked = Matrix(A.tag, [
         r for i in range(A.dim)
-        for r in intertwiner_constraint(
+        for r in constraint_by_definition(
             V.of_vector(A.apply_S(A.basis_vector(i))),
             V.action[i].transpose()).rows])
     return [Matrix.from_vec(A.tag, V.dim, V.dim, list(v))
@@ -388,6 +400,18 @@ def test_indicator_matches_the_full_basis():
         nu = (transposition_by_solves(At, FormBasis(V, forms)).trace()
               if forms else At.tag.zero())
         assert rep.nu == nu, key
+
+
+def test_regular_module_of_order_24():
+    """S4 over Q: nu of the regular module is #{g : g^2 = 1} = 10."""
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    ct = CayleyTable(tuple(tuple(index[tuple(p[x] for x in q)] for q in perms)
+                           for p in perms))
+    A = group_algebra(ct, RATIONAL)
+    rep = fs_indicator(A, regular_module(A))
+    assert rep.nu == count_involutions(ct) == 10
+    assert rep.dim_bil == rep.end_dim == 24
 
 
 def generated_dimension(A, gens):

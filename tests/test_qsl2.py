@@ -125,3 +125,12 @@ def test_json_matches_the_recorded_output(two_ell, twisted, capsys):
     name = "%d%s.json" % (two_ell, "-twisted" if twisted else "")
     assert capsys.readouterr().out == \
         (EXPECTED / name).read_text(encoding="utf-8")
+
+
+def test_q_integers_and_powers_match_their_definitions():
+    for n in range(-3, 13):
+        by_sum = sum((Q ** (abs(n) - 1 - 2 * k) for k in range(abs(n))),
+                     TAG.zero())
+        assert q_integer(n) == (by_sum if n >= 0 else -by_sum), n
+    for e in range(-12, 13):
+        assert q_power(e) == Q ** e, e
