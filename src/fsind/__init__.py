@@ -32,7 +32,6 @@ from .linalg import (
     kernel_basis,
     kernel_intersection,
     rank,
-    rref,
     solve_in_span,
     span_canonical,
 )
@@ -46,7 +45,6 @@ from .pivotal import (
     NotCentralCharacter,
     PivotalAlgebra,
     ValidationError,
-    conjugate_module,
     direct_sum,
     dual_module,
     fs_indicator,

@@ -277,7 +277,9 @@ def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep):
     is well defined. One elimination of the rows vec R(b_i) | vec R(S(b_i))
     decides both: the left halves span End(V) exactly when V is absolutely
     simple (Burnside), and S descends exactly when no pivot falls in the
-    right half. Row k is then E_k | vec S_V(E_k) for the matrix unit E_k.
+    right half. Row k is then E_k | vec S_V(E_k) for the matrix unit
+    E_k = E_rc: its entry d^2 + k adds to Trace(S_V), and row r of S_V(E_k)
+    dotted with column c of R(g) adds entry k of Q_V(E_k) = S_V(E_k) R(g).
     """
     d = V.dim
     d2 = d * d
@@ -291,12 +293,14 @@ def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep):
     if len(pivots) > d2:
         raise NotSelfDual(
             "the antipode does not descend to the image of %s" % V.name)
-    rg = V.of_vector(A.g)
+    rg = V.of_vector(A.g).rows
     trace_s = trace_q = A.tag.zero()
-    for k in range(d2):
-        s_k = Matrix.from_vec(A.tag, d, d, rows[k][d2:])  # S_V(E_k)
-        trace_s = trace_s + s_k.vec()[k]
-        trace_q = trace_q + (s_k * rg).vec()[k]  # Q_V(E_k) = S_V(E_k) R(g)
+    for k, row in enumerate(rows[:d2]):
+        r, c = divmod(k, d)
+        trace_s = trace_s + row[d2 + k]
+        for t, x in enumerate(row[d2 + r * d:d2 + (r + 1) * d]):
+            if x and rg[t][c]:
+                trace_q = trace_q + x * rg[t][c]
     return trace_s, trace_q
 
 

@@ -7,9 +7,12 @@ rational-function entries do not balloon mid-computation. The intertwiner
 solver never goes dense: its d^2 x d^2 systems have a few nonzeros a row,
 so they are built, eliminated and restricted as SparseRows.
 
-Kernel bases are canonical: the rows of the unique reduced row echelon
-basis of the null space, ordered by leading index. Repeated runs therefore
-produce identical matrices, which the CLI's byte-stable reports rely on.
+Kernel bases are sparse vectors [(column, value), ...] in ascending column
+order, whatever the input, and canonical: the rows of the unique reduced
+row echelon basis of the null space, ordered by leading index. Repeated
+runs therefore produce identical bases, which the CLI's byte-stable
+reports rely on. Matrix.from_sparse is the one place such a vector becomes
+dense, for callers that read a Matrix.
 """
 
 from __future__ import annotations
@@ -54,13 +57,13 @@ class Matrix:
                             for i in range(n)])
 
     @staticmethod
-    def from_vec(tag, nrows, ncols, vec):
-        """Inverse of .vec(): reshape a row-major flat vector."""
-        if len(vec) != nrows * ncols:
-            raise DimensionMismatch("vector length %d != %d*%d"
-                                    % (len(vec), nrows, ncols))
-        return Matrix(tag, [vec[i * ncols:(i + 1) * ncols]
-                            for i in range(nrows)])
+    def from_sparse(tag, nrows, ncols, vec):
+        """Reshape a sparse row-major vector [(index, value), ...]; the
+        inverse of .vec() with the zero cells dropped."""
+        rows = [[tag.zero()] * ncols for _ in range(nrows)]
+        for j, x in vec:
+            rows[j // ncols][j % ncols] = x
+        return Matrix(tag, rows)
 
     def vec(self):
         """Row-major flattening, entry (r, c) at index r*ncols + c."""
@@ -149,9 +152,6 @@ class Matrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def is_zero(self):
-        return all(not a for row in self.rows for a in row)
-
     def __repr__(self):
         return "Matrix(%s, %r)" % (self.tag, self.rows)
 
@@ -212,12 +212,6 @@ def _rref_in_place(rows, ncols):
     return pivots
 
 
-def rref(m: Matrix):
-    rows = [list(r) for r in m.rows]
-    pivots = _rref_in_place(rows, m.ncols)
-    return Matrix(m.tag, rows), pivots
-
-
 def rank(m: Matrix):
     rows = [list(r) for r in m.rows]
     return len(_rref_in_place(rows, m.ncols))
@@ -238,8 +232,8 @@ def kernel_basis(m):
     last nonzero column. With that reversed column order the null space
     vector of a free column f has its 1 at f and its other entries at pivot
     columns right of f, so ordered by f these vectors are already the
-    canonical RREF basis. A Matrix gets tuples back, SparseRows get sparse
-    vectors [(column, value), ...] in ascending column order.
+    canonical RREF basis, returned as sparse vectors [(column, value), ...]
+    in ascending column order.
     """
     sparse = _sparse_rows(m)
     pivots = {}  # column -> {column: value} left of it; the pivot is 1
@@ -266,13 +260,7 @@ def kernel_basis(m):
             _axpy(p, -p.pop(j), pivots[j].items())
         for j, b in p.items():
             vectors[j].append((c, -b))
-    basis = list(vectors.values())
-    return basis if m is sparse else _dense(m.tag, basis, m.ncols)
-
-
-def _dense(tag, vectors, ncols):
-    z = tag.zero()
-    return [tuple(v.get(j, z) for j in range(ncols)) for v in map(dict, vectors)]
+    return list(vectors.values())
 
 
 def span_canonical(tag, vectors):
@@ -343,6 +331,7 @@ def kernel_intersection(tag, constraints, ncols):
     small once the first few constraints have cut the space down. The span
     is kept as sparse RREF vectors; recombining such a basis by an RREF
     coefficient basis gives an RREF basis again, so the result is canonical.
+    With no constraints it is the unit vectors.
     """
     basis = None  # sparse vectors [(column, value), ...] spanning the solutions
     for c in constraints:
@@ -363,8 +352,8 @@ def kernel_intersection(tag, constraints, ncols):
         if not basis:
             return []
     if basis is None:
-        return [tuple(r) for r in Matrix.identity(tag, ncols).rows]
-    return _dense(tag, basis, ncols)
+        return [[(j, tag.one())] for j in range(ncols)]
+    return basis
 
 
 def det(m: Matrix):

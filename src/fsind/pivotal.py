@@ -17,7 +17,9 @@ b -> R(b) and b -> R(S(b))^T are algebra maps, so a map intertwining them
 on generators does so on all of A. A constraint is sparse rows, each
 holding the nonzeros of a row of one matrix and a column of the other, and
 kernel_intersection restricts each to the kernel found so far: no
-d^2 x d^2 system is ever dense.
+d^2 x d^2 system is ever dense. Its result, sparse RREF vectors, stays
+sparse through the transposition and the End(V) count; Matrix.from_sparse
+reshapes it only where a caller reads Gram or hom matrices.
 
 Twisting by an involution tau replaces S by S o tau and keeps g. That is
 the only place a twist enters: twist_algebra builds (A, S o tau, g), and
@@ -32,10 +34,10 @@ from dataclasses import dataclass, field, replace
 from .linalg import (
     Matrix,
     NotInSpan,
+    _axpy,
     _combine,
     det,
     intertwiner_constraint,
-    inverse,
     kernel_intersection,
     rank,
     span_canonical,
@@ -308,13 +310,6 @@ def direct_sum(V: ModuleRep, W: ModuleRep, name=None):
                      V.dim + W.dim, tuple(mats))
 
 
-def conjugate_module(V: ModuleRep, P: Matrix, name=None):
-    """Base change: action matrices become P R P^-1."""
-    pinv = inverse(P)
-    return ModuleRep(name or V.name, V.dim,
-                     tuple(P * m * pinv for m in V.action))
-
-
 # ---------------------------------------------------------------------------
 # hom and form spaces
 
@@ -327,7 +322,7 @@ def hom_space(A: PivotalAlgebra, V: ModuleRep, W: ModuleRep):
     constraints = (intertwiner_constraint(V.action[i], W.action[i])
                    for i in A.generators)
     kernel = kernel_intersection(A.tag, constraints, W.dim * V.dim)
-    return [Matrix.from_vec(A.tag, W.dim, V.dim, list(v)) for v in kernel]
+    return [Matrix.from_sparse(A.tag, W.dim, V.dim, v) for v in kernel]
 
 
 def _presentation(A: PivotalAlgebra, V: ModuleRep):
@@ -337,34 +332,42 @@ def _presentation(A: PivotalAlgebra, V: ModuleRep):
 
 
 def _forms(tag, gens, dual_gens, d):
-    """Canonical (RREF) basis of the Gram matrices M with
-    R(b)^T M = M R(S(b)) for each generator b."""
+    """Canonical basis of the Gram matrices M with R(b)^T M = M R(S(b))
+    for each generator b, as sparse RREF vectors of row-major vec(M)."""
     constraints = (intertwiner_constraint(s, r.transpose())
                    for r, s in zip(gens, dual_gens))
-    return [Matrix.from_vec(tag, d, d, list(v))
-            for v in kernel_intersection(tag, constraints, d * d)]
+    return kernel_intersection(tag, constraints, d * d)
 
 
 def invariant_form_space(A: PivotalAlgebra, V: ModuleRep):
     """Gram matrices M with R(b)^T M = M R(S(b)), b running over the
     generators of A (and so over all of A)."""
-    return FormBasis(V, _forms(A.tag, *_presentation(A, V), V.dim))
+    d = V.dim
+    return FormBasis(V, [Matrix.from_sparse(A.tag, d, d, v)
+                         for v in _forms(A.tag, *_presentation(A, V), d)])
 
 
-def _transposition(tag, rg_t, forms):
-    """Matrix of M -> rg_t M^T in the canonical basis forms.
+def _transposition(tag, rg, forms):
+    """Matrix of M -> R(g)^T M^T in the canonical sparse basis forms.
 
-    An image's coordinates are its entries at the forms' pivots; NotInSpan
-    means those do not recombine to the image.
+    The image is built by index arithmetic: each nonzero M[r][k] = x adds
+    R(g)[k][i] x at cell (i, r), over the nonzeros of row k of R(g), so
+    R(g) = I only permutes indices. An image's coordinates are its entries
+    at the forms' pivots; NotInSpan means those do not recombine to it.
     """
-    vecs = [[(j, x) for j, x in enumerate(f.vec()) if x] for f in forms]
-    pivots = [v[0][0] for v in vecs]
+    d = rg.nrows
+    rg_rows = [[(i * d, y) for i, y in enumerate(row) if y] for row in rg.rows]
+    pivots = [v[0][0] for v in forms]
+    z = tag.zero()
     cols = []
-    for f in forms:
-        image = (rg_t * f.transpose()).vec()
-        cols.append(tuple(image[p] for p in pivots))
+    for v in forms:
+        image = {}
+        for j, x in v:
+            r, k = divmod(j, d)
+            _axpy(image, x, [(i + r, y) for i, y in rg_rows[k]])
+        cols.append(tuple(image.get(p, z) for p in pivots))
         coeffs = [(k, x) for k, x in enumerate(cols[-1]) if x]
-        if _combine(coeffs, vecs) != [(j, x) for j, x in enumerate(image) if x]:
+        if _combine(coeffs, forms) != sorted(image.items()):
             raise NotInSpan("the transposed form lies outside the form span")
     return Matrix(tag, list(zip(*cols))) if cols else Matrix(tag, [])
 
@@ -376,8 +379,8 @@ def transposition_on_forms(A: PivotalAlgebra, basis: FormBasis):
     consequence of the pivotal axioms. NotInSpan means the input data was
     inconsistent.
     """
-    rg_t = basis.module.of_vector(A.g).transpose()
-    return _transposition(A.tag, rg_t, basis.forms)
+    forms = [[(j, x) for j, x in enumerate(f.vec()) if x] for f in basis.forms]
+    return _transposition(A.tag, basis.module.of_vector(A.g), forms)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +437,7 @@ def indicator_from_presentation(tag, gens, dual_gens, g):
     forms = _forms(tag, gens, dual_gens, d)
     m = len(forms)
     if m:
-        op = _transposition(tag, g.transpose(), forms)
+        op = _transposition(tag, g, forms)
         nu = op.trace()
         ident = Matrix.identity(tag, m)
         dim_plus = m - rank(op - ident)
@@ -444,15 +447,16 @@ def indicator_from_presentation(tag, gens, dual_gens, g):
         dim_plus = dim_minus = 0
     end_dim = len(kernel_intersection(
         tag, (intertwiner_constraint(r, r) for r in gens), d * d))
+    grams = [Matrix.from_sparse(tag, d, d, v) for v in forms]
     return IndicatorReport(
         nu=nu,
         dim_bil=m,
         dim_plus=dim_plus,
         dim_minus=dim_minus,
         end_dim=end_dim,
-        self_dual=span_contains_invertible(tag, forms),
+        self_dual=span_contains_invertible(tag, grams),
         abs_simple=end_dim == 1,
-        canonical_form=forms[0] if m == 1 else None,
+        canonical_form=grams[0] if m == 1 else None,
     )
 
 

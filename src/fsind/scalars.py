@@ -101,23 +101,6 @@ def poly_divmod(a, b):
     return _trim(q), _trim(a)
 
 
-def poly_monic(a):
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return tuple(c / lead for c in a)
-
-
-def poly_gcd(a, b):
-    """Monic gcd via the Euclidean algorithm (the tests' reference for the
-    integer gcd behind RatFun)."""
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n):
     """Coefficients of the n-th cyclotomic polynomial.

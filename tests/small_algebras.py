@@ -1,8 +1,21 @@
-"""Small hand-built algebras shared by the tests."""
+"""Small hand-built algebras, and helpers, shared by the tests."""
 
-from fsind.linalg import Matrix
+from fsind.linalg import Matrix, inverse
 from fsind.pivotal import ModuleRep, PivotalAlgebra
 from fsind.scalars import RATIONAL
+
+
+def dense(tag, vectors, ncols):
+    """Sparse vectors [(column, value), ...] as dense tuples of length ncols."""
+    z = tag.zero()
+    return [tuple(dict(v).get(j, z) for j in range(ncols)) for v in vectors]
+
+
+def conjugate_module(V, P, name=None):
+    """Base change: action matrices become P R P^-1."""
+    pinv = inverse(P)
+    return ModuleRep(name or V.name, V.dim,
+                     tuple(P * m * pinv for m in V.action))
 
 
 def upper_triangular():

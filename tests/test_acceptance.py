@@ -35,7 +35,6 @@ from fsind.formulas import (
 )
 from fsind.linalg import Matrix, rank
 from fsind.pivotal import (
-    conjugate_module,
     direct_sum,
     fs_indicator,
     invariant_form_space,
@@ -46,6 +45,7 @@ from fsind.pivotal import (
 )
 from fsind.qsl2 import qsl2_indicator
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION
+from small_algebras import conjugate_module
 
 GROUP_DOCS = ("C2", "C3", "C4", "C6", "S3", "D4", "Q8")
 SCHEME_DOCS = ("scheme-K3", "scheme-C4-cycle", "S3-grouplike")

@@ -12,17 +12,19 @@ from fsind.linalg import (
     Matrix,
     NotInSpan,
     SingularMatrix,
+    SparseRows,
+    _rref_in_place,
     det,
     intertwiner_constraint,
     inverse,
     kernel_basis,
     kernel_intersection,
     rank,
-    rref,
     solve_in_span,
     span_canonical,
 )
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION, RatFun, cyclotomic_field
+from small_algebras import dense
 
 F = Fraction
 
@@ -59,19 +61,26 @@ matrices_any = st.integers(1, 4).flatmap(
             min_size=n, max_size=n).map(rmat)))
 
 
+def dense_kernel(m):
+    return dense(m.tag, kernel_basis(m), m.ncols)
+
+
 def test_rref_known():
     m = rmat([[0, 2, 4], [1, 1, 1]])
-    r, pivots = rref(m)
+    rows = [list(r) for r in m.rows]
+    pivots = _rref_in_place(rows, m.ncols)
     assert pivots == [0, 1]
-    assert r == rmat([[1, 0, -1], [0, 1, 2]])
+    assert Matrix(RATIONAL, rows) == rmat([[1, 0, -1], [0, 1, 2]])
 
 
 def test_kernel_canonical_frozen():
     # one relation x + y = 0: canonical kernel vector is (1, -1)
-    assert kernel_basis(rmat([[1, 1]])) == [(F(1), F(-1))]
+    assert dense_kernel(rmat([[1, 1]])) == [(F(1), F(-1))]
     # leading coefficient normalized to 1, rows ordered by leading index
-    ker = kernel_basis(rmat([[1, 2, 3]]))
+    ker = dense_kernel(rmat([[1, 2, 3]]))
     assert ker == [(F(1), F(0), F(-1, 3)), (F(0), F(1), F(-2, 3))]
+    assert kernel_basis(rmat([[1, 2, 3]])) == [[(0, F(1)), (2, F(-1, 3))],
+                                               [(1, F(1)), (2, F(-2, 3))]]
 
 
 @given(matrices_any)
@@ -81,14 +90,27 @@ def test_rank_nullity(m):
 
 @given(matrices_any)
 def test_kernel_vectors_annihilate(m):
-    for v in kernel_basis(m):
+    for v in dense_kernel(m):
         assert all(not x for x in m.apply(v))
 
 
 @given(matrices_any)
 def test_kernel_is_subspace_canonical(m):
-    ker = kernel_basis(m)
+    ker = dense_kernel(m)
     assert span_canonical(m.tag, ker) == ker
+
+
+@given(matrices_any)
+def test_kernel_basis_is_sparse_for_every_input(m):
+    # a Matrix and the same rows as SparseRows give one sparse basis, each
+    # vector its nonzeros in ascending column order
+    rows = SparseRows(m.tag, m.ncols,
+                      [[(j, a) for j, a in enumerate(r) if a] for r in m.rows])
+    ker = kernel_basis(m)
+    assert ker == kernel_basis(rows)
+    for v in ker:
+        assert [j for j, _ in v] == sorted({j for j, _ in v})
+        assert all(x for _, x in v)
 
 
 @given(matrices_3)
@@ -146,9 +168,10 @@ def test_kernel_intersection_matches_stacked():
         assert kernel_intersection(RATIONAL, seq, 4) == kernel_basis(stacked)
     assert kernel_intersection(RATIONAL, [a, v], 4) == kernel_basis(a)
     assert kernel_intersection(RATIONAL, [a, k], 4) == []
-    # no constraints: the whole space, canonically ordered
-    full = kernel_intersection(RATIONAL, [], 3)
-    assert full == [tuple(r) for r in Matrix.identity(RATIONAL, 3).rows]
+    # no constraints: the whole space as sparse unit vectors, in order
+    one = RATIONAL.one()
+    assert kernel_intersection(RATIONAL, [], 3) == \
+        [[(0, one)], [(1, one)], [(2, one)]]
 
 
 def field_values(tag):
@@ -197,7 +220,8 @@ def test_kernel_intersection_generic(case):
     assert kernel == kernel_basis(stacked)
     # against the dense elimination, which shares no code with the sparse one
     assert len(kernel) == ncols - rank(stacked)
-    assert all(not x for v in kernel for x in stacked.apply(v))
+    assert all(not x for v in dense(tag, kernel, ncols)
+               for x in stacked.apply(v))
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -246,7 +270,7 @@ def test_cyclotomic_elimination():
     m = Matrix(tag, [[z, tag.one()], [tag.one(), -z]])
     # rows are proportional: (z)*row2 = (z, -z^2) = (z, 1) = row1
     assert rank(m) == 1
-    ker = kernel_basis(m)
+    ker = dense_kernel(m)
     assert len(ker) == 1 and ker[0][0] == 1
 
 
@@ -262,5 +286,9 @@ def test_shape_errors():
 
 
 def test_vec_round_trip():
-    m = rmat([[1, 2, 3], [4, 5, 6]])
-    assert Matrix.from_vec(RATIONAL, 2, 3, list(m.vec())) == m
+    m = rmat([[1, 0, 3], [0, 5, 6]])
+    vec = [(j, x) for j, x in enumerate(m.vec()) if x]
+    assert vec == [(0, F(1)), (2, F(3)), (4, F(5)), (5, F(6))]
+    assert Matrix.from_sparse(RATIONAL, 2, 3, vec) == m
+    assert Matrix.from_sparse(RATIONAL, 3, 2, vec) == \
+        rmat([[1, 0], [3, 0], [5, 6]])

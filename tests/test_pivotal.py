@@ -42,7 +42,7 @@ from fsind.pivotal import (
     ModuleRep,
     NotCentralCharacter,
     PivotalAlgebra,
-    conjugate_module,
+    _transposition,
     direct_sum,
     dual_module,
     fs_indicator,
@@ -58,6 +58,7 @@ from fsind.pivotal import (
     validate_pivotal,
 )
 from fsind.scalars import RATIONAL, cyclotomic_field
+from small_algebras import conjugate_module
 
 F = Fraction
 
@@ -313,6 +314,23 @@ def test_transposition_is_involutive_on_regular_forms():
         assert op * op == Matrix.identity(A.tag, n)
 
 
+def test_transposition_with_trivial_g_transposes_each_regular_form():
+    # R(g) = I: each image M^T is an index permutation of the form M
+    for name in ("S3", "Q8"):
+        A = load(name).algebra
+        V = regular_module(A)
+        ident = Matrix.identity(A.tag, V.dim)
+        assert V.of_vector(A.g) == ident
+        forms = invariant_form_space(A, V).forms
+        sparse = [[(j, x) for j, x in enumerate(f.vec()) if x] for f in forms]
+        op = _transposition(A.tag, ident, sparse)
+        for k, f in enumerate(forms):
+            image = Matrix.zeros(A.tag, V.dim, V.dim)
+            for i, M in enumerate(forms):
+                image = image + M.scale(op[i, k])
+            assert image == f.transpose(), (name, k)
+
+
 def transposition_by_solves(A, basis):
     """Reference: each column solved for in the span of the forms."""
     rg_t = basis.module.of_vector(A.g).transpose()
@@ -350,9 +368,7 @@ def constraint_by_definition(a, b):
     n = b.nrows * a.nrows
     cols = []
     for ij in range(n):
-        e = Matrix.from_vec(tag, b.nrows, a.nrows,
-                            [tag.one() if k == ij else tag.zero()
-                             for k in range(n)])
+        e = Matrix.from_sparse(tag, b.nrows, a.nrows, [(ij, tag.one())])
         cols.append((b * e - e * a).vec())
     return Matrix(tag, list(zip(*cols)))
 
@@ -361,7 +377,7 @@ def hom_space_by_full_basis(A, V, W):
     """Reference: the stacked constraints of every basis element of A."""
     stacked = Matrix(A.tag, [r for a, b in zip(V.action, W.action)
                              for r in constraint_by_definition(a, b).rows])
-    return [Matrix.from_vec(A.tag, W.dim, V.dim, list(v))
+    return [Matrix.from_sparse(A.tag, W.dim, V.dim, v)
             for v in kernel_basis(stacked)]
 
 
@@ -382,7 +398,7 @@ def forms_by_full_basis(A, V):
         for r in constraint_by_definition(
             V.of_vector(A.apply_S(A.basis_vector(i))),
             V.action[i].transpose()).rows])
-    return [Matrix.from_vec(A.tag, V.dim, V.dim, list(v))
+    return [Matrix.from_sparse(A.tag, V.dim, V.dim, v)
             for v in kernel_basis(stacked)]
 
 

@@ -19,7 +19,6 @@ from fsind.scalars import (
     parse_scalar,
     poly_add,
     poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_sub,
     scalar_to_string,
@@ -30,6 +29,23 @@ from fsind.scalars import (
 )
 
 F = Fraction
+
+
+def poly_monic(a):
+    if not a:
+        return a
+    lead = a[-1]
+    if lead == 1:
+        return a
+    return tuple(c / lead for c in a)
+
+
+def poly_gcd(a, b):
+    """Monic gcd via the Euclidean algorithm: the reference for the integer
+    gcd behind RatFun."""
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return poly_monic(a)
 
 
 # --- cyclotomic polynomials -------------------------------------------------
