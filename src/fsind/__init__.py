@@ -72,7 +72,6 @@ from .formulas import (
     SymmetricFormData,
     SymmetricIndicator,
     TraceSCheck,
-    VolumeNotCentral,
     ZeroValency,
     ZeroVolumeCharacter,
     doi_grouplike_indicator,
@@ -89,7 +88,6 @@ from .formulas import (
 from .constructors import (
     CayleyTable,
     CoalgebraSpec,
-    CopivotalAxiomViolation,
     InvalidCayleyTable,
     NotAScheme,
     NotAutomorphism,
@@ -115,7 +113,6 @@ from .constructors import (
     scheme_involution,
     scheme_standard_module,
     scheme_to_grouplike,
-    validate_coalgebra,
 )
 from .documents import Document, DocumentError, document_from_dict, load_document
 from .qsl2 import (

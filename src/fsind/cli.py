@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 
 from .constructors import (
     builtin_description,
@@ -97,25 +98,30 @@ def _reason(e):
 class MethodRunner:
     """Per-document caches for the formula routes.
 
-    The idempotent and the symmetric data come from the untwisted algebra;
-    each route then runs over the twisted algebra of its cell.
+    The idempotent and the symmetric data come from the untwisted algebra,
+    each computed when a route first asks for it; each route then runs over
+    the twisted algebra of its cell.
     """
 
     def __init__(self, doc: Document):
         self.doc = doc
         self.A = doc.algebra
+
+    @cached_property
+    def idempotent(self):
+        """(E, None), or (None, the reason the route is unavailable)."""
         try:
-            self.idempotent = hopf_integral_idempotent(self.A)
-            self.idempotent_err = None
+            return hopf_integral_idempotent(self.A), None
         except (MissingData, NotAnIntegral, NotSeparable) as e:
-            self.idempotent = None
-            self.idempotent_err = _reason(e)
+            return None, _reason(e)
+
+    @cached_property
+    def symdata(self):
+        """(data, None), or (None, the reason the route is unavailable)."""
         try:
-            self.symdata = symmetric_form_data(self.A)
-            self.symdata_err = None
+            return symmetric_form_data(self.A), None
         except (MissingData, ValidationError) as e:
-            self.symdata = None
-            self.symdata_err = _reason(e)
+            return None, _reason(e)
 
     def twists(self):
         """(name, twisted algebra) pairs, untwisted first."""
@@ -139,11 +145,11 @@ class MethodRunner:
             out["methods"]["definition"] = {"nu": _s(rep.nu)}
             values.append(rep.nu)
         if "sep" in methods:
-            if self.idempotent is None:
-                out["methods"]["separability"] = {
-                    "skipped": self.idempotent_err}
+            E, err = self.idempotent
+            if E is None:
+                out["methods"]["separability"] = {"skipped": err}
             else:
-                nu = fs_via_separability(At, V, self.idempotent)
+                nu = fs_via_separability(At, V, E)
                 out["methods"]["separability"] = {"nu": _s(nu)}
                 values.append(nu)
         if "sym" in methods:
@@ -162,12 +168,13 @@ class MethodRunner:
         return out, rep
 
     def _symmetric_entry(self, V, At, rep):
-        if self.symdata is None:
-            return {"skipped": self.symdata_err}, None
+        data, err = self.symdata
+        if data is None:
+            return {"skipped": err}, None
         if rep is not None and not rep.abs_simple:
             return {"skipped": "module is not absolutely simple"}, None
         try:
-            r = fs_via_symmetric(At, V, self.symdata)
+            r = fs_via_symmetric(At, V, data)
         except (NotAbsolutelySimple, ZeroVolumeCharacter) as e:
             return {"skipped": str(e)}, None
         return {"nu": _s(r.nu), "schur": _s(r.schur)}, r.nu

@@ -13,9 +13,10 @@ code. Mathematical problems (axiom violations) raise ValidationError with
 the full list of violations. FSIND_SKIP_VALIDATION=1 skips the axiom
 checks; the structural requirements always apply.
 
-Each axiom is checked where its input enters: a group, scheme or coalgebra
-section by its constructor, whose checks imply the pivotal axioms; a raw
-algebra section by validate_pivotal; modules and involutions as read.
+Each axiom is checked where its input enters: a group or scheme section by
+its constructor, whose checks imply the pivotal axioms; a raw algebra
+section, and the dual algebra of a coalgebra section, by validate_pivotal,
+the one checker of the pivotal axioms; modules and involutions as read.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _load_scheme_section(section, tag, name):
     return spec, scheme_to_grouplike(spec, tag, name=name)
 
 
-def _load_coalgebra_section(section, tag, name, validate):
+def _load_coalgebra_section(section, tag, name):
     comult_raw = section.get("comult")
     counit_raw = section.get("counit")
     s_raw = section.get("S")
@@ -219,8 +220,8 @@ def _load_coalgebra_section(section, tag, name, validate):
     if counit_raw is None or comult_raw is None or s_raw is None \
             or gamma_raw is None:
         raise DocumentError("coalgebra: needs comult, counit, S and gamma")
-    if not isinstance(counit_raw, list):
-        raise DocumentError("coalgebra.counit: expected a list")
+    if not isinstance(counit_raw, list) or not counit_raw:
+        raise DocumentError("coalgebra.counit: expected a non-empty list")
     dim = len(counit_raw)
     spec = CoalgebraSpec(
         tag=tag,
@@ -233,7 +234,7 @@ def _load_coalgebra_section(section, tag, name, validate):
         gamma=_vector(tag, gamma_raw, dim, "coalgebra.gamma"),
         name=name,
     )
-    return spec, dualize_coalgebra(spec, validate=validate)
+    return spec, dualize_coalgebra(spec)
 
 
 def _load_algebra_section(section, tag, name):
@@ -321,7 +322,7 @@ def document_from_dict(doc, name=None, validate=None):
     elif kind == "scheme":
         scheme, A = _load_scheme_section(section, tag, doc_name)
     elif kind == "coalgebra":
-        coalg, A = _load_coalgebra_section(section, tag, doc_name, validate)
+        coalg, A = _load_coalgebra_section(section, tag, doc_name)
     else:
         A = _load_algebra_section(section, tag, doc_name)
 
@@ -341,7 +342,7 @@ def document_from_dict(doc, name=None, validate=None):
         A = replace(A, **overrides)
 
     violations = []
-    if validate and kind == "algebra":
+    if validate and kind in ("algebra", "coalgebra"):
         violations.extend(validate_pivotal(A))
 
     modules = {}

@@ -53,11 +53,6 @@ class DegenerateTraceForm(ValidationError):
         super().__init__([message])
 
 
-class VolumeNotCentral(ValidationError):
-    def __init__(self, message):
-        super().__init__([message])
-
-
 class ZeroValency(ValidationError):
     def __init__(self, message):
         super().__init__([message])
@@ -231,12 +226,8 @@ def symmetric_form_data(A: PivotalAlgebra):
     except SingularMatrix:
         raise DegenerateTraceForm("the Gram matrix of phi is singular")
     dual = [tuple(graminv.rows[j][i] for j in range(n)) for i in range(n)]
-    data = _dual_basis_data(A, dual)
-    for i in range(n):
-        b = A.basis_vector(i)
-        if A.multiply(data.volume, b) != A.multiply(b, data.volume):
-            raise VolumeNotCentral("volume fails to commute with basis %d" % i)
-    return data
+    # v is central: sum a b_i (x) b^i = sum b_i (x) b^i a; multiply the legs
+    return _dual_basis_data(A, dual)
 
 
 def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,

@@ -197,44 +197,84 @@ class IndicatorReport:
 # ---------------------------------------------------------------------------
 # validation
 
+def _sparse(u):
+    """The nonzero coordinates of a dense vector, as {index: value}."""
+    return {i: x for i, x in enumerate(u) if x}
+
+
+def _accumulate(terms):
+    """The sum of the (index, value) terms as {index: value}, zeros dropped."""
+    out = {}
+    for k, x in terms:
+        y = out.get(k)
+        out[k] = x if y is None else y + x
+    return {k: x for k, x in out.items() if x}
+
+
+def _product(A, u, v):
+    """u v for sparse vectors, read off the structure constants."""
+    return _accumulate((k, x * y * c) for i, x in u.items()
+                       for j, y in v.items()
+                       for k, c in A.mult.get((i, j), ()))
+
+
+def _nonassociative_triples(A):
+    """Sorted (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), comparing the
+    two triple-product tensors {(i, j, k, t): coefficient}."""
+    by_left, by_right = {}, {}
+    for (i, j), terms in A.mult.items():
+        by_left.setdefault(i, []).append((j, terms))
+        by_right.setdefault(j, []).append((i, terms))
+    left, right = [], []
+    for (i, j), terms in A.mult.items():
+        for m, c in terms:
+            # b_m is a term of b_i b_j: (b_i b_j) b_k and b_h (b_i b_j)
+            left.extend(((i, j, k, t), c * c2) for k, terms2 in
+                        by_left.get(m, ()) for t, c2 in terms2)
+            right.extend(((h, i, j, t), c * c2) for h, terms2 in
+                         by_right.get(m, ()) for t, c2 in terms2)
+    left, right = _accumulate(left), _accumulate(right)
+    return sorted({key[:3] for key in left.keys() | right.keys()
+                   if left.get(key) != right.get(key)})
+
+
 def validate_pivotal(A: PivotalAlgebra):
     """All pivotal axioms on basis elements; returns a list of violations.
 
-    Involutions are not read: each is checked when it is attached.
+    Every product is read off the sparse structure constants A.mult, and
+    S off its sparse columns. Involutions are not read: each is checked
+    when it is attached.
     """
-    bad = []
-    n = A.dim
-    basis = [A.basis_vector(i) for i in range(n)]
+    n, one = A.dim, A.tag.one()
+    cols = [_sparse(col) for col in zip(*A.S.rows)]
 
+    def S(terms):
+        return _accumulate((r, x * s) for m, x in terms
+                           for r, s in cols[m].items())
+
+    bad = []
+    unit, g = _sparse(A.unit), _sparse(A.g)
     for i in range(n):
-        if A.multiply(A.unit, basis[i]) != basis[i]:
+        b = {i: one}
+        if _product(A, unit, b) != b:
             bad.append("unit fails on the left at index %d" % i)
-        if A.multiply(basis[i], A.unit) != basis[i]:
+        if _product(A, b, unit) != b:
             bad.append("unit fails on the right at index %d" % i)
 
-    for i in range(n):
-        for j in range(n):
-            left = A.multiply(basis[i], basis[j])
-            for k in range(n):
-                if (A.multiply(left, basis[k])
-                        != A.multiply(basis[i], A.multiply(basis[j], basis[k]))):
-                    bad.append("associativity fails at (%d, %d, %d)" % (i, j, k))
+    bad.extend("associativity fails at (%d, %d, %d)" % ijk
+               for ijk in _nonassociative_triples(A))
 
     for i in range(n):
         for j in range(n):
-            lhs = A.apply_S(A.multiply(basis[i], basis[j]))
-            rhs = A.multiply(A.apply_S(basis[j]), A.apply_S(basis[i]))
-            if lhs != rhs:
+            if S(A.mult.get((i, j), ())) != _product(A, cols[j], cols[i]):
                 bad.append("S is not an anti-map at (%d, %d)" % (i, j))
 
-    sg = A.apply_S(A.g)
-    if A.multiply(sg, A.g) != A.unit or A.multiply(A.g, sg) != A.unit:
+    sg = S(g.items())
+    if _product(A, sg, g) != unit or _product(A, g, sg) != unit:
         bad.append("S(g) is not the inverse of g")
     else:
         for i in range(n):
-            lhs = A.apply_S(A.apply_S(basis[i]))
-            rhs = A.multiply(A.g, A.multiply(basis[i], sg))
-            if lhs != rhs:
+            if S(cols[i].items()) != _product(A, g, _product(A, {i: one}, sg)):
                 bad.append("S^2 != g(.)g^-1 at index %d" % i)
     return bad
 

@@ -48,79 +48,6 @@ class ParseError(Exception):
         self.pos = pos
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over Q, represented as trimmed tuples of Fraction
-# (index = degree, no trailing zeros, () is the zero polynomial)
-
-def _trim(cs):
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(n))
-
-
-def poly_neg(a):
-    return tuple(-c for c in a)
-
-
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim(out)
-
-
-def poly_divmod(a, b):
-    """Quotient and remainder of a by b (b nonzero), exact over Q."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / lead
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _trim(q), _trim(a)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n):
-    """Coefficients of the n-th cyclotomic polynomial.
-
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of the
-    proper divisors, which stays exact and is plenty fast for the orders
-    used here.
-    """
-    if n < 1:
-        raise ValueError("order must be positive")
-    xn_minus_1 = _trim([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)])
-    acc = (Fraction(1),)
-    for d in range(1, n):
-        if n % d == 0:
-            acc = poly_mul(acc, cyclotomic_poly(d))
-    q, r = poly_divmod(xn_minus_1, acc)
-    assert not r
-    return q
-
-
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
@@ -152,7 +79,7 @@ def _reduction_table(order):
     rows[k] lists the nonzero (i, c) of z^(phi + k) reduced, for
     k = 0 .. phi - 2: the powers a product of two reduced values reaches.
     """
-    m = [int(c) for c in cyclotomic_poly(order)]
+    m = list(cyclotomic_poly(order))
     phi = len(m) - 1
     row = [-c for c in m[:phi]]
     rows = []
@@ -377,9 +304,17 @@ class Cyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Z, the arithmetic behind Q(q): sequences of int
-# (index = degree, no trailing zeros).  Primitive means the coefficients
-# have gcd 1 and the leading one is positive.
+# dense polynomials over Z, the arithmetic behind Q(q) and the cyclotomic
+# polynomials: sequences of int (index = degree, no trailing zeros).
+# Primitive means the coefficients have gcd 1 and the leading one is
+# positive.
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
 
 def _zmul(a, b):
     """Product of two nonzero polynomials."""
@@ -420,6 +355,22 @@ def _zquo(a, b):
     if any(r[:db - 1]):
         return None
     return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(n):
+    """Integer coefficients of the n-th cyclotomic polynomial, from degree 0.
+
+    x^n - 1 divided by the cyclotomic polynomials of the proper divisors of
+    n; each is monic, so the division is exact over Z.
+    """
+    if n < 1:
+        raise ValueError("order must be positive")
+    acc = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            acc = _zmul(acc, cyclotomic_poly(d))
+    return tuple(_zquo([-1] + [0] * (n - 1) + [1], acc))
 
 
 def _primitive(a):

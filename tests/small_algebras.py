@@ -1,5 +1,6 @@
 """Small hand-built algebras, and helpers, shared by the tests."""
 
+from fsind.constructors import CoalgebraSpec
 from fsind.linalg import Matrix, inverse
 from fsind.pivotal import ModuleRep, PivotalAlgebra
 from fsind.scalars import RATIONAL
@@ -16,6 +17,75 @@ def conjugate_module(V, P, name=None):
     pinv = inverse(P)
     return ModuleRep(name or V.name, V.dim,
                      tuple(P * m * pinv for m in V.action))
+
+
+def validate_pivotal_by_definition(A):
+    """The pivotal axioms by dense products of basis vectors, one triple
+    at a time: the reference for pivotal.validate_pivotal, with the same
+    messages in the same order."""
+    bad = []
+    n = A.dim
+    basis = [A.basis_vector(i) for i in range(n)]
+
+    for i in range(n):
+        if A.multiply(A.unit, basis[i]) != basis[i]:
+            bad.append("unit fails on the left at index %d" % i)
+        if A.multiply(basis[i], A.unit) != basis[i]:
+            bad.append("unit fails on the right at index %d" % i)
+
+    for i in range(n):
+        for j in range(n):
+            left = A.multiply(basis[i], basis[j])
+            for k in range(n):
+                if (A.multiply(left, basis[k])
+                        != A.multiply(basis[i], A.multiply(basis[j], basis[k]))):
+                    bad.append("associativity fails at (%d, %d, %d)" % (i, j, k))
+
+    for i in range(n):
+        for j in range(n):
+            lhs = A.apply_S(A.multiply(basis[i], basis[j]))
+            rhs = A.multiply(A.apply_S(basis[j]), A.apply_S(basis[i]))
+            if lhs != rhs:
+                bad.append("S is not an anti-map at (%d, %d)" % (i, j))
+
+    sg = A.apply_S(A.g)
+    if A.multiply(sg, A.g) != A.unit or A.multiply(A.g, sg) != A.unit:
+        bad.append("S(g) is not the inverse of g")
+    else:
+        for i in range(n):
+            lhs = A.apply_S(A.apply_S(basis[i]))
+            rhs = A.multiply(A.g, A.multiply(basis[i], sg))
+            if lhs != rhs:
+                bad.append("S^2 != g(.)g^-1 at index %d" % i)
+    return bad
+
+
+def dual_numbers():
+    """k[x]/(x^2) with S = id, g = 1 and the socle trace form."""
+    one, zero = RATIONAL.one(), RATIONAL.zero()
+    return PivotalAlgebra(
+        tag=RATIONAL, dim=2, labels=("1", "x"),
+        mult={(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),)},
+        unit=(one, zero),
+        S=Matrix.identity(RATIONAL, 2),
+        g=(one, zero),
+        trace_form=(zero, one),
+        name="k[x]/(x^2)",
+    )
+
+
+def primitive_coalgebra():
+    """The coalgebra on 1, x with x primitive: D(x) = 1 (x) x + x (x) 1,
+    S(x) = -x and gamma = eps."""
+    one, zero = RATIONAL.one(), RATIONAL.zero()
+    return CoalgebraSpec(
+        tag=RATIONAL, dim=2, labels=("1", "x"),
+        comult={0: ((0, 0, one),), 1: ((0, 1, one), (1, 0, one))},
+        counit=(one, zero),
+        S=Matrix(RATIONAL, [[one, zero], [zero, -one]]),
+        gamma=(one, zero),
+        name="primitive",
+    )
 
 
 def upper_triangular():

@@ -125,6 +125,32 @@ def test_module_violation_names_the_module_once(tmp_path, capsys):
     assert err == "invalid: module 'a': action breaks at (1, 1)\n"
 
 
+def test_empty_coalgebra_is_exit_2(tmp_path, capsys):
+    def mutate(raw):
+        raw["coalgebra"].update(labels=[], comult=[], counit=[], S=[],
+                                gamma=[])
+
+    path = write_builtin(tmp_path, "coalg-C2", mutate=mutate)
+    for command in ("check", "table"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, "")
+        assert err == "error: coalgebra.counit: expected a non-empty list\n"
+
+
+def test_coalgebra_and_module_violations_are_reported_together(tmp_path,
+                                                               capsys):
+    def mutate(raw):
+        raw["coalgebra"]["gamma"] = ["1", "2", "2"]
+        raw["modules"] = [{"name": "a", "dim": 1,
+                           "action": [[["1"]], [["1"]], [["1"]]]}]
+
+    path = write_builtin(tmp_path, "coalg-C3", mutate=mutate)
+    code, out, _ = run(capsys, "check", path)
+    assert code == 1
+    assert "invalid: S(g) is not the inverse of g\n" in out
+    assert "invalid: module 'a': action breaks at (0, 1)\n" in out
+
+
 def test_bad_usage_is_exit_2(capsys):
     assert main([]) == 2
     assert main(["indicator"]) == 2

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from fsind.constructors import (
     CayleyTable,
-    CoalgebraSpec,
-    CopivotalAxiomViolation,
     InvalidCayleyTable,
     NotAScheme,
     NotAutomorphism,
@@ -37,7 +35,6 @@ from fsind.constructors import (
     scheme_standard_module,
     scheme_to_grouplike,
     validate_cayley_table,
-    validate_coalgebra,
 )
 from fsind.documents import document_from_dict
 from fsind.formulas import fs_regular_trace_q
@@ -49,6 +46,8 @@ from fsind.pivotal import (
     validate_pivotal,
 )
 from fsind.scalars import RATIONAL
+
+from small_algebras import primitive_coalgebra
 
 F = Fraction
 
@@ -155,6 +154,29 @@ def c4_cycle_spec():
     return SchemeSpec(size=4, rank=3, relations=rel)
 
 
+def test_scheme_axioms_imply_the_doi_conditions():
+    # scheme_to_grouplike does not check these: the relation axioms imply them
+    specs = [thin_scheme(t()) for t in (s3_table, d4_table, q8_table)]
+    specs += [thin_scheme(cyclic_table(n)) for n in (2, 3, 4, 6)]
+    for name in builtin_names():
+        raw = builtin_document(name).get("scheme")
+        if raw is not None:
+            rel = tuple(tuple(row) for row in raw["relations"])
+            specs.append(SchemeSpec(size=raw["size"],
+                                    rank=1 + max(map(max, rel)),
+                                    relations=rel))
+    assert len(specs) == 10
+    for spec in specs:
+        star, val, p = scheme_intersection_numbers(spec)
+        r = spec.rank
+        for i in range(r):
+            assert val[i] >= 1 and val[i] == val[star[i]]
+            for j in range(r):
+                assert p[i][j][0] == (val[i] if star[i] == j else 0)
+                for k in range(r):
+                    assert p[i][j][k] == p[star[j]][star[i]][star[k]]
+
+
 def test_scheme_involutions():
     A = scheme_to_grouplike(k3_spec(), RATIONAL)
     assert scheme_involution(A, [0, 1]) == Matrix.identity(RATIONAL, 2)
@@ -172,42 +194,33 @@ def test_scheme_involutions():
 def test_group_like_coalgebra_validates():
     for n in (2, 3, 4):
         spec = group_like_coalgebra(cyclic_table(n), RATIONAL)
-        assert validate_coalgebra(spec) == []
+        assert validate_pivotal(dualize_coalgebra(spec)) == []
 
 
 def test_coalgebra_counit_and_gamma_violations():
+    # the copivotal axioms of C are the pivotal axioms of its dual
     spec = group_like_coalgebra(cyclic_table(3), RATIONAL)
-    bad = validate_coalgebra(dataclasses.replace(
-        spec, counit=(F(1), F(1), F(0))))
-    assert any("counit law" in v for v in bad)
-    bad = validate_coalgebra(dataclasses.replace(
-        spec, gamma=(F(1), F(2), F(2))))
-    assert any("convolution-inverse" in v for v in bad)
-    with pytest.raises(CopivotalAxiomViolation):
-        dualize_coalgebra(dataclasses.replace(spec, gamma=(F(1), F(2), F(2))))
-    # skipping validation hands back the dual algebra regardless
-    dualize_coalgebra(dataclasses.replace(spec, gamma=(F(1), F(2), F(2))),
-                      validate=False)
+    bad = validate_pivotal(dualize_coalgebra(dataclasses.replace(
+        spec, counit=(F(1), F(1), F(0)))))
+    assert "unit fails on the left at index 2" in bad
+    bad = validate_pivotal(dualize_coalgebra(dataclasses.replace(
+        spec, gamma=(F(1), F(2), F(2)))))
+    assert "S(g) is not the inverse of g" in bad
 
 
 def test_primitive_element_coalgebra():
     one, zero = F(1), F(0)
-    spec = CoalgebraSpec(
-        tag=RATIONAL, dim=2, labels=("1", "x"),
-        comult={0: ((0, 0, one),), 1: ((0, 1, one), (1, 0, one))},
-        counit=(one, zero),
-        S=Matrix(RATIONAL, [[one, zero], [zero, -one]]),
-        gamma=(one, zero),
-        name="primitive",
-    )
-    assert validate_coalgebra(spec) == []
+    spec = primitive_coalgebra()
+    assert validate_pivotal(dualize_coalgebra(spec)) == []
     swapped = dataclasses.replace(
         spec, S=Matrix(RATIONAL, [[zero, one], [one, zero]]))
-    assert any("anti-coalgebra" in v for v in validate_coalgebra(swapped))
+    assert any("anti-map" in v
+               for v in validate_pivotal(dualize_coalgebra(swapped)))
     crooked = dataclasses.replace(
         spec, comult={0: ((0, 0, one),),
                       1: ((0, 1, one), (1, 1, one))})
-    assert any("coassociative" in v for v in validate_coalgebra(crooked))
+    assert ("associativity fails at (1, 0, 1)"
+            in validate_pivotal(dualize_coalgebra(crooked)))
 
 
 def test_dual_of_group_like_coalgebra_is_the_function_algebra():
@@ -252,9 +265,9 @@ def test_builtin_documents_are_fresh_copies():
 
 # --- constructor checks imply the pivotal axioms -----------------------------------
 #
-# The loader runs validate_pivotal only on raw algebra sections; for the other
-# sections the constructor's own checks stand in for it. These tests hold the
-# two to the same answer.
+# The loader runs validate_pivotal on raw algebra sections and on the duals of
+# coalgebra sections; for group and scheme sections the constructor's own
+# checks stand in for it. These tests hold the two to the same answer.
 
 def test_constructed_builtins_satisfy_validate_pivotal():
     for name in builtin_names():

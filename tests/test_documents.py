@@ -222,11 +222,14 @@ def test_constructed_sections_skip_validate_pivotal(monkeypatch):
         raise AssertionError("validate_pivotal ran on %s" % A.name)
 
     monkeypatch.setattr("fsind.documents.validate_pivotal", refuse)
-    for name in ("S3", "S3-grouplike", "coalg-C3"):
+    for name in ("S3", "S3-grouplike"):
         document_from_dict(builtin_document(name), name=name)
     document_from_text(K3_TEXT)
+    # a raw algebra, and the dual of a coalgebra, go through validate_pivotal
     with pytest.raises(AssertionError):
         document_from_dict(dual_numbers_doc())
+    with pytest.raises(AssertionError):
+        document_from_dict(builtin_document("coalg-C3"), name="coalg-C3")
 
 
 def test_invalid_involutions_are_collected():

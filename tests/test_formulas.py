@@ -7,6 +7,7 @@ import pytest
 
 from fsind.constructors import (
     builtin_document,
+    builtin_names,
     cyclic_table,
     d4_table,
     group_algebra,
@@ -44,7 +45,6 @@ from fsind.pivotal import (
     GroupLikeData,
     MissingData,
     ModuleRep,
-    PivotalAlgebra,
     fs_indicator,
     pivotal_from_character,
     regular_module,
@@ -53,7 +53,11 @@ from fsind.pivotal import (
     validate_pivotal,
 )
 from fsind.scalars import RATIONAL
-from small_algebras import upper_triangular, upper_triangular_natural
+from small_algebras import (
+    dual_numbers,
+    upper_triangular,
+    upper_triangular_natural,
+)
 
 F = Fraction
 
@@ -68,20 +72,6 @@ def count_square_roots(ct):
     """#{x : x^2 = e} straight off the Cayley table."""
     e = ct.identity()
     return sum(1 for i in range(ct.order) if ct.table[i][i] == e)
-
-
-def dual_numbers():
-    """k[x]/(x^2) with S = id, g = 1 and the socle trace form."""
-    one, zero = RATIONAL.one(), RATIONAL.zero()
-    return PivotalAlgebra(
-        tag=RATIONAL, dim=2, labels=("1", "x"),
-        mult={(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),)},
-        unit=(one, zero),
-        S=Matrix.identity(RATIONAL, 2),
-        g=(one, zero),
-        trace_form=(zero, one),
-        name="k[x]/(x^2)",
-    )
 
 
 # --- separability route -------------------------------------------------------
@@ -157,6 +147,18 @@ def test_symmetric_form_data_s3():
         assert data.dual_basis[i] == A.basis_vector(inv)
     six = A.tag.coerce(6)
     assert data.volume == tuple(six * x for x in A.unit)
+
+
+def test_volume_is_central_for_every_builtin_trace_form():
+    # symmetric_form_data does not check this: associativity implies it
+    for name in builtin_names():
+        A = load(name).algebra
+        if A.trace_form is None:
+            continue
+        v = symmetric_form_data(A).volume
+        for i in range(A.dim):
+            b = A.basis_vector(i)
+            assert A.multiply(v, b) == A.multiply(b, v), (name, i)
 
 
 def test_symmetric_route_frozen_values():

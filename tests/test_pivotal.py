@@ -9,15 +9,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fsind
 from fsind.constructors import (
     CayleyTable,
     coalgebra_regular_module,
     cyclic_table,
+    dualize_coalgebra,
     group_algebra,
     group_involution,
+    group_like_coalgebra,
     q8_table,
     s3_table,
     scheme_to_grouplike,
@@ -58,7 +60,13 @@ from fsind.pivotal import (
     validate_pivotal,
 )
 from fsind.scalars import RATIONAL, cyclotomic_field
-from small_algebras import conjugate_module
+from small_algebras import (
+    conjugate_module,
+    dual_numbers,
+    primitive_coalgebra,
+    upper_triangular,
+    validate_pivotal_by_definition,
+)
 
 F = Fraction
 
@@ -93,6 +101,59 @@ def test_shifted_s_is_caught():
                                for j in range(3)] for i in range(3)])
     bad = validate_pivotal(dataclasses.replace(A, S=shift))
     assert any("anti-map" in v for v in bad)
+
+
+def _dual_of_kc(n):
+    return dualize_coalgebra(group_like_coalgebra(cyclic_table(n), RATIONAL))
+
+
+SMALL_ALGEBRAS = {
+    "k[x]/(x^2)": dual_numbers,
+    "T2(Q)": upper_triangular,
+    "kC3": lambda: group_algebra(cyclic_table(3), RATIONAL),
+    "kS3": lambda: group_algebra(s3_table(), RATIONAL),
+    "dual(kC2)": lambda: _dual_of_kc(2),
+    "dual(kC3)": lambda: _dual_of_kc(3),
+    "dual(kC4)": lambda: _dual_of_kc(4),
+    "dual(primitive)": lambda: dualize_coalgebra(primitive_coalgebra()),
+}
+
+EDITS = st.tuples(st.sampled_from(("mult", "S", "g")), st.integers(0, 5),
+                  st.integers(0, 5), st.integers(0, 5),
+                  st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2))))
+
+
+def edited(A, kind, a, b, c, value):
+    """A with the structure constant (a, b; c), the S entry (a, b) or entry
+    a of g set to value; indices are taken mod dim A."""
+    n = A.dim
+    a, b, c = a % n, b % n, c % n
+    if kind == "mult":
+        terms = {**dict(A.mult.get((a, b), ())), c: value}
+        return dataclasses.replace(
+            A, mult={**A.mult, (a, b): tuple(sorted(terms.items()))})
+    if kind == "S":
+        rows = [list(row) for row in A.S.rows]
+        rows[a][b] = value
+        return dataclasses.replace(A, S=Matrix(RATIONAL, rows))
+    return dataclasses.replace(
+        A, g=tuple(value if t == a else x for t, x in enumerate(A.g)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SMALL_ALGEBRAS)),
+       st.lists(EDITS, min_size=1, max_size=2))
+# One edit never tells the product orders of the S(g) and S^2 checks apart;
+# these pairs of edits do, by breaking the unit or associativity first.
+@example("dual(kC3)", [("mult", 2, 1, 2, F(1)), ("mult", 0, 2, 2, F(-1))])
+@example("dual(primitive)", [("S", 1, 0, 0, F(2)), ("mult", 1, 0, 1, F(0))])
+def test_validate_pivotal_matches_the_definition(name, edits):
+    """The sparse checker and the dense reference list the same violations
+    after a structure constant, an S entry or an entry of g changes."""
+    A = SMALL_ALGEBRAS[name]()
+    for edit in edits:
+        A = edited(A, *edit)
+    assert validate_pivotal(A) == validate_pivotal_by_definition(A)
 
 
 def module_violations_by_full_loop(A, V):

@@ -17,18 +17,60 @@ from fsind.scalars import (
     cyclotomic_poly,
     field_tag_from_string,
     parse_scalar,
-    poly_add,
-    poly_divmod,
-    poly_mul,
-    poly_sub,
     scalar_to_string,
     _gcd_heu,
     _primitive,
     _prs_gcd,
+    _trim,
     _zmul,
 )
 
 F = Fraction
+
+
+# --- dense polynomials over Q: the reference for the integer arithmetic -----
+# (tuples of Fraction, index = degree, no trailing zeros, () is zero)
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                 for i in range(n))
+
+
+def poly_neg(a):
+    return tuple(-c for c in a)
+
+
+def poly_sub(a, b):
+    return poly_add(a, poly_neg(b))
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _trim(out)
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder of a by b (b nonzero), exact over Q."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] / lead
+        if c:
+            q[i] = c
+            for j, bj in enumerate(b):
+                a[i + j] -= c * bj
+    return _trim(q), _trim(a)
 
 
 def poly_monic(a):
