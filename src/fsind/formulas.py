@@ -14,6 +14,10 @@ x' (x) x'' of A (x) A:
 * Doi's formula for group-like algebras is the same dual-basis route with
   b_i-dual = eps(b_i)^-1 b_{i*}.
 
+Every product is PivotalAlgebra.multiply on sparse elements. Dense tuples
+remain only in the results that callers read: SeparabilityIdempotent.terms
+and SymmetricFormData.
+
 Trace identities on the antipode (Trace(S) globally, Trace(S_V) on the
 image of a self-dual simple, Trace(Q) for the regular module) round out the
 cross-checks. fs_via_symmetric and trace_S_on_image decide their
@@ -31,7 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, SingularMatrix, _rref_in_place, inverse, rank
-from .pivotal import MissingData, ModuleRep, PivotalAlgebra, ValidationError
+from .pivotal import (
+    MissingData,
+    ModuleRep,
+    PivotalAlgebra,
+    ValidationError,
+    _accumulate,
+    _dense,
+    _evaluate,
+    _sparse,
+)
 
 
 class NotAnIntegral(ValidationError):
@@ -81,36 +94,24 @@ class SeparabilityIdempotent:
     terms: list  # list of (vector, vector) pairs
 
 
+def _tensor(pairs):
+    """sum u (x) v over sparse pairs, as {(p, q): coefficient}."""
+    return _accumulate(((p, q), x * y) for u, v in pairs
+                       for p, x in u.items() for q, y in v.items())
+
+
 def validate_separability(A: PivotalAlgebra, E: SeparabilityIdempotent):
+    terms = [(_sparse(u), _sparse(v)) for u, v in E.terms]
     bad = []
-    total = A.zero_vector()
-    for u, v in E.terms:
-        total = tuple(x + y for x, y in zip(total, A.multiply(u, v)))
-    if total != A.unit:
+    total = _accumulate(kx for u, v in terms
+                        for kx in A.multiply(u, v).items())
+    if total != _sparse(A.unit):
         bad.append("E' E'' does not multiply to the unit")
-    z = A.tag.zero()
+    one = A.tag.one()
     for i in range(A.dim):
-        b = A.basis_vector(i)
-        lhs = {}
-        rhs = {}
-        for u, v in E.terms:
-            bu = A.multiply(b, u)
-            vb = A.multiply(v, b)
-            for p, x in enumerate(bu):
-                if not x:
-                    continue
-                for q, y in enumerate(v):
-                    if y:
-                        lhs[(p, q)] = lhs.get((p, q), z) + x * y
-            for p, x in enumerate(u):
-                if not x:
-                    continue
-                for q, y in enumerate(vb):
-                    if y:
-                        rhs[(p, q)] = rhs.get((p, q), z) + x * y
-        lhs = {k: v_ for k, v_ in lhs.items() if v_}
-        rhs = {k: v_ for k, v_ in rhs.items() if v_}
-        if lhs != rhs:
+        b = {i: one}
+        if (_tensor((A.multiply(b, u), v) for u, v in terms)
+                != _tensor((u, A.multiply(v, b)) for u, v in terms)):
             bad.append("aE = Ea fails on basis element %d" % i)
     return bad
 
@@ -122,36 +123,26 @@ def hopf_integral_idempotent(A: PivotalAlgebra):
         raise MissingData("separability from an integral needs comult and counit")
     if A.integral is None:
         raise MissingData("no integral attached to %s" % A.name)
-    lam = A.integral
-    if A.pair(A.counit, lam) != A.tag.one():
+    lam, one = _sparse(A.integral), A.tag.one()
+    if _evaluate(A.tag, A.counit, lam) != one:
         raise NotAnIntegral("eps(Lambda) != 1")
     for i in range(A.dim):
-        b = A.basis_vector(i)
-        expected = tuple(A.counit[i] * x for x in lam)
+        b = {i: one}
+        expected = _accumulate((k, A.counit[i] * x) for k, x in lam.items())
         if A.multiply(b, lam) != expected or A.multiply(lam, b) != expected:
             raise NotAnIntegral(
                 "Lambda is not a two-sided integral (fails at %d)" % i)
 
-    z = A.tag.zero()
-    # group Delta(Lambda) by the right leg: E = sum_j (sum c S(b_i)) x b_j
+    # group Delta(Lambda) by the right leg: E = sum_j S(sum c b_i) x b_j
     left = {}
-    for k, lk in enumerate(lam):
-        if not lk:
-            continue
+    for k, lk in lam.items():
         for i, j, c in A.comult.get(k, ()):
-            w = lk * c
-            if not w:
-                continue
-            acc = left.setdefault(j, [z] * A.dim)
-            si = A.apply_S(A.basis_vector(i))
-            for r, x in enumerate(si):
-                if x:
-                    acc[r] = acc[r] + w * x
+            left.setdefault(j, []).append((i, lk * c))
     terms = []
     for j in sorted(left):
-        vec = tuple(left[j])
-        if any(vec):
-            terms.append((vec, A.basis_vector(j)))
+        u = A.apply_S(_accumulate(left[j]))
+        if u:
+            terms.append((_dense(A, u), _dense(A, {j: one})))
     E = SeparabilityIdempotent(terms)
     bad = validate_separability(A, E)
     if bad:
@@ -160,18 +151,19 @@ def hopf_integral_idempotent(A: PivotalAlgebra):
 
 
 def _casimir_sum(A: PivotalAlgebra, chi, terms):
-    """sum chi(S(u) g v) over the terms u x v; chi holds the character
-    values on the basis."""
-    acc = A.tag.zero()
-    for u, v in terms:
-        acc = acc + A.pair(chi, A.multiply(A.multiply(A.apply_S(u), A.g), v))
-    return acc
+    """chi(sum S(u) g v) over the sparse terms u x v; chi holds the
+    character values on the basis."""
+    g = _sparse(A.g)
+    return _evaluate(A.tag, chi, _accumulate(
+        kx for u, v in terms
+        for kx in A.multiply(A.multiply(A.apply_S(u), g), v).items()))
 
 
 def fs_via_separability(A: PivotalAlgebra, V: ModuleRep,
                         E: SeparabilityIdempotent):
     """nu(V) = chi_V(S(E') g E'')."""
-    return _casimir_sum(A, V.character_on_basis(), E.terms)
+    return _casimir_sum(A, V.character_on_basis(),
+                        [(_sparse(u), _sparse(v)) for u, v in E.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -190,34 +182,35 @@ class SymmetricIndicator:
 
 
 def _dual_basis_data(A: PivotalAlgebra, dual):
-    """The dual basis with its volume sum_i b_i b_i-dual."""
-    vol = A.zero_vector()
-    for i, w in enumerate(dual):
-        vol = tuple(x + y for x, y in
-                    zip(vol, A.multiply(A.basis_vector(i), w)))
-    return SymmetricFormData(dual_basis=dual, volume=vol)
+    """The sparse dual basis with its volume sum_i b_i b_i-dual, as dense
+    SymmetricFormData."""
+    one = A.tag.one()
+    vol = _accumulate(kx for i, w in enumerate(dual)
+                      for kx in A.multiply({i: one}, w).items())
+    return SymmetricFormData(dual_basis=[_dense(A, w) for w in dual],
+                             volume=_dense(A, vol))
 
 
 def _dual_basis_sum(A: PivotalAlgebra, chi, dim, data, chi_name):
     """(nu, schur) = ((d / chi(v)) sum_i chi(S(b_i) g b_i-dual),
     chi(v) / d^2) with d = dim, over the dual basis and the volume v of
     data."""
-    chi_vol = A.pair(chi, data.volume)
+    chi_vol = _evaluate(A.tag, chi, _sparse(data.volume))
     if not chi_vol:
         raise ZeroVolumeCharacter(
             "%s vanishes on the volume element" % chi_name)
     d = A.tag.coerce(dim)
-    terms = [(A.basis_vector(i), w) for i, w in enumerate(data.dual_basis)]
+    one = A.tag.one()
+    terms = [({i: one}, _sparse(w)) for i, w in enumerate(data.dual_basis)]
     return (d / chi_vol) * _casimir_sum(A, chi, terms), chi_vol / (d * d)
 
 
 def symmetric_form_data(A: PivotalAlgebra):
     if A.trace_form is None:
         raise MissingData("no trace form attached to %s" % A.name)
-    n = A.dim
-    gram = Matrix(A.tag, [[A.pair(A.trace_form,
-                                  A.multiply(A.basis_vector(i),
-                                             A.basis_vector(j)))
+    n, one = A.dim, A.tag.one()
+    gram = Matrix(A.tag, [[_evaluate(A.tag, A.trace_form,
+                                     A.multiply({i: one}, {j: one}))
                            for j in range(n)] for i in range(n)])
     if gram != gram.transpose():
         raise NotSymmetric("phi(ab) != phi(ba) somewhere")
@@ -225,9 +218,8 @@ def symmetric_form_data(A: PivotalAlgebra):
         graminv = inverse(gram)
     except SingularMatrix:
         raise DegenerateTraceForm("the Gram matrix of phi is singular")
-    dual = [tuple(graminv.rows[j][i] for j in range(n)) for i in range(n)]
     # v is central: sum a b_i (x) b^i = sum b_i (x) b^i a; multiply the legs
-    return _dual_basis_data(A, dual)
+    return _dual_basis_data(A, [_sparse(col) for col in zip(*graminv.rows)])
 
 
 def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
@@ -254,11 +246,9 @@ def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
 def fs_regular_trace_q(A: PivotalAlgebra):
     """Trace of a -> S(a) g; equals nu of the regular module for Frobenius
     algebras, and the number of square roots of 1 for group algebras."""
-    acc = A.tag.zero()
-    for i in range(A.dim):
-        v = A.multiply(A.apply_S(A.basis_vector(i)), A.g)
-        acc = acc + v[i]
-    return acc
+    g, z = _sparse(A.g), A.tag.zero()
+    return sum((A.multiply(col, g).get(i, z)
+                for i, col in enumerate(A.S_columns)), z)
 
 
 def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep):
@@ -275,7 +265,7 @@ def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep):
     d = V.dim
     d2 = d * d
     rows = [list(V.action[i].vec())
-            + list(V.of_vector(A.apply_S(A.basis_vector(i))).vec())
+            + list(V.of_vector(A.S_columns[i]).vec())
             for i in range(A.dim)]
     pivots = _rref_in_place(rows, 2 * d2)
     if pivots[:d2] != list(range(d2)):
@@ -340,8 +330,8 @@ def doi_grouplike_indicator(A: PivotalAlgebra, chi, dim):
     star, eps = A.grouplike.star, A.grouplike.eps
     if any(not e for e in eps):
         raise ZeroValency("a basis element has vanishing valency")
-    dual = [tuple(x / e for x in A.basis_vector(j))
-            for j, e in zip(star, eps)]
+    one = A.tag.one()
+    dual = [{j: one / e} for j, e in zip(star, eps)]
     nu, _ = _dual_basis_sum(A, tuple(A.tag.coerce(x) for x in chi), dim,
                             _dual_basis_data(A, dual), "chi")
     return nu
@@ -355,17 +345,12 @@ def fs_hopf_character_formula(A: PivotalAlgebra, V: ModuleRep, alpha):
     if A.comult is None or A.integral is None:
         raise MissingData("needs comultiplication and integral")
     alpha = tuple(A.tag.coerce(a) for a in alpha)
-    alpha_s = A.S.transpose().apply(alpha)  # alpha o S on the basis
-    chi = V.character_on_basis()
-    acc = A.tag.zero()
-    for k, lk in enumerate(A.integral):
-        if not lk:
-            continue
-        for i, j, c in A.comult.get(k, ()):
-            w = lk * c * alpha_s[i]
-            if not w:
-                continue
-            for s, t, c2 in A.comult.get(j, ()):
-                prod = A.multiply(A.basis_vector(s), A.basis_vector(t))
-                acc = acc + w * c2 * A.pair(chi, prod)
-    return acc
+    alpha_s = [_evaluate(A.tag, alpha, c) for c in A.S_columns]  # alpha o S
+    one = A.tag.one()
+    # alpha(S(L_1)) L_2 L_3, over the double comultiplication of L
+    x = _accumulate(
+        kv for k, lk in _sparse(A.integral).items()
+        for i, j, c in A.comult.get(k, ())
+        for s, t, c2 in A.comult.get(j, ())
+        for kv in A.multiply({s: lk * c * alpha_s[i] * c2}, {t: one}).items())
+    return _evaluate(A.tag, V.character_on_basis(), x)

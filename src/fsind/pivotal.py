@@ -7,6 +7,13 @@ b(v, w) = v^T M w, b(a v, w) = b(v, S(a) w), has a Gram matrix M with
 R(b)^T M = M R(S(b)): M is the transpose of a map in Hom(V, V*). The
 indicator is the trace of M -> R(g)^T M^T on that space.
 
+Algebra elements are sparse: dicts {basis index: coefficient} holding no
+zeros. PivotalAlgebra.multiply, read off the structure constants A.mult, is
+the one product, and apply_S applies S through its sparse columns
+A.S_columns, computed once per algebra. Dense coefficient tuples remain only
+in the fields that documents fill (unit, g, counit, integral, trace_form);
+each is made sparse where a computation starts.
+
 One core, indicator_from_presentation, computes every indicator report. It
 reads a module only through a presentation: R(b) and R(S(b)) for generators
 b of the algebra, and R(g). fs_indicator feeds it PivotalAlgebra.generators;
@@ -30,6 +37,7 @@ given, so nu^tau(V) is fs_indicator(twist_algebra(A, T), V).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .linalg import (
     Matrix,
@@ -62,6 +70,44 @@ class MissingComultiplication(MissingData):
 class NotCentralCharacter(Exception):
     pass
 
+
+# ---------------------------------------------------------------------------
+# sparse elements
+
+def _sparse(u):
+    """A dense coefficient tuple as a sparse element {index: value}."""
+    return {i: x for i, x in enumerate(u) if x}
+
+
+def _dense(A, u):
+    """A sparse element of A as a dense coefficient tuple."""
+    z = A.tag.zero()
+    return tuple(u.get(i, z) for i in range(A.dim))
+
+
+def _accumulate(terms):
+    """The sum of the (index, value) terms as {index: value}, zeros dropped."""
+    out = {}
+    for k, x in terms:
+        y = out.get(k)
+        out[k] = x if y is None else y + x
+    return {k: x for k, x in out.items() if x}
+
+
+def _apply_columns(cols, u):
+    """M u for the sparse columns cols of a matrix M and a sparse u."""
+    return _accumulate((r, x * s) for m, x in u.items()
+                       for r, s in cols[m].items())
+
+
+def _evaluate(tag, covector, u):
+    """The dense covector (values on the basis) at the sparse element u."""
+    return sum((covector[k] * x for k, x in u.items() if covector[k]),
+               tag.zero())
+
+
+# ---------------------------------------------------------------------------
+# algebras and modules
 
 @dataclass(frozen=True)
 class GroupLikeData:
@@ -99,56 +145,35 @@ class PivotalAlgebra:
         unit's span grown by right multiplication until it is closed."""
         if self.generators is not None:
             return
+        one = self.tag.one()
         gens, span = [], span_canonical(self.tag, [self.unit])
         for i in range(self.dim):
             if len(span) == self.dim:
                 break
-            grown = span_canonical(self.tag, span + [self.basis_vector(i)])
+            grown = span_canonical(self.tag, span + [_dense(self, {i: one})])
             if len(grown) > len(span):
                 gens.append(i)
             while len(grown) > len(span):
                 span = grown
                 grown = span_canonical(self.tag, span + [
-                    self.multiply(w, self.basis_vector(g))
+                    _dense(self, self.multiply(_sparse(w), {g: one}))
                     for w in span for g in gens])
         self.generators = tuple(gens)
 
-    # -- arithmetic helpers ------------------------------------------------
-
-    def zero_vector(self):
-        return (self.tag.zero(),) * self.dim
-
-    def basis_vector(self, i):
-        z, o = self.tag.zero(), self.tag.one()
-        return tuple(o if j == i else z for j in range(self.dim))
-
     def multiply(self, u, v):
-        out = list(self.zero_vector())
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = ui * vj
-                for k, s in self.mult.get((i, j), ()):
-                    out[k] = out[k] + c * s
-        return tuple(out)
+        """u v for sparse elements, read off the structure constants."""
+        return _accumulate((k, x * y * c) for i, x in u.items()
+                           for j, y in v.items()
+                           for k, c in self.mult.get((i, j), ()))
 
-    def left_mult(self, u):
-        """Matrix of x -> u*x on coefficient vectors."""
-        cols = [self.multiply(u, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix(self.tag, list(zip(*cols)))
+    @cached_property
+    def S_columns(self):
+        """S(b_i) as sparse elements. Not a field, so replace() builds an
+        algebra that computes its own."""
+        return [_sparse(col) for col in zip(*self.S.rows)]
 
     def apply_S(self, u):
-        return self.S.apply(u)
-
-    def pair(self, covector, u):
-        acc = self.tag.zero()
-        for a, b in zip(covector, u):
-            if a and b:
-                acc = acc + a * b
-        return acc
+        return _apply_columns(self.S_columns, u)
 
 
 @dataclass
@@ -158,15 +183,14 @@ class ModuleRep:
     action: tuple  # one dim x dim Matrix per algebra basis index
 
     def of_vector(self, u):
+        """R(u) for a sparse element u, or a dense coefficient tuple."""
+        u = u if isinstance(u, dict) else _sparse(u)
         out = None
-        for k, c in enumerate(u):
-            if not c:
-                continue
+        for k, c in u.items():
             term = self.action[k] if c == 1 else self.action[k].scale(c)
             out = term if out is None else out + term
         if out is None:
-            tag = self.action[0].tag
-            return Matrix.zeros(tag, self.dim, self.dim)
+            return Matrix.zeros(self.action[0].tag, self.dim, self.dim)
         return out
 
     def character(self, u):
@@ -197,27 +221,6 @@ class IndicatorReport:
 # ---------------------------------------------------------------------------
 # validation
 
-def _sparse(u):
-    """The nonzero coordinates of a dense vector, as {index: value}."""
-    return {i: x for i, x in enumerate(u) if x}
-
-
-def _accumulate(terms):
-    """The sum of the (index, value) terms as {index: value}, zeros dropped."""
-    out = {}
-    for k, x in terms:
-        y = out.get(k)
-        out[k] = x if y is None else y + x
-    return {k: x for k, x in out.items() if x}
-
-
-def _product(A, u, v):
-    """u v for sparse vectors, read off the structure constants."""
-    return _accumulate((k, x * y * c) for i, x in u.items()
-                       for j, y in v.items()
-                       for k, c in A.mult.get((i, j), ()))
-
-
 def _nonassociative_triples(A):
     """Sorted (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), comparing the
     two triple-product tensors {(i, j, k, t): coefficient}."""
@@ -241,24 +244,17 @@ def _nonassociative_triples(A):
 def validate_pivotal(A: PivotalAlgebra):
     """All pivotal axioms on basis elements; returns a list of violations.
 
-    Every product is read off the sparse structure constants A.mult, and
-    S off its sparse columns. Involutions are not read: each is checked
-    when it is attached.
+    Involutions are not read: each is checked when it is attached.
     """
     n, one = A.dim, A.tag.one()
-    cols = [_sparse(col) for col in zip(*A.S.rows)]
-
-    def S(terms):
-        return _accumulate((r, x * s) for m, x in terms
-                           for r, s in cols[m].items())
-
+    cols = A.S_columns
     bad = []
     unit, g = _sparse(A.unit), _sparse(A.g)
     for i in range(n):
         b = {i: one}
-        if _product(A, unit, b) != b:
+        if A.multiply(unit, b) != b:
             bad.append("unit fails on the left at index %d" % i)
-        if _product(A, b, unit) != b:
+        if A.multiply(b, unit) != b:
             bad.append("unit fails on the right at index %d" % i)
 
     bad.extend("associativity fails at (%d, %d, %d)" % ijk
@@ -266,32 +262,35 @@ def validate_pivotal(A: PivotalAlgebra):
 
     for i in range(n):
         for j in range(n):
-            if S(A.mult.get((i, j), ())) != _product(A, cols[j], cols[i]):
+            if (A.apply_S(_accumulate(A.mult.get((i, j), ())))
+                    != A.multiply(cols[j], cols[i])):
                 bad.append("S is not an anti-map at (%d, %d)" % (i, j))
 
-    sg = S(g.items())
-    if _product(A, sg, g) != unit or _product(A, g, sg) != unit:
+    sg = A.apply_S(g)
+    if A.multiply(sg, g) != unit or A.multiply(g, sg) != unit:
         bad.append("S(g) is not the inverse of g")
     else:
         for i in range(n):
-            if S(cols[i].items()) != _product(A, g, _product(A, {i: one}, sg)):
+            if A.apply_S(cols[i]) != A.multiply(g, A.multiply({i: one}, sg)):
                 bad.append("S^2 != g(.)g^-1 at index %d" % i)
     return bad
 
 
 def validate_algebra_involution(A: PivotalAlgebra, T: Matrix):
+    """Violations of tau^2 = id, tau(b_i b_j) = tau(b_i) tau(b_j),
+    tau(g) = g and tau S = S tau for the involution matrix T of tau."""
     bad = []
     n = A.dim
     if T * T != Matrix.identity(A.tag, n):
         bad.append("tau^2 != id")
-    basis = [A.basis_vector(i) for i in range(n)]
+    cols = [_sparse(col) for col in zip(*T.rows)]
     for i in range(n):
         for j in range(n):
-            lhs = T.apply(A.multiply(basis[i], basis[j]))
-            rhs = A.multiply(T.apply(basis[i]), T.apply(basis[j]))
-            if lhs != rhs:
+            if (_apply_columns(cols, _accumulate(A.mult.get((i, j), ())))
+                    != A.multiply(cols[i], cols[j])):
                 bad.append("tau is not an algebra map at (%d, %d)" % (i, j))
-    if T.apply(A.g) != A.g:
+    g = _sparse(A.g)
+    if _apply_columns(cols, g) != g:
         bad.append("tau(g) != g")
     if T * A.S != A.S * T:
         bad.append("tau does not commute with S")
@@ -306,7 +305,7 @@ def validate_module(A: PivotalAlgebra, V: ModuleRep):
     or its constructor proves it). On a failure every (i, j) is checked.
     """
     def breaks(i, j):
-        prod = A.multiply(A.basis_vector(i), A.basis_vector(j))
+        prod = _accumulate(A.mult.get((i, j), ()))
         return V.action[i] * V.action[j] != V.of_vector(prod)
 
     unit_ok = V.of_vector(A.unit) == Matrix.identity(A.tag, V.dim)
@@ -324,15 +323,16 @@ def validate_module(A: PivotalAlgebra, V: ModuleRep):
 # module constructions
 
 def regular_module(A: PivotalAlgebra, name="reg"):
-    return ModuleRep(name, A.dim,
-                     tuple(A.left_mult(A.basis_vector(i))
-                           for i in range(A.dim)))
+    """Left multiplication: column j of R(b_i) is b_i b_j."""
+    return ModuleRep(name, A.dim, tuple(
+        Matrix(A.tag, zip(*(_dense(A, _accumulate(A.mult.get((i, j), ())))
+                            for j in range(A.dim))))
+        for i in range(A.dim)))
 
 
 def dual_module(A: PivotalAlgebra, V: ModuleRep):
     """Dual action in the dual basis: R*(b) = R(S(b))^T."""
-    action = tuple(V.of_vector(A.apply_S(A.basis_vector(i))).transpose()
-                   for i in range(A.dim))
+    action = tuple(V.of_vector(col).transpose() for col in A.S_columns)
     return ModuleRep("dual(%s)" % V.name, V.dim, action)
 
 
@@ -368,7 +368,7 @@ def hom_space(A: PivotalAlgebra, V: ModuleRep, W: ModuleRep):
 def _presentation(A: PivotalAlgebra, V: ModuleRep):
     """R(b) and R(S(b)) for the generators b of A."""
     return ([V.action[i] for i in A.generators],
-            [V.of_vector(A.apply_S(A.basis_vector(i))) for i in A.generators])
+            [V.of_vector(A.S_columns[i]) for i in A.generators])
 
 
 def _forms(tag, gens, dual_gens, d):
@@ -520,37 +520,26 @@ def pivotal_from_character(A: PivotalAlgebra, alpha):
         raise MissingComultiplication(
             "%s carries no comultiplication" % A.name)
     alpha = tuple(A.tag.coerce(a) for a in alpha)
-    n = A.dim
-    if A.pair(alpha, A.unit) != A.tag.one():
+    n, one = A.dim, A.tag.one()
+    if _evaluate(A.tag, alpha, _sparse(A.unit)) != one:
         raise NotCentralCharacter("alpha(1) != 1")
     for i in range(n):
         for j in range(n):
-            prod = A.multiply(A.basis_vector(i), A.basis_vector(j))
-            if A.pair(alpha, prod) != alpha[i] * alpha[j]:
+            prod = A.multiply({i: one}, {j: one})
+            if _evaluate(A.tag, alpha, prod) != alpha[i] * alpha[j]:
                 raise NotCentralCharacter(
                     "alpha is not multiplicative at (%d, %d)" % (i, j))
-    z = A.tag.zero()
     for k in range(n):
-        lhs = [z] * n
-        rhs = [z] * n
-        for i, j, c in A.comult.get(k, ()):
-            lhs[j] = lhs[j] + c * alpha[i]
-            rhs[i] = rhs[i] + c * alpha[j]
-        if lhs != rhs:
+        terms = A.comult.get(k, ())
+        if (_accumulate((j, c * alpha[i]) for i, j, c in terms)
+                != _accumulate((i, c * alpha[j]) for i, j, c in terms)):
             raise NotCentralCharacter(
                 "centrality fails on basis element %d" % k)
 
-    cols = []
-    for k in range(n):
-        col = [z] * n
-        for i, j, c in A.comult.get(k, ()):
-            w = c * alpha[i]
-            if not w:
-                continue
-            for r, s in enumerate(A.S.rows):
-                if s[j]:
-                    col[r] = col[r] + w * s[j]
-        cols.append(col)
+    # column k is T_alpha(b_k) = S(sum c alpha(b_i) b_j) over D(b_k)
+    cols = [_dense(A, A.apply_S(_accumulate(
+        (j, c * alpha[i]) for i, j, c in A.comult.get(k, ()))))
+        for k in range(n)]
     t_alpha = Matrix(A.tag, list(zip(*cols)))
     out = replace(A, S=t_alpha, g=A.unit, involutions={},
                   name="%s[alpha]" % A.name)

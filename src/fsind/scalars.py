@@ -374,11 +374,11 @@ def cyclotomic_poly(n):
 
 
 def _primitive(a):
-    """a divided by its content, leading coefficient made positive."""
+    """a divided by its content, leading coefficient made positive; a list."""
     g = gcd(*a)
     if a[-1] < 0:
         g = -g
-    return a if g == 1 else [x // g for x in a]
+    return list(a) if g == 1 else [x // g for x in a]
 
 
 def _gcd_heu(f, g):

@@ -19,44 +19,135 @@ def conjugate_module(V, P, name=None):
                      tuple(P * m * pinv for m in V.action))
 
 
+# --- dense references --------------------------------------------------------
+# The library keeps algebra elements sparse, with one product read off A.mult.
+# These take dense coefficient tuples and run over every coordinate pair: the
+# references that product, S and the checkers are compared with.
+
+def basis_vector(A, i):
+    z, o = A.tag.zero(), A.tag.one()
+    return tuple(o if j == i else z for j in range(A.dim))
+
+
+def multiply(A, u, v):
+    out = [A.tag.zero()] * A.dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            c = ui * vj
+            for k, s in A.mult.get((i, j), ()):
+                out[k] = out[k] + c * s
+    return tuple(out)
+
+
+def left_mult(A, u):
+    """Matrix of x -> u*x on coefficient vectors."""
+    cols = [multiply(A, u, basis_vector(A, j)) for j in range(A.dim)]
+    return Matrix(A.tag, list(zip(*cols)))
+
+
+def apply_S(A, u):
+    return A.S.apply(u)
+
+
 def validate_pivotal_by_definition(A):
     """The pivotal axioms by dense products of basis vectors, one triple
     at a time: the reference for pivotal.validate_pivotal, with the same
     messages in the same order."""
     bad = []
     n = A.dim
-    basis = [A.basis_vector(i) for i in range(n)]
+    basis = [basis_vector(A, i) for i in range(n)]
 
     for i in range(n):
-        if A.multiply(A.unit, basis[i]) != basis[i]:
+        if multiply(A, A.unit, basis[i]) != basis[i]:
             bad.append("unit fails on the left at index %d" % i)
-        if A.multiply(basis[i], A.unit) != basis[i]:
+        if multiply(A, basis[i], A.unit) != basis[i]:
             bad.append("unit fails on the right at index %d" % i)
 
     for i in range(n):
         for j in range(n):
-            left = A.multiply(basis[i], basis[j])
+            left = multiply(A, basis[i], basis[j])
             for k in range(n):
-                if (A.multiply(left, basis[k])
-                        != A.multiply(basis[i], A.multiply(basis[j], basis[k]))):
+                if (multiply(A, left, basis[k])
+                        != multiply(A, basis[i], multiply(A, basis[j], basis[k]))):
                     bad.append("associativity fails at (%d, %d, %d)" % (i, j, k))
 
     for i in range(n):
         for j in range(n):
-            lhs = A.apply_S(A.multiply(basis[i], basis[j]))
-            rhs = A.multiply(A.apply_S(basis[j]), A.apply_S(basis[i]))
+            lhs = apply_S(A, multiply(A, basis[i], basis[j]))
+            rhs = multiply(A, apply_S(A, basis[j]), apply_S(A, basis[i]))
             if lhs != rhs:
                 bad.append("S is not an anti-map at (%d, %d)" % (i, j))
 
-    sg = A.apply_S(A.g)
-    if A.multiply(sg, A.g) != A.unit or A.multiply(A.g, sg) != A.unit:
+    sg = apply_S(A, A.g)
+    if multiply(A, sg, A.g) != A.unit or multiply(A, A.g, sg) != A.unit:
         bad.append("S(g) is not the inverse of g")
     else:
         for i in range(n):
-            lhs = A.apply_S(A.apply_S(basis[i]))
-            rhs = A.multiply(A.g, A.multiply(basis[i], sg))
+            lhs = apply_S(A, apply_S(A, basis[i]))
+            rhs = multiply(A, A.g, multiply(A, basis[i], sg))
             if lhs != rhs:
                 bad.append("S^2 != g(.)g^-1 at index %d" % i)
+    return bad
+
+
+def validate_algebra_involution_by_definition(A, T):
+    """The involution axioms by dense products of basis vectors: the
+    reference for pivotal.validate_algebra_involution."""
+    bad = []
+    n = A.dim
+    if T * T != Matrix.identity(A.tag, n):
+        bad.append("tau^2 != id")
+    basis = [basis_vector(A, i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = T.apply(multiply(A, basis[i], basis[j]))
+            rhs = multiply(A, T.apply(basis[i]), T.apply(basis[j]))
+            if lhs != rhs:
+                bad.append("tau is not an algebra map at (%d, %d)" % (i, j))
+    if T.apply(A.g) != A.g:
+        bad.append("tau(g) != g")
+    if T * A.S != A.S * T:
+        bad.append("tau does not commute with S")
+    return bad
+
+
+def validate_separability_by_definition(A, E):
+    """E' E'' = 1 and b E = E b on basis elements, by dense products and
+    dense tensors: the reference for formulas.validate_separability."""
+    bad = []
+    total = (A.tag.zero(),) * A.dim
+    for u, v in E.terms:
+        total = tuple(x + y for x, y in zip(total, multiply(A, u, v)))
+    if total != A.unit:
+        bad.append("E' E'' does not multiply to the unit")
+    z = A.tag.zero()
+    for i in range(A.dim):
+        b = basis_vector(A, i)
+        lhs = {}
+        rhs = {}
+        for u, v in E.terms:
+            bu = multiply(A, b, u)
+            vb = multiply(A, v, b)
+            for p, x in enumerate(bu):
+                if not x:
+                    continue
+                for q, y in enumerate(v):
+                    if y:
+                        lhs[(p, q)] = lhs.get((p, q), z) + x * y
+            for p, x in enumerate(u):
+                if not x:
+                    continue
+                for q, y in enumerate(vb):
+                    if y:
+                        rhs[(p, q)] = rhs.get((p, q), z) + x * y
+        lhs = {k: v_ for k, v_ in lhs.items() if v_}
+        rhs = {k: v_ for k, v_ in rhs.items() if v_}
+        if lhs != rhs:
+            bad.append("aE = Ea fails on basis element %d" % i)
     return bad
 
 

@@ -400,6 +400,18 @@ def test_qsl2_human_output(capsys):
         "  [ q^2  0               0 ]\n")
 
 
+CATALOG = Path(__file__).resolve().parents[1] / "bench" / "expected" / "catalog"
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_table_json_matches_the_recorded_catalog(name, tmp_path, capsys):
+    path = str(tmp_path / ("%s.json" % name))
+    assert main(["example", name, "-o", path]) == 0
+    assert main(["table", path, "--json"]) == 0
+    assert capsys.readouterr().out == \
+        (CATALOG / ("%s.json" % name)).read_text(encoding="utf-8")
+
+
 def test_catalog(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

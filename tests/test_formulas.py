@@ -1,9 +1,11 @@
 """Separability, symmetric-form, Doi, and antipode-trace cross-checks."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsind.constructors import (
     builtin_document,
@@ -54,9 +56,12 @@ from fsind.pivotal import (
 )
 from fsind.scalars import RATIONAL
 from small_algebras import (
+    basis_vector,
     dual_numbers,
+    multiply,
     upper_triangular,
     upper_triangular_natural,
+    validate_separability_by_definition,
 )
 
 F = Fraction
@@ -113,6 +118,36 @@ def test_non_integrals_are_rejected():
         hopf_integral_idempotent(dataclasses.replace(A, integral=None))
 
 
+@functools.lru_cache(maxsize=None)
+def integral_idempotent(name):
+    A = load(name).algebra
+    return A, hopf_integral_idempotent(A)
+
+
+E_EDITS = st.tuples(st.integers(0, 7), st.sampled_from((0, 1)),
+                    st.integers(0, 7),
+                    st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GROUP_DOCS + ("C3-inv",)),
+       st.lists(E_EDITS, min_size=1, max_size=2))
+def test_validate_separability_matches_the_definition(name, edits):
+    """The sparse checker and the dense reference list the same violations
+    after one or two coordinates of a leg of E change (term and coordinate
+    indices taken mod their ranges)."""
+    A, E = integral_idempotent(name)
+    terms = [list(term) for term in E.terms]
+    for t, leg, k, value in edits:
+        term = terms[t % len(terms)]
+        vec = list(term[leg])
+        vec[k % A.dim] = A.tag.coerce(value)
+        term[leg] = tuple(vec)
+    E = SeparabilityIdempotent([tuple(term) for term in terms])
+    assert validate_separability(A, E) == \
+        validate_separability_by_definition(A, E)
+
+
 def test_separability_route_matches_definition():
     for name in GROUP_DOCS:
         doc = load(name)
@@ -144,7 +179,7 @@ def test_symmetric_form_data_s3():
     n = A.dim
     for i in range(n):
         inv = next(j for j in range(n) if ct.table[i][j] == ct.identity())
-        assert data.dual_basis[i] == A.basis_vector(inv)
+        assert data.dual_basis[i] == basis_vector(A, inv)
     six = A.tag.coerce(6)
     assert data.volume == tuple(six * x for x in A.unit)
 
@@ -157,8 +192,8 @@ def test_volume_is_central_for_every_builtin_trace_form():
             continue
         v = symmetric_form_data(A).volume
         for i in range(A.dim):
-            b = A.basis_vector(i)
-            assert A.multiply(v, b) == A.multiply(b, v), (name, i)
+            b = basis_vector(A, i)
+            assert multiply(A, v, b) == multiply(A, b, v), (name, i)
 
 
 def test_symmetric_route_frozen_values():

@@ -1,6 +1,7 @@
 """Pivotal axioms, form spaces, and the definition-level indicator."""
 
 import dataclasses
+import functools
 import importlib
 import inspect
 import itertools
@@ -61,10 +62,15 @@ from fsind.pivotal import (
 )
 from fsind.scalars import RATIONAL, cyclotomic_field
 from small_algebras import (
+    apply_S,
+    basis_vector,
     conjugate_module,
     dual_numbers,
+    left_mult,
+    multiply,
     primitive_coalgebra,
     upper_triangular,
+    validate_algebra_involution_by_definition,
     validate_pivotal_by_definition,
 )
 
@@ -156,6 +162,95 @@ def test_validate_pivotal_matches_the_definition(name, edits):
     assert validate_pivotal(A) == validate_pivotal_by_definition(A)
 
 
+# --- the one product against the dense reference ----------------------------
+
+ELEMENT_ALGEBRAS = sorted(builtin_names()) + [
+    "k[x]/(x^2)", "T2(Q)", "dual(kC2)", "dual(kC3)", "dual(kC4)"]
+
+
+@functools.lru_cache(maxsize=None)
+def element_algebra(name):
+    return SMALL_ALGEBRAS[name]() if name in SMALL_ALGEBRAS \
+        else load(name).algebra
+
+
+def sparse_elements(A):
+    """Sparse elements of A: up to four nonzero coefficients, each a small
+    rational times a power of the field generator."""
+    powers = [A.tag.one()]
+    if A.tag.kind == "cyclotomic":
+        z = A.tag.generator()
+        powers += [z, z * z]
+    coeffs = st.builds(lambda f, p: A.tag.coerce(f) * p,
+                       st.sampled_from((F(-1), F(1), F(2), F(1, 2), F(-3, 4))),
+                       st.sampled_from(powers))
+    return st.dictionaries(st.integers(0, A.dim - 1), coeffs, max_size=4)
+
+
+def sparse(u):
+    return {i: x for i, x in enumerate(u) if x}
+
+
+MATRIX_EDITS = st.tuples(st.integers(0, 7), st.integers(0, 7),
+                         st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2))))
+
+
+def edited_matrix(A, M, edits):
+    """M with entry (a, b) set to value for each edit, indices mod dim A."""
+    rows = [list(row) for row in M.rows]
+    for a, b, value in edits:
+        rows[a % A.dim][b % A.dim] = A.tag.coerce(value)
+    return Matrix(A.tag, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ELEMENT_ALGEBRAS), st.data())
+def test_sparse_product_and_S_match_the_dense_reference(name, data):
+    """Every builtin S is symmetric, so S is also drawn with up to two
+    entries changed; replace() must then give the new S its own columns."""
+    A = element_algebra(name)
+    s_edits = data.draw(st.lists(MATRIX_EDITS, max_size=2))
+    if s_edits:
+        A = dataclasses.replace(A, S=edited_matrix(A, A.S, s_edits))
+    u, v = data.draw(sparse_elements(A)), data.draw(sparse_elements(A))
+    du, dv = (tuple(w.get(i, A.tag.zero()) for i in range(A.dim))
+              for w in (u, v))
+    assert A.multiply(u, v) == sparse(multiply(A, du, dv))
+    assert A.apply_S(u) == sparse(apply_S(A, du))
+
+
+def test_regular_module_is_dense_left_multiplication():
+    for A in [load(name).algebra for name in builtin_names()] + [
+            group_algebra(s4_table(), RATIONAL)]:
+        assert regular_module(A).action == tuple(
+            left_mult(A, basis_vector(A, i)) for i in range(A.dim)), A.name
+
+
+@functools.lru_cache(maxsize=None)
+def involution_cases():
+    """(A, T) by name: every builtin with the identity, and with each of
+    its named involutions."""
+    cases = {}
+    for name in builtin_names():
+        A = load(name).algebra
+        cases[name + ":id"] = (A, Matrix.identity(A.tag, A.dim))
+        for iname, T in A.involutions.items():
+            cases[name + ":" + iname] = (A, T)
+    return cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(involution_cases())),
+       st.lists(MATRIX_EDITS, min_size=1, max_size=2))
+def test_validate_algebra_involution_matches_the_definition(case, edits):
+    """The sparse checker and the dense reference list the same violations
+    after one or two entries of T change (indices taken mod dim A)."""
+    A, T = involution_cases()[case]
+    T = edited_matrix(A, T, edits)
+    assert validate_algebra_involution(A, T) == \
+        validate_algebra_involution_by_definition(A, T)
+
+
 def module_violations_by_full_loop(A, V):
     """Reference: every basis pair (i, j), generators or not."""
     bad = []
@@ -163,7 +258,7 @@ def module_violations_by_full_loop(A, V):
         bad.append("module %r: unit does not act as identity" % V.name)
     for i in range(A.dim):
         for j in range(A.dim):
-            prod = A.multiply(A.basis_vector(i), A.basis_vector(j))
+            prod = multiply(A, basis_vector(A, i), basis_vector(A, j))
             if V.action[i] * V.action[j] != V.of_vector(prod):
                 bad.append("module %r: action breaks at (%d, %d)"
                            % (V.name, i, j))
@@ -240,11 +335,15 @@ def test_regular_module_indicator_counts_involutions():
         assert rep.dim_bil == doc.algebra.dim
 
 
-def test_s4_regular_module():
+def s4_table():
     perms = list(itertools.permutations(range(4)))
     index = {p: i for i, p in enumerate(perms)}
-    ct = CayleyTable(tuple(tuple(index[tuple(p[q[x]] for x in range(4))]
-                                 for q in perms) for p in perms))
+    return CayleyTable(tuple(tuple(index[tuple(p[q[x]] for x in range(4))]
+                                   for q in perms) for p in perms))
+
+
+def test_s4_regular_module():
+    ct = s4_table()
     A = group_algebra(ct, RATIONAL)
     V = regular_module(A)
     rep = fs_indicator(A, V)
@@ -313,7 +412,7 @@ def assert_forms_are_invariant(A, At, V):
     forms = invariant_form_space(At, V).forms
     for i in range(A.dim):
         left = V.action[i].transpose()
-        right = V.of_vector(At.apply_S(A.basis_vector(i)))
+        right = V.of_vector(apply_S(At, basis_vector(A, i)))
         for M in forms:
             assert left * M == M * right, (V.name, i)
     assert len(forms) == len(hom_space(At, V, dual_module(At, V)))
@@ -457,7 +556,7 @@ def forms_by_full_basis(A, V):
     stacked = Matrix(A.tag, [
         r for i in range(A.dim)
         for r in constraint_by_definition(
-            V.of_vector(A.apply_S(A.basis_vector(i))),
+            V.of_vector(apply_S(A, basis_vector(A, i))),
             V.action[i].transpose()).rows])
     return [Matrix.from_sparse(A.tag, V.dim, V.dim, v)
             for v in kernel_basis(stacked)]
@@ -498,8 +597,8 @@ def generated_dimension(A, gens):
     while True:
         grown = span_canonical(A.tag, span + [
             p for w in span for g in gens
-            for p in (A.multiply(w, A.basis_vector(g)),
-                      A.multiply(A.basis_vector(g), w))])
+            for p in (multiply(A, w, basis_vector(A, g)),
+                      multiply(A, basis_vector(A, g), w))])
         if len(grown) == len(span):
             return len(span)
         span = grown

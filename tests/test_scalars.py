@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from fsind.scalars import (
     Cyclotomic,
@@ -241,6 +241,8 @@ int_polys = st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=1,
 
 
 @given(int_polys, int_polys, int_polys)
+# the last pseudo-remainder (1,) is already primitive
+@example([0, 1], [1, 0, 1], [1])
 def test_integer_gcd_of_a_planted_common_factor(a, b, h):
     f, g = _primitive(_zmul(a, h)), _primitive(_zmul(b, h))
     assume(len(f) > 1 and len(g) > 1)
