@@ -84,6 +84,20 @@ class CayleyTable:
                 return j
         raise InvalidCayleyTable("element %d has no inverse" % i)
 
+    def generators(self):
+        """Each element outside the subgroup the earlier ones generate: the
+        basis indices PivotalAlgebra's linear closure picks on kG, since
+        group elements generate the span of their subgroup."""
+        gens, sub = [], {self.identity()}
+        for i in range(self.order):
+            if i not in sub:
+                gens.append(i)
+                grown = {i}
+                while not grown <= sub:
+                    sub |= grown
+                    grown = {self.table[h][g] for h in sub for g in gens}
+        return tuple(gens)
+
 
 def validate_cayley_table(ct: CayleyTable):
     bad = []
@@ -148,6 +162,7 @@ def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
         integral=(nth,) * n,
         trace_form=unit,
         name=name,
+        generators=ct.generators(),
     )
 
 

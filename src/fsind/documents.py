@@ -5,7 +5,9 @@ a group / scheme / coalgebra shorthand section), plus named modules and
 involutions. Scalars are strings in the scalar grammar; bare JSON integers
 are accepted, floating point never is. A file whose first non-blank
 character is not "{" is read as the plain-text scheme format instead: a
-header line "n r" followed by an n x n relation matrix.
+header line "n r" followed by an n x n relation matrix. Each matrix parses
+each distinct literal string once, keeping the scalars that parsed; errors
+name the first bad cell, as cells are read in order.
 
 Structural problems (unparseable JSON, wrong shapes, bad scalars, duplicate
 structure constants) raise DocumentError and map to the CLI's usage exit
@@ -95,17 +97,26 @@ def _scalar(tag, x, where):
         raise DocumentError("%s: %s" % (where, e.args[0]))
 
 
-def _vector(tag, xs, n, where):
+def _vector(tag, xs, n, where, memo=None):
     if not isinstance(xs, list) or len(xs) != n:
         raise DocumentError("%s: expected a list of %d scalars" % (where, n))
-    return tuple(_scalar(tag, x, "%s[%d]" % (where, i))
-                 for i, x in enumerate(xs))
+    memo = {} if memo is None else memo
+    out = []
+    for i, x in enumerate(xs):
+        y = memo.get(x) if isinstance(x, str) else None
+        if y is None:
+            y = _scalar(tag, x, "%s[%d]" % (where, i))
+            if isinstance(x, str):
+                memo[x] = y
+        out.append(y)
+    return tuple(out)
 
 
 def _matrix(tag, rows, nrows, ncols, where):
     if not isinstance(rows, list) or len(rows) != nrows:
         raise DocumentError("%s: expected %d matrix rows" % (where, nrows))
-    return Matrix(tag, [_vector(tag, r, ncols, "%s[%d]" % (where, i))
+    memo = {}
+    return Matrix(tag, [_vector(tag, r, ncols, "%s[%d]" % (where, i), memo)
                         for i, r in enumerate(rows)])
 
 

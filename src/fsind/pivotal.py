@@ -193,6 +193,12 @@ class ModuleRep:
             return Matrix.zeros(self.action[0].tag, self.dim, self.dim)
         return out
 
+    @cached_property
+    def action_rows(self):
+        """R(b_i) as lists of sparse rows {column: value}. Not a field, so
+        replace() builds a module that computes its own."""
+        return [[_sparse(row) for row in m.rows] for m in self.action]
+
     def character(self, u):
         return self.of_vector(u).trace()
 
@@ -304,11 +310,20 @@ def validate_module(A: PivotalAlgebra, V: ModuleRep):
     R(w x) = R(w) R(x), and words span A (A is associative: validate_pivotal
     or its constructor proves it). On a failure every (i, j) is checked.
     """
+    rows = V.action_rows
+
+    def of_vector(u):
+        return [_accumulate((c, x * y) for k, x in u.items()
+                            for c, y in rows[k][r].items())
+                for r in range(V.dim)]
+
     def breaks(i, j):
         prod = _accumulate(A.mult.get((i, j), ()))
-        return V.action[i] * V.action[j] != V.of_vector(prod)
+        return ([_apply_columns(rows[j], row) for row in rows[i]]
+                != of_vector(prod))
 
-    unit_ok = V.of_vector(A.unit) == Matrix.identity(A.tag, V.dim)
+    one = A.tag.one()
+    unit_ok = of_vector(_sparse(A.unit)) == [{r: one} for r in range(V.dim)]
     if unit_ok and not any(breaks(i, j) for i in A.generators
                            for j in range(A.dim)):
         return []

@@ -1,6 +1,8 @@
 """Small hand-built algebras, and helpers, shared by the tests."""
 
-from fsind.constructors import CoalgebraSpec
+import itertools
+
+from fsind.constructors import CayleyTable, CoalgebraSpec
 from fsind.linalg import Matrix, inverse
 from fsind.pivotal import ModuleRep, PivotalAlgebra
 from fsind.scalars import RATIONAL
@@ -10,6 +12,13 @@ def dense(tag, vectors, ncols):
     """Sparse vectors [(column, value), ...] as dense tuples of length ncols."""
     z = tag.zero()
     return [tuple(dict(v).get(j, z) for j in range(ncols)) for v in vectors]
+
+
+def s4_table():
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    return CayleyTable(tuple(tuple(index[tuple(p[q[x]] for x in range(4))]
+                                   for q in perms) for p in perms))
 
 
 def conjugate_module(V, P, name=None):
@@ -112,6 +121,29 @@ def validate_algebra_involution_by_definition(A, T):
         bad.append("tau(g) != g")
     if T * A.S != A.S * T:
         bad.append("tau does not commute with S")
+    return bad
+
+
+def module_violations_by_full_loop(A, V):
+    """R(1) = I and R(b_i) R(b_j) = R(b_i b_j) on every basis pair, by
+    dense matrix products: the reference for pivotal.validate_module, with
+    the same messages in the same order."""
+    def of_vector(u):
+        out = Matrix.zeros(A.tag, V.dim, V.dim)
+        for k, c in enumerate(u):
+            if c:
+                out = out + V.action[k].scale(c)
+        return out
+
+    bad = []
+    if of_vector(A.unit) != Matrix.identity(A.tag, V.dim):
+        bad.append("module %r: unit does not act as identity" % V.name)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            prod = multiply(A, basis_vector(A, i), basis_vector(A, j))
+            if V.action[i] * V.action[j] != of_vector(prod):
+                bad.append("module %r: action breaks at (%d, %d)"
+                           % (V.name, i, j))
     return bad
 
 

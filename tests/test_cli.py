@@ -19,6 +19,8 @@ from fsind import cli, pivotal
 from fsind.cli import main
 from fsind.constructors import builtin_document, builtin_names
 
+from small_algebras import s4_table
+
 K3_TEXT = "3 2\n0 1 1\n1 0 1\n1 1 0\n"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -151,6 +153,37 @@ def test_coalgebra_and_module_violations_are_reported_together(tmp_path,
     assert "invalid: module 'a': action breaks at (0, 1)\n" in out
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("1/0", "division by zero at position 1 (column 1 in '1/0')"),
+    ("2 +", "unexpected end of input at position 3 (column 3 in '2 +')"),
+    ("z", "'z' is only valid over a cyclotomic field"),
+])
+def test_a_repeated_bad_literal_names_its_first_cell(tmp_path, capsys,
+                                                     literal, message):
+    def mutate(raw):
+        action = raw["modules"][2]["action"]
+        action[1][0][1] = action[1][1][0] = action[3][0][0] = literal
+
+    code, _, err = run(capsys, "check", write_builtin(tmp_path, "S3", mutate))
+    assert code == 2
+    assert err == "error: modules[2].action[1][0][1]: %s\n" % message
+
+
+@pytest.mark.parametrize("cell, message", [
+    (True, "scalars must be integers or grammar strings, got True"),
+    (1.5, "scalars must be integers or grammar strings, got 1.5"),
+    ("1.5", "unexpected '.' at position 1 (column 1 in '1.5')"),
+])
+def test_a_bad_cell_after_a_good_repeat_is_refused(tmp_path, capsys, cell,
+                                                   message):
+    def mutate(raw):
+        raw["modules"][2]["action"][1] = [[1, "1"], [cell, "0"]]
+
+    code, _, err = run(capsys, "check", write_builtin(tmp_path, "S3", mutate))
+    assert code == 2
+    assert err == "error: modules[2].action[1][1][0]: %s\n" % message
+
+
 def test_bad_usage_is_exit_2(capsys):
     assert main([]) == 2
     assert main(["indicator"]) == 2
@@ -173,6 +206,26 @@ def test_indicator_json_all_methods(tmp_path, capsys):
     assert payload["methods"]["separability"]["nu"] == "-1"
     assert payload["methods"]["symmetric"]["nu"] == "-1"
     assert payload["methods"]["symmetric"]["schur"] == "4"
+    assert payload["discrepancy"] is False
+
+
+def test_indicator_on_the_regular_module_of_s4(tmp_path, capsys):
+    """The order-24 definition route through the loader: nu of the regular
+    module is #{g : g^2 = 1} = 10."""
+    table = [list(row) for row in s4_table().table]
+    action = [[["1" if table[g][h] == r else "0" for h in range(24)]
+               for r in range(24)] for g in range(24)]
+    path = tmp_path / "s4-reg.json"
+    path.write_text(json.dumps({
+        "field": "rational", "group": {"table": table},
+        "modules": [{"name": "reg", "dim": 24, "action": action}]}),
+        encoding="utf-8")
+    code, out, err = run(capsys, "indicator", str(path), "--module", "reg",
+                         "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["nu"] == "10"
+    assert payload["report"]["dim_bil"] == payload["report"]["end_dim"] == 24
     assert payload["discrepancy"] is False
 
 

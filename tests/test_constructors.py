@@ -1,6 +1,7 @@
 """Group tables, schemes, copivotal coalgebras, and the builtin catalog."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,7 +48,7 @@ from fsind.pivotal import (
 )
 from fsind.scalars import RATIONAL
 
-from small_algebras import primitive_coalgebra
+from small_algebras import primitive_coalgebra, s4_table
 
 F = Fraction
 
@@ -320,3 +321,40 @@ def test_relabelled_groups_pass_validate_pivotal(table, rnd):
                 reached.add(y)
                 frontier.append(y)
     assert len(reached) == ct.order
+
+
+def dihedral_table(n):
+    """r^a s^b as element a + n b, with s r s = r^-1."""
+    elements = [(a, b) for b in range(2) for a in range(n)]
+    index = {e: i for i, e in enumerate(elements)}
+    return CayleyTable(tuple(
+        tuple(index[((a + (c if b == 0 else -c)) % n, (b + d) % 2)]
+              for c, d in elements) for a, b in elements))
+
+
+
+def generator_cases():
+    """Cayley tables by name: the builtin groups, cyclic groups of order
+    up to 12, and seeded relabellings of D5, Q8, S3 and S4."""
+    cases = {}
+    for name in builtin_names():
+        raw = builtin_document(name)
+        if "group" in raw:
+            cases[name] = CayleyTable(tuple(tuple(r)
+                                            for r in raw["group"]["table"]))
+    for n in range(1, 13):
+        cases["cyclic(%d)" % n] = cyclic_table(n)
+    for name, table in (("D5", dihedral_table(5)), ("Q8", q8_table()),
+                        ("S3", s3_table()), ("S4", s4_table())):
+        for seed in range(4):
+            perm = list(range(table.order))
+            random.Random(seed).shuffle(perm)
+            cases["%s/%d" % (name, seed)] = relabel(table, perm)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(generator_cases()))
+def test_group_generators_are_those_of_the_linear_closure(name):
+    """Every constraint system, and so every report, rests on this."""
+    A = group_algebra(generator_cases()[name], RATIONAL)
+    assert A.generators == dataclasses.replace(A, generators=None).generators

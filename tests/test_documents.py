@@ -14,6 +14,7 @@ from fsind.documents import (
     validation_enabled,
 )
 from fsind.pivotal import ValidationError
+from fsind.scalars import parse_scalar
 
 K3_TEXT = "3 2\n0 1 1\n1 0 1\n1 1 0\n"
 
@@ -119,6 +120,26 @@ def test_scalar_errors_carry_positions():
     raw["algebra"]["unit"] = [1.0, 0]
     with pytest.raises(DocumentError, match="unit"):
         document_from_dict(raw)
+
+
+def test_each_literal_parses_in_its_own_field():
+    """Literals repeat across cells and matrices; each cell still holds its
+    literal parsed over the document's field, whatever other documents
+    parsed the same string to."""
+    z = {}
+    for name in ("C3", "C4", "C6", "Q8"):
+        raw = builtin_document(name)
+        doc = document_from_dict(raw)
+        tag = doc.algebra.tag
+        for entry in raw["modules"]:
+            mats = doc.modules[entry["name"]].action
+            for m, rows in zip(mats, entry["action"]):
+                assert m.rows == [[parse_scalar(x, tag) for x in row]
+                                  for row in rows], (name, entry["name"])
+        z[name] = parse_scalar("z", tag)
+    assert z["C3"] ** 3 == 1 and z["C4"] ** 4 == 1 and z["C6"] ** 6 == 1
+    assert len({z["C3"], z["C4"], z["C6"]}) == 3
+    assert z["Q8"] == z["C4"]
 
 
 def test_duplicate_structure_constants():

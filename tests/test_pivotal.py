@@ -67,8 +67,10 @@ from small_algebras import (
     conjugate_module,
     dual_numbers,
     left_mult,
+    module_violations_by_full_loop,
     multiply,
     primitive_coalgebra,
+    s4_table,
     upper_triangular,
     validate_algebra_involution_by_definition,
     validate_pivotal_by_definition,
@@ -251,20 +253,6 @@ def test_validate_algebra_involution_matches_the_definition(case, edits):
         validate_algebra_involution_by_definition(A, T)
 
 
-def module_violations_by_full_loop(A, V):
-    """Reference: every basis pair (i, j), generators or not."""
-    bad = []
-    if V.of_vector(A.unit) != Matrix.identity(A.tag, V.dim):
-        bad.append("module %r: unit does not act as identity" % V.name)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = multiply(A, basis_vector(A, i), basis_vector(A, j))
-            if V.action[i] * V.action[j] != V.of_vector(prod):
-                bad.append("module %r: action breaks at (%d, %d)"
-                           % (V.name, i, j))
-    return bad
-
-
 def test_broken_module_action_is_caught():
     doc = load("S3")
     A, std = doc.algebra, doc.modules["std"]
@@ -280,6 +268,42 @@ def test_broken_module_action_is_caught():
         bad = validate_module(A, V)
         assert bad
         assert bad == module_violations_by_full_loop(A, V), broken
+
+
+@functools.lru_cache(maxsize=None)
+def module_cases():
+    """(A, V) by name: every module of every builtin document."""
+    cases = {}
+    for name in builtin_names():
+        doc = load(name)
+        for mname, V in doc.modules.items():
+            cases[name + ":" + mname] = (doc.algebra, V)
+    return cases
+
+
+ACTION_EDITS = st.tuples(st.integers(0, 15), st.integers(0, 3),
+                         st.integers(0, 3),
+                         st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(module_cases())),
+       st.lists(ACTION_EDITS, min_size=1, max_size=2))
+@example("S3:std", [(0, 0, 0, F(2))])
+@example("Q8:twodim", [(0, 1, 0, F(1)), (3, 0, 1, F(-1))])
+def test_validate_module_matches_the_full_loop(case, edits):
+    """The sparse checker and the dense reference list the same violations
+    after one or two cells of any action matrix change, the unit's
+    included (indices taken mod their ranges)."""
+    A, V = module_cases()[case]
+    mats = list(V.action)
+    for k, r, c, value in edits:
+        k %= A.dim
+        rows = [list(row) for row in mats[k].rows]
+        rows[r % V.dim][c % V.dim] = A.tag.coerce(value)
+        mats[k] = Matrix(A.tag, rows)
+    V = ModuleRep(V.name, V.dim, tuple(mats))
+    assert validate_module(A, V) == module_violations_by_full_loop(A, V)
 
 
 def test_involution_validation():
@@ -333,13 +357,6 @@ def test_regular_module_indicator_counts_involutions():
         rep = fs_indicator(doc.algebra, regular_module(doc.algebra))
         assert rep.nu == doc.algebra.tag.coerce(count_involutions(table))
         assert rep.dim_bil == doc.algebra.dim
-
-
-def s4_table():
-    perms = list(itertools.permutations(range(4)))
-    index = {p: i for i, p in enumerate(perms)}
-    return CayleyTable(tuple(tuple(index[tuple(p[q[x]] for x in range(4))]
-                                   for q in perms) for p in perms))
 
 
 def test_s4_regular_module():
