@@ -1,11 +1,12 @@
 """Exact linear algebra over the scalar fields.
 
 Matrix is dense and immutable by convention (nothing mutates rows after
-construction); Gauss-Jordan on its rows (rank, inverse, span solving) skips
+construction); Gauss-Jordan on its rows (inverse, span solving) skips
 zero cells, and determinants use fraction-free Bareiss elimination so
 rational-function entries do not balloon mid-computation. The intertwiner
 solver never goes dense: its d^2 x d^2 systems have a few nonzeros a row,
-so they are built, eliminated and restricted as SparseRows.
+so they are built, eliminated and restricted as SparseRows, and rank
+counts the pivots of that sparse elimination.
 
 Kernel bases are sparse vectors [(column, value), ...] in ascending column
 order, whatever the input, and canonical: the rows of the unique reduced
@@ -212,11 +213,6 @@ def _rref_in_place(rows, ncols):
     return pivots
 
 
-def rank(m: Matrix):
-    rows = [list(r) for r in m.rows]
-    return len(_rref_in_place(rows, m.ncols))
-
-
 def _sparse_rows(m):
     """m as SparseRows; a Matrix keeps only its nonzero cells."""
     if isinstance(m, SparseRows):
@@ -225,19 +221,11 @@ def _sparse_rows(m):
                       [[(j, a) for j, a in enumerate(r) if a] for r in m.rows])
 
 
-def kernel_basis(m):
-    """Canonical basis of {x : m x = 0}, for a Matrix or SparseRows.
-
-    One sparse Gauss-Jordan elimination takes the pivot of each row at its
-    last nonzero column. With that reversed column order the null space
-    vector of a free column f has its 1 at f and its other entries at pivot
-    columns right of f, so ordered by f these vectors are already the
-    canonical RREF basis, returned as sparse vectors [(column, value), ...]
-    in ascending column order.
-    """
-    sparse = _sparse_rows(m)
-    pivots = {}  # column -> {column: value} left of it; the pivot is 1
-    for row in sparse.rows:
+def _pivots(m):
+    """The forward pass of kernel_basis: {pivot column: {column: value}
+    left of it}, the reduced row that pivots there, its pivot being 1."""
+    pivots = {}
+    for row in _sparse_rows(m).rows:
         acc = dict(row)
         while acc:
             c = max(acc)
@@ -250,8 +238,27 @@ def kernel_basis(m):
                 pivots[c] = acc
                 break
             _axpy(acc, -acc.pop(c), p.items())
-    one = sparse.tag.one()
-    vectors = {f: [(f, one)] for f in range(sparse.ncols) if f not in pivots}
+    return pivots
+
+
+def rank(m):
+    """Rank of a Matrix or SparseRows, from kernel_basis's forward pass."""
+    return len(_pivots(m))
+
+
+def kernel_basis(m):
+    """Canonical basis of {x : m x = 0}, for a Matrix or SparseRows.
+
+    One sparse Gauss-Jordan elimination takes the pivot of each row at its
+    last nonzero column. With that reversed column order the null space
+    vector of a free column f has its 1 at f and its other entries at pivot
+    columns right of f, so ordered by f these vectors are already the
+    canonical RREF basis, returned as sparse vectors [(column, value), ...]
+    in ascending column order.
+    """
+    pivots = _pivots(m)
+    one = m.tag.one()
+    vectors = {f: [(f, one)] for f in range(m.ncols) if f not in pivots}
     # back substitution, lowest pivot first: each row is reduced against
     # fully reduced lower ones, so no pivot column survives in another row
     for c in sorted(pivots):

@@ -455,9 +455,9 @@ def twist_algebra(A: PivotalAlgebra, T):
 def span_contains_invertible(tag, mats):
     """Exact search for an invertible element of a matrix span.
 
-    Tries the basis itself (by rank, which stays cheap over Q(q) where a
-    determinant does not), then the pencil sum_i t^i F_i for enough values
-    of t to decide whether that curve's determinant vanishes identically.
+    Tries the basis itself by rank, then the pencil sum_i t^i F_i for
+    enough values of t to decide whether that curve's determinant vanishes
+    identically.
     """
     mats = list(mats)
     if not mats:

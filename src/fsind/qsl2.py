@@ -21,12 +21,14 @@ antidiagonal, which keeps the elimination over Q(q) tiny.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import Matrix
 # unused; test_uninstall_restores_every_attribute pins it (ROADMAP item 1)
 from .linalg import kernel_intersection  # noqa: F401
-from .pivotal import indicator_from_presentation
-from .scalars import RATIONAL_FUNCTION, RatFun
+from .pivotal import (_accumulate, _apply_columns, _sparse,
+                      indicator_from_presentation)
+from .scalars import RATIONAL_FUNCTION, RatFun, _new_ratfun
 
 TAG = RATIONAL_FUNCTION
 DEFAULT_MAX_TWO_ELL = 8
@@ -38,19 +40,21 @@ class UnexpectedFormDimension(Exception):
 
 def q_integer(n):
     """[n] = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n),
-    built as (1 + q^2 + ... + q^(2n-2)) / q^(n-1)."""
+    built as (1 + q^2 + ... + q^(2n-2)) / q^(n-1), already canonical: the
+    numerator has constant term 1, so it is coprime to q^(n-1)."""
     if n < 0:
         return -q_integer(-n)
     if n == 0:
         return TAG.zero()
-    return RatFun((1, 0) * (n - 1) + (1,), (0,) * (n - 1) + (1,))
+    return _new_ratfun(Fraction(1), (1, 0) * (n - 1) + (1,),
+                       (0,) * (n - 1) + (1,))
 
 
 def q_power(e):
     """q^e as the Laurent monomial it is."""
     if e < 0:
-        return RatFun((1,), (0,) * -e + (1,))
-    return RatFun((0,) * e + (1,))
+        return _new_ratfun(Fraction(1), (1,), (0,) * -e + (1,))
+    return _new_ratfun(Fraction(1), (0,) * e + (1,), (1,))
 
 
 @dataclass
@@ -89,22 +93,38 @@ def build_vl(two_ell):
                      E=Matrix(TAG, e), F=Matrix(TAG, f))
 
 
+def _times(a, b):
+    """a b for matrices given as sparse rows {column: value}."""
+    return [_apply_columns(b, row) for row in a]
+
+
+def _minus(a, b):
+    """a - b for matrices given as sparse rows."""
+    return [_accumulate([*ra.items(), *((j, -x) for j, x in rb.items())])
+            for ra, rb in zip(a, b)]
+
+
+def _scaled(s, a):
+    """s a for a nonzero scalar s and a matrix given as sparse rows."""
+    return [{j: s * x for j, x in r.items()} for r in a]
+
+
 def verify_relations(m: QslModule):
-    """The defining relations of U_q(sl2) on the module; [] when all hold."""
+    """The defining relations of U_q(sl2) on the module, checked on the
+    nonzero cells only; [] when all hold."""
     bad = []
-    d = m.dim
-    ident = Matrix.identity(TAG, d)
-    q2 = q_power(2)
-    qm2 = q_power(-2)
-    if m.K * m.Kinv != ident or m.Kinv * m.K != ident:
+    K, Kinv, E, F = ([_sparse(r) for r in x.rows]
+                     for x in (m.K, m.Kinv, m.E, m.F))
+    ident = [{i: TAG.one()} for i in range(m.dim)]
+    if _times(K, Kinv) != ident or _times(Kinv, K) != ident:
         bad.append("K K^-1 != 1")
-    if m.K * m.E * m.Kinv != m.E.scale(q2):
+    if _times(_times(K, E), Kinv) != _scaled(q_power(2), E):
         bad.append("K E K^-1 != q^2 E")
-    if m.K * m.F * m.Kinv != m.F.scale(qm2):
+    if _times(_times(K, F), Kinv) != _scaled(q_power(-2), F):
         bad.append("K F K^-1 != q^-2 F")
     q = RatFun.generator()
-    comm = m.E * m.F - m.F * m.E
-    target = (m.K - m.Kinv).scale((q - q ** -1) ** -1)
+    comm = _minus(_times(E, F), _times(F, E))
+    target = _scaled((q - q ** -1) ** -1, _minus(K, Kinv))
     if comm != target:
         bad.append("[E, F] != (K - K^-1)/(q - q^-1)")
     return bad

@@ -319,10 +319,11 @@ def _trim(cs):
 def _zmul(a, b):
     """Product of two nonzero polynomials."""
     out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+    for j, bj in enumerate(b):
+        if bj:
+            for i, ai in enumerate(a, j):
+                if ai:
+                    out[i] += ai * bj
     return out
 
 
@@ -452,16 +453,20 @@ def _integer_poly(cs):
     return Fraction(1, lcd), [f.numerator * (lcd // f.denominator) for f in fs]
 
 
+def _without_common_q(n, d):
+    """n and d, both nonzero, with their common power of q divided out."""
+    k = 0
+    while not (n[k] or d[k]):
+        k += 1
+    return (n[k:], d[k:]) if k else (n, d)
+
+
 def _ratfun(c, n, d):
     """The canonical RatFun equal to c * n/d (c a Fraction, n and d integer
     polynomials, d nonzero)."""
     if not n:
         return _ZERO
-    k = 0
-    while not (n[k] or d[k]):
-        k += 1
-    if k:
-        n, d = n[k:], d[k:]
+    n, d = _without_common_q(n, d)
     cn = gcd(*n)
     if n[-1] < 0:
         cn = -cn
@@ -491,6 +496,20 @@ def _new_ratfun(c, n, d):
     return x
 
 
+def _exponent(n, d):
+    """k if n/d is q^k with n and d monomials, else None; canonical n and d
+    then hold one nonzero each, a 1."""
+    if n.count(0) + d.count(0) == len(n) + len(d) - 2:
+        return len(n) - len(d)
+    return None
+
+
+def _shifted(x, c, k):
+    """x * c q^k for a nonzero RatFun x, without a gcd (see RatFun)."""
+    n, d = (0,) * k + x._n, (0,) * -k + x._d  # one of the two shifts is ()
+    return _new_ratfun(x._c * c, *_without_common_q(n, d))
+
+
 class RatFun:
     """Rational function in q over Q, stored as c * n/d.
 
@@ -498,7 +517,11 @@ class RatFun:
     polynomials (tuples of int, index = degree) with positive leading
     coefficients; zero is (0, (), (1,)).  That triple is unique, so
     equality compares it literally.  ``num`` and ``den`` give the printed
-    form: Fraction coefficients, coprime, with ``den`` monic.
+    form: Fraction coefficients, coprime, with ``den`` monic.  A product
+    by a Laurent monomial c q^k, a constant when k = 0, needs no gcd: n
+    (k > 0) or d (k < 0) times q^|k| stays primitive with the same leading
+    coefficient, and coprime to the other side once their common power of
+    q is divided out, since n/d had none.
     """
 
     __slots__ = ("_c", "_n", "_d")
@@ -525,7 +548,9 @@ class RatFun:
     def generator():
         return _new_ratfun(Fraction(1), (0, 1), (1,))
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
+        """other as a RatFun, or None if it is neither that nor rational."""
         if isinstance(other, RatFun):
             return other
         f = _as_fraction(other)
@@ -546,6 +571,10 @@ class RatFun:
         scale = Fraction(1, b1 // g * b2)
         if d1 == d2:
             return _ratfun(scale, _zcomb(u, n1, v, n2), d1)
+        k = _exponent(d1, d2)  # Laurent polynomials: over the higher q-power
+        if k is not None:
+            return _ratfun(scale, _zcomb(u, (0,) * -k + n1, v, (0,) * k + n2),
+                           d1 if k > 0 else d2)
         return _ratfun(scale, _zcomb(u, _zmul(n1, d2), v, _zmul(n2, d1)),
                        _zmul(d1, d2))
 
@@ -578,6 +607,10 @@ class RatFun:
             return NotImplemented
         if not self._n or not o._n:
             return _ZERO
+        for x, m in ((self, o), (o, self)):
+            k = _exponent(m._n, m._d)
+            if k is not None:
+                return _shifted(x, m._c, k)
         return _ratfun(self._c * o._c, _zmul(self._n, o._n),
                        _zmul(self._d, o._d))
 
@@ -606,7 +639,7 @@ class RatFun:
         base = self
         if e < 0:
             base, e = self.inverse(), -e
-        out = RatFun((1,))
+        out = RatFun._coerce(1)
         while e:
             if e & 1:
                 out = out * base
@@ -689,11 +722,9 @@ class FieldTag:
             if isinstance(x, (int, Fraction)):
                 return _cyclotomic_constant(self.order, x)
         else:
-            if isinstance(x, RatFun):
-                return x
-            f = _as_fraction(x)
-            if f is not None:
-                return RatFun((f,))
+            y = RatFun._coerce(x)
+            if y is not None:
+                return y
         raise FieldMismatch("cannot interpret %r as an element of %s"
                             % (x, self))
 
@@ -899,14 +930,14 @@ def _poly_string(coeffs, var, descending=False):
 
 def scalar_to_string(x):
     """Canonical text form; parse_scalar inverts it exactly."""
-    f = _as_fraction(x)
+    f = x._rational() if isinstance(x, RatFun) else _as_fraction(x)
     if f is not None:
         return _frac_string(f)
     if isinstance(x, Cyclotomic):
         return _poly_string(x.coeffs, "z")
     if isinstance(x, RatFun):
         num = _poly_string(x.num, "q", descending=True)
-        if x.den == (Fraction(1),):
+        if x._d == (1,):
             return num
         den = _poly_string(x.den, "q", descending=True)
         return "(%s)/(%s)" % (num, den)

@@ -5,7 +5,7 @@ import itertools
 from fsind.constructors import CayleyTable, CoalgebraSpec
 from fsind.linalg import Matrix, inverse
 from fsind.pivotal import ModuleRep, PivotalAlgebra
-from fsind.scalars import RATIONAL
+from fsind.scalars import RATIONAL, RATIONAL_FUNCTION, RatFun
 
 
 def dense(tag, vectors, ncols):
@@ -243,3 +243,23 @@ def upper_triangular_natural():
                                   for j in range(2)] for i in range(2)])
 
     return ModuleRep("natural", 2, (unit(0, 0), unit(0, 1), unit(1, 1)))
+
+
+def qsl2_violations_by_dense_products(m):
+    """The defining relations of U_q(sl2) on a QslModule, checked with dense
+    matrix products and cell-by-cell comparison; the reference for
+    fsind.qsl2.verify_relations."""
+    bad = []
+    ident = Matrix.identity(RATIONAL_FUNCTION, m.dim)
+    q = RatFun.generator()
+    if m.K * m.Kinv != ident or m.Kinv * m.K != ident:
+        bad.append("K K^-1 != 1")
+    if m.K * m.E * m.Kinv != m.E.scale(q ** 2):
+        bad.append("K E K^-1 != q^2 E")
+    if m.K * m.F * m.Kinv != m.F.scale(q ** -2):
+        bad.append("K F K^-1 != q^-2 F")
+    comm = m.E * m.F - m.F * m.E
+    target = (m.K - m.Kinv).scale((q - q ** -1) ** -1)
+    if comm != target:
+        bad.append("[E, F] != (K - K^-1)/(q - q^-1)")
+    return bad

@@ -65,6 +65,12 @@ def dense_kernel(m):
     return dense(m.tag, kernel_basis(m), m.ncols)
 
 
+def dense_rank(m):
+    """The pivot count of the dense Gauss-Jordan elimination, which shares
+    no code with the sparse one behind rank and kernel_basis."""
+    return len(_rref_in_place([list(r) for r in m.rows], m.ncols))
+
+
 def test_rref_known():
     m = rmat([[0, 2, 4], [1, 1, 1]])
     rows = [list(r) for r in m.rows]
@@ -218,10 +224,36 @@ def test_kernel_intersection_generic(case):
     stacked = Matrix(tag, [r for m in mats for r in m.rows])
     kernel = kernel_intersection(tag, mats, ncols)
     assert kernel == kernel_basis(stacked)
-    # against the dense elimination, which shares no code with the sparse one
-    assert len(kernel) == ncols - rank(stacked)
+    assert len(kernel) == ncols - dense_rank(stacked)
     assert all(not x for v in dense(tag, kernel, ncols)
                for x in stacked.apply(v))
+
+
+@st.composite
+def rank_cases(draw):
+    """A Matrix over Q, Q(z_4) or Q(q) whose rows are often empty, hold one
+    nonzero, or repeat an earlier row up to a factor."""
+    tag = draw(st.sampled_from((RATIONAL, cyclotomic_field(4),
+                                RATIONAL_FUNCTION)))
+    ncols = draw(st.integers(1, 5))
+    zero, value = tag.zero(), st.sampled_from(field_values(tag))
+    full = st.lists(st.sampled_from([zero] * 4 + field_values(tag)),
+                    min_size=ncols, max_size=ncols)
+    lone = st.tuples(st.integers(0, ncols - 1), value).map(
+        lambda cv: [cv[1] if j == cv[0] else zero for j in range(ncols)])
+    rows = draw(st.lists(st.one_of(full, lone, st.just([zero] * ncols)),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        f, row = draw(value), draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))), [f * x for x in row])
+    return Matrix(tag, rows)
+
+
+@given(rank_cases())
+def test_rank_matches_the_dense_pivot_count(m):
+    assert rank(m) == dense_rank(m)
+    rows = [[(j, a) for j, a in enumerate(r) if a] for r in m.rows]
+    assert rank(SparseRows(m.tag, m.ncols, rows)) == rank(m)
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)

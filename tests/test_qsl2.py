@@ -4,6 +4,7 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fsind import qsl2
 from fsind.cli import main
@@ -18,6 +19,7 @@ from fsind.qsl2 import (
     verify_relations,
 )
 from fsind.scalars import RATIONAL_FUNCTION as TAG, RatFun
+from small_algebras import qsl2_violations_by_dense_products
 
 Q = RatFun.generator()
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected" / "qsl2"
@@ -65,6 +67,49 @@ def test_relations_catch_a_bad_coefficient():
     assert bad
 
 
+# cells of the V_l themselves, so that an edit can break a single relation
+CELL_VALUES = ([TAG.zero(), Q + 1, (Q - 1) / (Q + 1)]
+               + [q_power(e) for e in range(-6, 7)]
+               + [-q_integer(n) for n in range(1, 3)]
+               + [q_integer(n) for n in range(1, 8)])
+
+
+@st.composite
+def edited_modules(draw):
+    """build_vl(L), L <= 6, with one or two cells of K, K^-1, E or F
+    replaced by a q-power, a q-integer or some other value."""
+    m = build_vl(draw(st.integers(0, 6)))
+    rows = {name: [list(r) for r in getattr(m, name).rows]
+            for name in ("K", "Kinv", "E", "F")}
+    cell = st.integers(0, m.two_ell)
+    for _ in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(sorted(rows)))
+        rows[name][draw(cell)][draw(cell)] = draw(st.sampled_from(CELL_VALUES))
+    return dataclasses.replace(
+        m, **{name: Matrix(TAG, r) for name, r in rows.items()})
+
+
+def conjugated(m, r, c, x):
+    """P m P^-1 for P = 1 + x e_rc, r != c: the relations still hold, and
+    products of its matrices sum several terms a cell."""
+    p = [list(row) for row in Matrix.identity(TAG, m.dim).rows]
+    p_inv = [list(row) for row in p]
+    p[r][c], p_inv[r][c] = x, -x
+    p, p_inv = Matrix(TAG, p), Matrix(TAG, p_inv)
+    return dataclasses.replace(m, K=p * m.K * p_inv, Kinv=p * m.Kinv * p_inv,
+                               E=p * m.E * p_inv, F=p * m.F * p_inv)
+
+
+@given(edited_modules())
+@example(build_vl(3))
+@example(conjugated(build_vl(3), 0, 2, Q + 1))
+@example(QslModule(two_ell=1, K=Matrix.identity(TAG, 2),
+                   Kinv=Matrix.identity(TAG, 2), E=Matrix.zeros(TAG, 2, 2),
+                   F=Matrix.zeros(TAG, 2, 2)))
+def test_relations_match_the_dense_products(m):
+    assert verify_relations(m) == qsl2_violations_by_dense_products(m)
+
+
 def test_negative_weight_is_rejected():
     with pytest.raises(ValueError):
         build_vl(-1)
@@ -96,6 +141,16 @@ def test_canonical_form_satisfies_the_sign_identity():
         rep = qsl2_indicator(two_ell)
         flipped = m.K.transpose() * rep.canonical_form.transpose()
         assert flipped == rep.canonical_form.scale(rep.nu)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("two_ell", [20, 23, 24])
+def test_modules_past_the_recorded_range(two_ell, twisted):
+    rep = qsl2_indicator(two_ell, twisted=twisted, max_two_ell=two_ell)
+    assert rep.nu == TAG.coerce(1 if twisted or two_ell % 2 == 0 else -1)
+    assert rep.dim_bil == rep.end_dim == 1 and rep.self_dual
+    k, form = build_vl(two_ell).K, rep.canonical_form
+    assert k.transpose() * form.transpose() == form.scale(rep.nu)
 
 
 def test_weight_bound():

@@ -19,8 +19,10 @@ from fsind.scalars import (
     parse_scalar,
     scalar_to_string,
     _gcd_heu,
+    _poly_string,
     _primitive,
     _prs_gcd,
+    _ratfun,
     _trim,
     _zmul,
 )
@@ -394,6 +396,73 @@ def test_division_by_zero():
         RatFun((1,), ())
 
 
+# --- products by a Laurent monomial ------------------------------------------
+
+def _triple(x):
+    return x._c, x._n, x._d
+
+
+def assert_canonical(x):
+    """The stored triple (c, n, d) of a RatFun meets its invariants."""
+    c, n, d = _triple(x)
+    if not n:
+        assert (c, d) == (0, (1,))
+        return
+    assert c and n[-1] > 0 and d[-1] > 0
+    assert gcd(*n) == gcd(*d) == 1
+    assert n[0] or d[0]  # no common factor q
+    assert _primitive_gcd(n, d) == [1]
+
+
+# numerators and denominators carrying powers of q, built by the general path
+q_shifted_ratfuns = st.builds(
+    lambda n, d, a, b: RatFun((0,) * a + tuple(n), (0,) * b + tuple(d)),
+    nonzero_polys, nonzero_polys, st.integers(0, 3), st.integers(0, 3))
+
+
+def laurent_monomial(c, k):
+    if k >= 0:
+        return RatFun((0,) * k + (c,))
+    return RatFun((c,), (0,) * -k + (1,))
+
+
+@given(st.one_of(ratfuns, q_shifted_ratfuns), small_fractions,
+       st.integers(-12, 12))
+@example(RatFun((1,), (0, 1)), F(1), 1)
+@example(RatFun((0, 0, 1), (1, 1)), F(-3, 2), -1)
+def test_a_product_by_a_monomial_is_the_general_product(x, c, k):
+    assume(x and c)
+    m = laurent_monomial(c, k)
+    n, d = ((0,) * k + (1,), (1,)) if k >= 0 else ((1,), (0,) * -k + (1,))
+    assert _triple(m) == (c, n, d)
+    general = _ratfun(x._c * m._c, _zmul(x._n, m._n), _zmul(x._d, m._d))
+    for product in (x * m, m * x):
+        assert _triple(product) == _triple(general)
+        assert_canonical(product)
+
+
+laurent_polys = st.builds(lambda n, a: RatFun(n, (0,) * a + (1,)),
+                         small_polys, st.integers(0, 6))
+
+
+@given(laurent_polys, laurent_polys)
+@example(RatFun((1,), (0, 0, 1)), RatFun((0, 0, -1)))
+def test_a_sum_of_laurent_polynomials_is_the_general_sum(x, y):
+    for s, t in ((x, y), (x, -y)):
+        d = poly_mul(s.den, t.den)
+        n = poly_add(poly_mul(s.num, t.den), poly_mul(t.num, s.den))
+        assert _triple(s + t) == _triple(RatFun(n, d))
+        assert_canonical(s + t)
+
+
+@given(small_fractions)
+def test_constants_are_canonical(f):
+    assert _triple(RATIONAL_FUNCTION.coerce(f)) == _triple(RatFun((f,)))
+    for x in (RATIONAL_FUNCTION.zero(), RATIONAL_FUNCTION.one()):
+        assert _triple(x) == _triple(RatFun((x._c,)))
+        assert_canonical(x)
+
+
 # --- tags ---------------------------------------------------------------------
 
 def test_field_tag_round_trip():
@@ -503,6 +572,12 @@ def test_canonical_strings():
     assert scalar_to_string((q - 1) / (q + 1)) == "(q - 1)/(q + 1)"
     assert scalar_to_string(RatFun(())) == "0"
     assert scalar_to_string(-q) == "-q"
+
+
+@given(small_fractions)
+def test_a_constant_prints_as_its_polynomial(f):
+    assert scalar_to_string(RatFun((f,))) == \
+        _poly_string((f,) if f else (), "q", descending=True)
 
 
 @given(small_fractions)
