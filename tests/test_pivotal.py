@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import importlib
 import inspect
+import itertools
 import pkgutil
 import random
 from fractions import Fraction
@@ -594,6 +595,18 @@ def test_indicator_matches_the_full_basis():
         nu = (transposition_by_solves(At, FormBasis(V, forms)).trace()
               if forms else At.tag.zero())
         assert rep.nu == nu, key
+
+
+def test_regular_module_of_order_24():
+    """S4 over Q: nu of the regular module is #{g : g^2 = 1} = 10."""
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    ct = CayleyTable(tuple(tuple(index[tuple(p[x] for x in q)] for q in perms)
+                           for p in perms))
+    A = group_algebra(ct, RATIONAL)
+    rep = fs_indicator(A, regular_module(A))
+    assert rep.nu == count_involutions(ct) == 10
+    assert rep.dim_bil == rep.end_dim == 24
 
 
 def generated_dimension(A, gens):
