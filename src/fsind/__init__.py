@@ -33,7 +33,6 @@ from .linalg import (
     kernel_intersection,
     rank,
     solve_in_span,
-    span_canonical,
 )
 from .pivotal import (
     FormBasis,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 from .constructors import (
     builtin_description,
@@ -470,6 +470,7 @@ def cmd_example(args):
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="fsind",

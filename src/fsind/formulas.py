@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, SingularMatrix, _rref_in_place, inverse, rank
+from .linalg import (Matrix, SingularMatrix, SparseRows, _rref_in_place,
+                     inverse, rank)
 from .pivotal import (
     MissingData,
     ModuleRep,
@@ -242,7 +243,10 @@ def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
     """
     if data is None:
         data = symmetric_form_data(A)
-    if rank(Matrix(A.tag, [m.vec() for m in V.action])) != V.dim * V.dim:
+    d = V.dim
+    rows = [[(r * d + c, x) for r, row in enumerate(m) for c, x in row.items()]
+            for m in V.action_rows]
+    if rank(SparseRows(A.tag, d * d, rows)) != d * d:
         raise NotAbsolutelySimple(
             "module %r is not absolutely simple; the dual-basis formula is"
             " heuristic here" % V.name)

@@ -1,12 +1,13 @@
 """Exact linear algebra over the scalar fields.
 
 Matrix is dense and immutable by convention (nothing mutates rows after
-construction); Gauss-Jordan on its rows (inverse, span solving) skips
-zero cells, and determinants use fraction-free Bareiss elimination so
-rational-function entries do not balloon mid-computation. The intertwiner
-solver never goes dense: its d^2 x d^2 systems have a few nonzeros a row,
-so they are built, eliminated and restricted as SparseRows, and rank
-counts the pivots of that sparse elimination.
+construction). One sparse Gauss-Jordan elimination gives every rank,
+kernel and RREF: _insert_row adds a row to a growing set of unit pivot
+rows, _back_substitute fully reduces them, and _rref_in_place (inverse,
+span solving) runs both on mirrored columns. Determinants use
+fraction-free Bareiss elimination so rational-function entries do not
+balloon. The intertwiner solver never goes dense: its d^2 x d^2 systems
+are built, eliminated and restricted as SparseRows.
 
 Kernel bases are sparse vectors [(column, value), ...] in ascending column
 order, whatever the input, and canonical: the rows of the unique reduced
@@ -180,39 +181,6 @@ class SparseRows:
         return tuple(sum((a * vec[j] for j, a in row), z) for row in self.rows)
 
 
-def _rref_in_place(rows, ncols):
-    """Reduce rows to RREF; returns the list of pivot column indices."""
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(prow, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[prow], rows[pivot] = rows[pivot], rows[prow]
-        # rows from prow on are zero left of col; only nonzeros take part
-        pivot_row = rows[prow]
-        nonzeros = [(j, b) for j, b in enumerate(pivot_row[col:], col) if b]
-        if pivot_row[col] != 1:
-            inv = 1 / pivot_row[col]
-            nonzeros = [(j, inv * b) for j, b in nonzeros]
-            for j, b in nonzeros:
-                pivot_row[j] = b
-        for r, row in enumerate(rows):
-            f = row[col]
-            if f and r != prow:
-                for j, b in nonzeros:
-                    row[j] = row[j] - f * b
-        pivots.append(col)
-        prow += 1
-        if prow == len(rows):
-            break
-    return pivots
-
-
 def _sparse_rows(m):
     """m as SparseRows; a Matrix keeps only its nonzero cells."""
     if isinstance(m, SparseRows):
@@ -221,29 +189,65 @@ def _sparse_rows(m):
                       [[(j, a) for j, a in enumerate(r) if a] for r in m.rows])
 
 
-def _pivots(m):
-    """The forward pass of kernel_basis: {pivot column: {column: value}
-    left of it}, the reduced row that pivots there, its pivot being 1."""
+def _insert_row(pivots, row):
+    """Reduce row, a dict or (column, value) pairs, against pivots
+    {pivot column: {column: value} left of it}, each the reduced row that
+    pivots there, its pivot being 1. A nonzero remainder becomes a new unit
+    pivot row at its last column; returns whether it did."""
+    acc = dict(row)
+    while acc:
+        c = max(acc)
+        p = pivots.get(c)
+        if p is None:
+            f = acc.pop(c)
+            if acc and f != 1:  # else a unit pivot as it stands
+                inv = 1 / f
+                acc = {j: inv * b for j, b in acc.items()}
+            pivots[c] = acc
+            return True
+        _axpy(acc, -acc.pop(c), p.items())
+    return False
+
+
+def _back_substitute(pivots):
+    """Fully reduce the pivot rows of _insert_row, lowest pivot first, so
+    that no pivot column survives in another row."""
+    for c in sorted(pivots):
+        p = pivots[c]
+        for j in [j for j in p if j in pivots]:
+            _axpy(p, -p.pop(j), pivots[j].items())
+
+
+def _pivots(rows):
+    """The pivot rows of _insert_row over the given sparse rows."""
     pivots = {}
-    for row in _sparse_rows(m).rows:
-        acc = dict(row)
-        while acc:
-            c = max(acc)
-            p = pivots.get(c)
-            if p is None:
-                f = acc.pop(c)
-                if acc:  # a lone nonzero is a unit pivot as it stands
-                    inv = 1 / f
-                    acc = {j: inv * b for j, b in acc.items()}
-                pivots[c] = acc
-                break
-            _axpy(acc, -acc.pop(c), p.items())
+    for row in rows:
+        _insert_row(pivots, row)
     return pivots
 
 
+def _rref_in_place(rows, ncols):
+    """Reduce rows to RREF in place, nonzero rows first in pivot order, and
+    return the pivot columns: _insert_row on the mirrored column index
+    j -> ncols - 1 - j, where a row's last nonzero is its leading entry."""
+    last = ncols - 1
+    pivots = _pivots([(last - j, x) for j, x in enumerate(row) if x]
+                     for row in rows)
+    _back_substitute(pivots)
+    order = sorted(pivots, reverse=True)
+    if order:
+        zero = rows[0][0] - rows[0][0]
+        rows[:] = [[zero] * ncols for _ in rows]
+        for k, c in enumerate(order):
+            rows[k][last - c] = zero + 1
+            for j, b in pivots[c].items():
+                rows[k][last - j] = b
+    return [last - c for c in order]
+
+
 def rank(m):
-    """Rank of a Matrix or SparseRows, from kernel_basis's forward pass."""
-    return len(_pivots(m))
+    """Rank of a Matrix or SparseRows: the pivot count of its rows."""
+    return len(_pivots(_sparse_rows(m).rows))
 
 
 def kernel_basis(m):
@@ -256,27 +260,14 @@ def kernel_basis(m):
     canonical RREF basis, returned as sparse vectors [(column, value), ...]
     in ascending column order.
     """
-    pivots = _pivots(m)
+    pivots = _pivots(_sparse_rows(m).rows)
+    _back_substitute(pivots)
     one = m.tag.one()
     vectors = {f: [(f, one)] for f in range(m.ncols) if f not in pivots}
-    # back substitution, lowest pivot first: each row is reduced against
-    # fully reduced lower ones, so no pivot column survives in another row
     for c in sorted(pivots):
-        p = pivots[c]
-        for j in [j for j in p if j in pivots]:
-            _axpy(p, -p.pop(j), pivots[j].items())
-        for j, b in p.items():
+        for j, b in pivots[c].items():
             vectors[j].append((c, -b))
     return list(vectors.values())
-
-
-def span_canonical(tag, vectors):
-    """Unique RREF basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    rows = [list(v) for v in vectors]
-    pv = _rref_in_place(rows, len(rows[0]))
-    return [tuple(v) for v in rows[:len(pv)]]
 
 
 def intertwiner_constraint(a: Matrix, b: Matrix):

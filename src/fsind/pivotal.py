@@ -44,11 +44,11 @@ from .linalg import (
     NotInSpan,
     _axpy,
     _combine,
+    _insert_row,
     det,
     intertwiner_constraint,
     kernel_intersection,
     rank,
-    span_canonical,
 )
 from .scalars import FieldTag
 
@@ -141,23 +141,27 @@ class PivotalAlgebra:
 
     def __post_init__(self):
         """Unless given, the generators are picked greedily: each basis index
-        outside the subalgebra the earlier ones generate, that is, the
-        unit's span grown by right multiplication until it is closed."""
+        outside the subalgebra the earlier ones generate, the unit's span
+        closed under right multiplication by them, each element kept in
+        that span times each generator being inserted once."""
         if self.generators is not None:
             return
-        one = self.tag.one()
-        gens, span = [], span_canonical(self.tag, [self.unit])
+        one, unit = self.tag.one(), _sparse(self.unit)
+        pivots, gens = {}, []
+        kept = [unit] if _insert_row(pivots, unit) else []
         for i in range(self.dim):
-            if len(span) == self.dim:
-                break
-            grown = span_canonical(self.tag, span + [_dense(self, {i: one})])
-            if len(grown) > len(span):
-                gens.append(i)
-            while len(grown) > len(span):
-                span = grown
-                grown = span_canonical(self.tag, span + [
-                    _dense(self, self.multiply(_sparse(w), {g: one}))
-                    for w in span for g in gens])
+            u = {i: one}
+            if len(pivots) == self.dim or not _insert_row(pivots, u):
+                continue
+            gens.append(i)
+            todo = [(w, i) for w in kept] + [(u, g) for g in gens]
+            kept.append(u)
+            while todo:
+                w, g = todo.pop()
+                v = self.multiply(w, {g: one})
+                if _insert_row(pivots, v):
+                    kept.append(v)
+                    todo.extend((v, h) for h in gens)
         self.generators = tuple(gens)
 
     def multiply(self, u, v):

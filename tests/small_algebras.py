@@ -62,6 +62,70 @@ def apply_S(A, u):
     return A.S.apply(u)
 
 
+def dense_rref(rows, ncols):
+    """Reduce dense rows to RREF in place by column scans, row swaps and
+    dense row updates; returns the list of pivot column indices. The
+    reference for linalg._rref_in_place, sharing no code with the sparse
+    elimination."""
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(prow, len(rows)):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[prow], rows[pivot] = rows[pivot], rows[prow]
+        # rows from prow on are zero left of col; only nonzeros take part
+        pivot_row = rows[prow]
+        nonzeros = [(j, b) for j, b in enumerate(pivot_row[col:], col) if b]
+        if pivot_row[col] != 1:
+            inv = 1 / pivot_row[col]
+            nonzeros = [(j, inv * b) for j, b in nonzeros]
+            for j, b in nonzeros:
+                pivot_row[j] = b
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != prow:
+                for j, b in nonzeros:
+                    row[j] = row[j] - f * b
+        pivots.append(col)
+        prow += 1
+        if prow == len(rows):
+            break
+    return pivots
+
+
+def span_canonical(vectors):
+    """Unique RREF basis of the span of the given dense vectors."""
+    if not vectors:
+        return []
+    rows = [list(v) for v in vectors]
+    pv = dense_rref(rows, len(rows[0]))
+    return [tuple(v) for v in rows[:len(pv)]]
+
+
+def generators_by_closure(A):
+    """The reference for PivotalAlgebra's generator closure: each basis
+    index outside the subalgebra the earlier ones generate, that is, the
+    unit's span grown by right multiplication until it is closed, the whole
+    span eliminated again at every step."""
+    gens, span = [], span_canonical([A.unit])
+    for i in range(A.dim):
+        if len(span) == A.dim:
+            break
+        grown = span_canonical(span + [basis_vector(A, i)])
+        if len(grown) > len(span):
+            gens.append(i)
+        while len(grown) > len(span):
+            span = grown
+            grown = span_canonical(span + [
+                multiply(A, w, basis_vector(A, g)) for w in span for g in gens])
+    return tuple(gens)
+
+
 def validate_pivotal_by_definition(A):
     """The pivotal axioms by dense products of basis vectors, one triple
     at a time: the reference for pivotal.validate_pivotal, with the same
@@ -229,6 +293,29 @@ def upper_triangular():
         S=swap,
         g=(one, zero, one),
         name="T2(Q)",
+    )
+
+
+def upper_triangular_3():
+    """T_3(Q) on the basis e11, e22, e33, e12, e23, e13, with S the
+    transpose along the antidiagonal and g = 1. Its generators are
+    e11, e22, e12 and e23: e13 = e12 e23 is an element kept before e23
+    times e23."""
+    one, zero = RATIONAL.one(), RATIONAL.zero()
+    units = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
+    index = {rc: k for k, rc in enumerate(units)}
+    mult = {(a, b): ((index[(r, c2)], one),)
+            for a, (r, c) in enumerate(units)
+            for b, (r2, c2) in enumerate(units) if c == r2}
+    flip = [index[(2 - c, 2 - r)] for r, c in units]
+    return PivotalAlgebra(
+        tag=RATIONAL, dim=6, labels=("e11", "e22", "e33", "e12", "e23", "e13"),
+        mult=mult,
+        unit=(one, one, one, zero, zero, zero),
+        S=Matrix(RATIONAL, [[one if flip[j] == i else zero for j in range(6)]
+                            for i in range(6)]),
+        g=(one, one, one, zero, zero, zero),
+        name="T3(Q)",
     )
 
 

@@ -190,6 +190,22 @@ def test_bad_usage_is_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main() reuses the parser it built first; a usage error must leave
+    # nothing behind that changes the next command's output
+    path = write_builtin(tmp_path, "S3")
+    commands = [("indicator",), ("indicator", path, "--module", "std")]
+
+    def fresh(argv):
+        cli.build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    expected = [fresh(argv) for argv in commands]
+    assert expected[0][0] == 2 and expected[1][0] == 0
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in commands] == expected
+
+
 # --- indicator -------------------------------------------------------------------
 
 def test_indicator_json_all_methods(tmp_path, capsys):

@@ -216,10 +216,10 @@ def test_axiom_violations_are_collected():
     assert any("S(g)" in v for v in exc.value.violations)
 
 
-def test_raw_algebra_associativity_is_checked():
+def nonassociative_doc():
     # commutative and unital with S = id and g = 1, so associativity is the
     # only axiom that fails: (x x) y = y but x (x y) = 1
-    raw = {
+    return {
         "field": "rational",
         "algebra": {
             "labels": ["1", "x", "y"],
@@ -231,11 +231,40 @@ def test_raw_algebra_associativity_is_checked():
             "g": [1, 0, 0],
         },
     }
+
+
+def test_raw_algebra_associativity_is_checked():
     with pytest.raises(ValidationError) as exc:
-        document_from_dict(raw)
+        document_from_dict(nonassociative_doc())
     assert exc.value.violations
     assert all(v.startswith("associativity fails")
                for v in exc.value.violations)
+
+
+def test_generator_closure_ends_on_algebras_that_fail_the_axioms():
+    # the closure runs as the algebra is built, before validate_pivotal
+    zero_unit = dual_numbers_doc()
+    zero_unit["algebra"]["unit"] = [0, 0]
+    cases = [
+        (nonassociative_doc(), (1, 2),
+         ["associativity fails at (1, 1, 2)",
+          "associativity fails at (1, 2, 2)",
+          "associativity fails at (2, 1, 1)",
+          "associativity fails at (2, 2, 1)"]),
+        (zero_unit, (0, 1),
+         ["unit fails on the left at index 0",
+          "unit fails on the right at index 0",
+          "unit fails on the left at index 1",
+          "unit fails on the right at index 1",
+          "S(g) is not the inverse of g",
+          "module 'triv': unit does not act as identity"]),
+    ]
+    for raw, generators, violations in cases:
+        assert document_from_dict(raw, validate=False).algebra.generators \
+            == generators
+        with pytest.raises(ValidationError) as exc:
+            document_from_dict(raw)
+        assert exc.value.violations == violations
 
 
 def test_constructed_sections_skip_validate_pivotal(monkeypatch):

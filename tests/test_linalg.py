@@ -21,10 +21,9 @@ from fsind.linalg import (
     kernel_intersection,
     rank,
     solve_in_span,
-    span_canonical,
 )
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION, RatFun, cyclotomic_field
-from small_algebras import dense
+from small_algebras import dense, dense_rref, span_canonical
 
 F = Fraction
 
@@ -68,7 +67,7 @@ def dense_kernel(m):
 def dense_rank(m):
     """The pivot count of the dense Gauss-Jordan elimination, which shares
     no code with the sparse one behind rank and kernel_basis."""
-    return len(_rref_in_place([list(r) for r in m.rows], m.ncols))
+    return len(dense_rref([list(r) for r in m.rows], m.ncols))
 
 
 def test_rref_known():
@@ -103,7 +102,7 @@ def test_kernel_vectors_annihilate(m):
 @given(matrices_any)
 def test_kernel_is_subspace_canonical(m):
     ker = dense_kernel(m)
-    assert span_canonical(m.tag, ker) == ker
+    assert span_canonical(ker) == ker
 
 
 @given(matrices_any)
@@ -254,6 +253,28 @@ def test_rank_matches_the_dense_pivot_count(m):
     assert rank(m) == dense_rank(m)
     rows = [[(j, a) for j, a in enumerate(r) if a] for r in m.rows]
     assert rank(SparseRows(m.tag, m.ncols, rows)) == rank(m)
+
+
+@st.composite
+def rref_cases(draw):
+    """The rows of a rank_cases matrix M, or of [M | I] as inverse builds
+    them."""
+    m = draw(rank_cases())
+    rows = [list(r) for r in m.rows]
+    if draw(st.booleans()):
+        z, o = m.tag.zero(), m.tag.one()
+        rows = [r + [o if j == i else z for j in range(m.nrows)]
+                for i, r in enumerate(rows)]
+    return rows
+
+
+@given(rref_cases())
+def test_rref_matches_the_dense_reference(rows):
+    ncols = len(rows[0])
+    expected = [list(r) for r in rows]
+    pivots = dense_rref(expected, ncols)
+    assert _rref_in_place(rows, ncols) == pivots
+    assert rows == expected
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)

@@ -37,7 +37,6 @@ from fsind.linalg import (
     kernel_basis,
     rank,
     solve_in_span,
-    span_canonical,
 )
 from fsind.pivotal import (
     FormBasis,
@@ -66,12 +65,15 @@ from small_algebras import (
     basis_vector,
     conjugate_module,
     dual_numbers,
+    generators_by_closure,
     left_mult,
     module_violations_by_full_loop,
     multiply,
     primitive_coalgebra,
     s4_table,
+    span_canonical,
     upper_triangular,
+    upper_triangular_3,
     validate_algebra_involution_by_definition,
     validate_pivotal_by_definition,
 )
@@ -612,9 +614,9 @@ def test_regular_module_of_order_24():
 def generated_dimension(A, gens):
     """Dimension of the span of the unit closed under multiplying by the
     generators on either side."""
-    span = span_canonical(A.tag, [A.unit])
+    span = span_canonical([A.unit])
     while True:
-        grown = span_canonical(A.tag, span + [
+        grown = span_canonical(span + [
             p for w in span for g in gens
             for p in (multiply(A, w, basis_vector(A, g)),
                       multiply(A, basis_vector(A, g), w))])
@@ -630,6 +632,24 @@ def test_builtin_generators_generate():
         # the twist changes S only, and the generators ride along
         for T in A.involutions.values():
             assert twist_algebra(A, T).generators == A.generators
+
+
+def test_generator_closure_matches_the_reference():
+    """The incremental closure picks what eliminating the whole span again
+    at every step picks."""
+    algebras = {name: load(name).algebra for name in builtin_names()}
+    algebras["T2(Q)"] = upper_triangular()
+    algebras["T3(Q)"] = upper_triangular_3()
+    for n in (8, 16, 32):
+        algebras["dual(kC%d)" % n] = _dual_of_kc(n)
+    for name, A in algebras.items():
+        expected = generators_by_closure(A)
+        assert A.generators == expected, name
+        assert dataclasses.replace(A, generators=None).generators == \
+            expected, name
+    for n in (8, 16, 32):
+        assert len(algebras["dual(kC%d)" % n].generators) == n - 1
+    assert algebras["T3(Q)"].generators == (0, 1, 3, 4)
 
 
 def test_transposition_outside_the_span_is_rejected():
