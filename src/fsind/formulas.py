@@ -14,6 +14,11 @@ x' (x) x'' of A (x) A:
 * Doi's formula for group-like algebras is the same dual-basis route with
   b_i-dual = eps(b_i)^-1 b_{i*}.
 
+S(x') g x'' is the indicator element (Linchenko-Montgomery,
+Kashina-Sommerhaeuser-Zhu) with the pivotal g; it does not depend on V.
+Each route builds its own once per algebra from its own input, so a module
+costs one character evaluation. The integral is checked on generators.
+
 Every product is PivotalAlgebra.multiply on sparse elements. Dense tuples
 remain only in the results that callers read: SeparabilityIdempotent.terms
 and SymmetricFormData.
@@ -26,8 +31,9 @@ the definition solver, so the routes stay independent of it.
 
 No route takes a twist. Each reads S and g from the pivotal algebra it is
 given, so the twisted value nu^tau comes from passing
-pivotal.twist_algebra(A, T) = (A, S o tau, g). The idempotent E and the
-symmetric data do not involve S and are computed once from A.
+pivotal.twist_algebra(A, T) = (A, S o tau, g). E (which uses the
+untwisted S) and the symmetric data do not depend on the twist and are
+computed once from A; each twisted algebra builds its own elements.
 """
 
 from __future__ import annotations
@@ -130,20 +136,31 @@ def validate_separability(A: PivotalAlgebra, E: SeparabilityIdempotent):
 
 def hopf_integral_idempotent(A: PivotalAlgebra):
     """E = S(L_1) x L_2 from a normalized two-sided integral L, checked by
-    validate_separability."""
+    validate_separability. Once eps(1) = 1 and eps(b b_j) = eps(b) eps(b_j)
+    for generators b, eps is multiplicative (A is associative) and the a
+    with aL = eps(a)L = La form a subalgebra: L is checked on generators,
+    and on every basis element after a failure."""
     if A.comult is None or A.counit is None:
         raise MissingData("separability from an integral needs comult and counit")
     if A.integral is None:
         raise MissingData("no integral attached to %s" % A.name)
-    lam, one = _sparse(A.integral), A.tag.one()
-    if _evaluate(A.tag, A.counit, lam) != one:
+    lam, one, eps = _sparse(A.integral), A.tag.one(), A.counit
+    if _evaluate(A.tag, eps, lam) != one:
         raise NotAnIntegral("eps(Lambda) != 1")
-    for i in range(A.dim):
-        b = {i: one}
-        expected = _accumulate((k, A.counit[i] * x) for k, x in lam.items())
-        if A.multiply(b, lam) != expected or A.multiply(lam, b) != expected:
-            raise NotAnIntegral(
-                "Lambda is not a two-sided integral (fails at %d)" % i)
+
+    def breaks(i):
+        expected = _accumulate((k, eps[i] * x) for k, x in lam.items())
+        return (A.multiply({i: one}, lam) != expected
+                or A.multiply(lam, {i: one}) != expected)
+
+    multiplicative = _evaluate(A.tag, eps, _sparse(A.unit)) == one and all(
+        _evaluate(A.tag, eps, _accumulate(A.mult.get((i, j), ())))
+        == eps[i] * eps[j] for i in A.generators for j in range(A.dim))
+    if not multiplicative or any(breaks(i) for i in A.generators):
+        for i in range(A.dim):
+            if breaks(i):
+                raise NotAnIntegral(
+                    "Lambda is not a two-sided integral (fails at %d)" % i)
 
     # group Delta(Lambda) by the right leg: E = sum_j S(sum c b_i) x b_j
     left = {}
@@ -162,20 +179,32 @@ def hopf_integral_idempotent(A: PivotalAlgebra):
     return E
 
 
-def _casimir_sum(A: PivotalAlgebra, chi, terms):
-    """chi(sum S(u) g v) over the sparse terms u x v; chi holds the
-    character values on the basis."""
+def _casimir_element(A: PivotalAlgebra, terms):
+    """sum S(u) g v over the sparse terms u x v, a sparse element."""
     g = _sparse(A.g)
-    return _evaluate(A.tag, chi, _accumulate(
+    return _accumulate(
         kx for u, v in terms
-        for kx in A.multiply(A.multiply(A.apply_S(u), g), v).items()))
+        for kx in A.multiply(A.multiply(A.apply_S(u), g), v).items())
+
+
+def _element(A: PivotalAlgebra, route, source, build):
+    """build(), the element route evaluates characters on over A, kept
+    with its source object (E, SymmetricFormData or A.grouplike) and reused
+    only for that object. It lives in A.__dict__, as S_columns does, so
+    replace() and twists start empty and == ignores it."""
+    cache = A.__dict__.setdefault("_indicator_elements", {})
+    entry = cache.get(route)
+    if entry is None or entry[0] is not source:
+        entry = cache[route] = (source, build())
+    return entry[1]
 
 
 def fs_via_separability(A: PivotalAlgebra, V: ModuleRep,
                         E: SeparabilityIdempotent):
     """nu(V) = chi_V(S(E') g E'')."""
-    return _casimir_sum(A, V.character_on_basis(),
-                        [(_sparse(u), _sparse(v)) for u, v in E.terms])
+    w = _element(A, "separability", E, lambda: _casimir_element(
+        A, [(_sparse(u), _sparse(v)) for u, v in E.terms]))
+    return _evaluate(A.tag, V.character_on_basis(), w)
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +232,34 @@ def _dual_basis_data(A: PivotalAlgebra, dual):
                              volume=_dense(A, vol))
 
 
-def _dual_basis_sum(A: PivotalAlgebra, chi, dim, data, chi_name):
-    """(nu, schur) = ((d / chi(v)) sum_i chi(S(b_i) g b_i-dual),
-    chi(v) / d^2) with d = dim, over the dual basis and the volume v of
-    data."""
-    chi_vol = _evaluate(A.tag, chi, _sparse(data.volume))
+def _dual_basis_element(A: PivotalAlgebra, data):
+    """(sum_i S(b_i) g b_i-dual, the volume v) as sparse elements."""
+    one = A.tag.one()
+    return (_casimir_element(A, [({i: one}, _sparse(w))
+                                 for i, w in enumerate(data.dual_basis)]),
+            _sparse(data.volume))
+
+
+def _dual_basis_sum(A: PivotalAlgebra, chi, dim, element, chi_name):
+    """(nu, schur) = ((d / chi(v)) chi(w), chi(v) / d^2) with d = dim,
+    for the dual-basis element (w, v) of _dual_basis_element."""
+    w, vol = element
+    chi_vol = _evaluate(A.tag, chi, vol)
     if not chi_vol:
         raise ZeroVolumeCharacter(
             "%s vanishes on the volume element" % chi_name)
     d = A.tag.coerce(dim)
-    one = A.tag.one()
-    terms = [({i: one}, _sparse(w)) for i, w in enumerate(data.dual_basis)]
-    return (d / chi_vol) * _casimir_sum(A, chi, terms), chi_vol / (d * d)
+    return (d / chi_vol) * _evaluate(A.tag, chi, w), chi_vol / (d * d)
 
 
 def symmetric_form_data(A: PivotalAlgebra):
+    """Dual basis and volume of phi: phi(b_i b_j) read off A.mult, the
+    dual basis from the rows of the inverse of the symmetric Gram matrix."""
     if A.trace_form is None:
         raise MissingData("no trace form attached to %s" % A.name)
-    n, one = A.dim, A.tag.one()
-    gram = Matrix(A.tag, [[_evaluate(A.tag, A.trace_form,
-                                     A.multiply({i: one}, {j: one}))
+    n, phi, z = A.dim, A.trace_form, A.tag.zero()
+    gram = Matrix(A.tag, [[sum((c * phi[k] for k, c in A.mult.get((i, j), ())
+                                if phi[k]), z)
                            for j in range(n)] for i in range(n)])
     if gram != gram.transpose():
         raise NotSymmetric("phi(ab) != phi(ba) somewhere")
@@ -231,7 +268,7 @@ def symmetric_form_data(A: PivotalAlgebra):
     except SingularMatrix:
         raise DegenerateTraceForm("the Gram matrix of phi is singular")
     # v is central: sum a b_i (x) b^i = sum b_i (x) b^i a; multiply the legs
-    return _dual_basis_data(A, [_sparse(col) for col in zip(*graminv.rows)])
+    return _dual_basis_data(A, [_sparse(row) for row in graminv.rows])
 
 
 def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
@@ -250,7 +287,9 @@ def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
         raise NotAbsolutelySimple(
             "module %r is not absolutely simple; the dual-basis formula is"
             " heuristic here" % V.name)
-    nu, schur = _dual_basis_sum(A, V.character_on_basis(), V.dim, data,
+    element = _element(A, "symmetric", data,
+                       lambda: _dual_basis_element(A, data))
+    nu, schur = _dual_basis_sum(A, V.character_on_basis(), V.dim, element,
                                 "chi_%s" % V.name)
     return SymmetricIndicator(nu=nu, schur=schur)
 
@@ -346,9 +385,10 @@ def doi_grouplike_indicator(A: PivotalAlgebra, chi, dim):
     if any(not e for e in eps):
         raise ZeroValency("a basis element has vanishing valency")
     one = A.tag.one()
-    dual = [{j: one / e} for j, e in zip(star, eps)]
+    element = _element(A, "doi", A.grouplike, lambda: _dual_basis_element(
+        A, _dual_basis_data(A, [{j: one / e} for j, e in zip(star, eps)])))
     nu, _ = _dual_basis_sum(A, tuple(A.tag.coerce(x) for x in chi), dim,
-                            _dual_basis_data(A, dual), "chi")
+                            element, "chi")
     return nu
 
 

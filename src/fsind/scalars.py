@@ -215,15 +215,19 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a = self._n
-        b = [(j, y) for j, y in enumerate(o._n) if y]
+        a, b, d = self._n, o._n, self._d * o._d
+        # a rational factor scales the other numerator: no convolution
+        if not any(b[1:]):
+            return _cyclotomic(self.order, [b[0] * x for x in a], d)
+        if not any(a[1:]):
+            return _cyclotomic(self.order, [a[0] * y for y in b], d)
         out = [0] * (2 * len(a) - 1)
+        b = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
                 for j, y in b:
                     out[i + j] += x * y
-        return _cyclotomic(self.order, _fold(out, self.order),
-                           self._d * o._d)
+        return _cyclotomic(self.order, _fold(out, self.order), d)
 
     __rmul__ = __mul__
 

@@ -3,8 +3,24 @@
 import itertools
 
 from fsind.constructors import CayleyTable, CoalgebraSpec
-from fsind.linalg import Matrix, inverse
-from fsind.pivotal import ModuleRep, PivotalAlgebra
+from fsind.formulas import (
+    DegenerateTraceForm,
+    NotAnIntegral,
+    NotSeparable,
+    NotSymmetric,
+    SeparabilityIdempotent,
+    SymmetricFormData,
+    validate_separability,
+)
+from fsind.linalg import Matrix, SingularMatrix, inverse
+from fsind.pivotal import (
+    ModuleRep,
+    PivotalAlgebra,
+    _accumulate,
+    _dense,
+    _evaluate,
+    _sparse,
+)
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION, RatFun
 
 
@@ -245,6 +261,67 @@ def validate_separability_by_definition(A, E):
         if lhs != rhs:
             bad.append("aE = Ea fails on basis element %d" % i)
     return bad
+
+
+def casimir_sum(A, chi, terms):
+    """chi(sum S(u) g v) over the sparse terms u x v, the element built
+    afresh for each character: the reference for the indicator elements the
+    closed-form routes keep per algebra."""
+    g = _sparse(A.g)
+    return _evaluate(A.tag, chi, _accumulate(
+        kx for u, v in terms
+        for kx in A.multiply(A.multiply(A.apply_S(u), g), v).items()))
+
+
+def integral_idempotent_by_full_loop(A):
+    """formulas.hopf_integral_idempotent with the integral checked on every
+    basis element: the reference for its check on generators, raising the
+    same exceptions with the same messages."""
+    lam, one = _sparse(A.integral), A.tag.one()
+    if _evaluate(A.tag, A.counit, lam) != one:
+        raise NotAnIntegral("eps(Lambda) != 1")
+    for i in range(A.dim):
+        b = {i: one}
+        expected = _accumulate((k, A.counit[i] * x) for k, x in lam.items())
+        if A.multiply(b, lam) != expected or A.multiply(lam, b) != expected:
+            raise NotAnIntegral(
+                "Lambda is not a two-sided integral (fails at %d)" % i)
+    left = {}
+    for k, lk in lam.items():
+        for i, j, c in A.comult.get(k, ()):
+            left.setdefault(j, []).append((i, lk * c))
+    terms = []
+    for j in sorted(left):
+        u = A.apply_S(_accumulate(left[j]))
+        if u:
+            terms.append((_dense(A, u), _dense(A, {j: one})))
+    E = SeparabilityIdempotent(terms)
+    bad = validate_separability(A, E)
+    if bad:
+        raise NotSeparable(bad)
+    return E
+
+
+def symmetric_form_data_by_products(A):
+    """The Gram matrix phi(b_i b_j) by dense products of basis vectors, the
+    dual basis from the columns of its inverse and the volume
+    sum_i b_i b_i-dual by dense products: the reference for
+    formulas.symmetric_form_data."""
+    n, z = A.dim, A.tag.zero()
+    basis = [basis_vector(A, i) for i in range(n)]
+    gram = Matrix(A.tag, [[sum((x * y for x, y in zip(
+        A.trace_form, multiply(A, basis[i], basis[j]))), z)
+        for j in range(n)] for i in range(n)])
+    if gram != gram.transpose():
+        raise NotSymmetric("phi(ab) != phi(ba) somewhere")
+    try:
+        dual = [tuple(col) for col in zip(*inverse(gram).rows)]
+    except SingularMatrix:
+        raise DegenerateTraceForm("the Gram matrix of phi is singular")
+    volume = (z,) * n
+    for b, w in zip(basis, dual):
+        volume = tuple(x + y for x, y in zip(volume, multiply(A, b, w)))
+    return SymmetricFormData(dual_basis=dual, volume=volume)
 
 
 def dual_numbers():

@@ -1,11 +1,13 @@
 """Separability, symmetric-form, Doi, and antipode-trace cross-checks."""
 
+import collections
 import dataclasses
 import functools
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fsind.constructors import (
     builtin_document,
@@ -19,7 +21,7 @@ from fsind.constructors import (
     scheme_to_grouplike,
     SchemeSpec,
 )
-from fsind import formulas
+from fsind import cli, formulas
 from fsind.documents import document_from_dict
 from fsind.formulas import (
     DegenerateTraceForm,
@@ -27,8 +29,10 @@ from fsind.formulas import (
     NotAbsolutelySimple,
     NotAnIntegral,
     NotSelfDual,
+    NotSeparable,
     NotSymmetric,
     SeparabilityIdempotent,
+    SymmetricFormData,
     ZeroValency,
     ZeroVolumeCharacter,
     doi_grouplike_indicator,
@@ -53,12 +57,16 @@ from fsind.pivotal import (
     twist_algebra,
     validate_module,
     validate_pivotal,
+    _sparse,
 )
 from fsind.scalars import RATIONAL
 from small_algebras import (
     basis_vector,
+    casimir_sum,
     dual_numbers,
+    integral_idempotent_by_full_loop,
     multiply,
+    symmetric_form_data_by_products,
     upper_triangular,
     upper_triangular_natural,
     validate_separability_by_definition,
@@ -116,6 +124,39 @@ def test_non_integrals_are_rejected():
             A, integral=(F(1), F(0))))
     with pytest.raises(MissingData):
         hopf_integral_idempotent(dataclasses.replace(A, integral=None))
+
+
+def idempotent_outcome(build, A):
+    """The terms of build(A), or the type and message of what it raised."""
+    try:
+        return build(A).terms
+    except (NotAnIntegral, NotSeparable) as e:
+        return type(e), str(e)
+
+
+INTEGRAL_EDITS = st.tuples(st.sampled_from(("integral", "counit")),
+                           st.integers(0, 7),
+                           st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GROUP_DOCS), st.lists(INTEGRAL_EDITS, min_size=1,
+                                             max_size=2))
+# eps(Lambda) = 1 and b_1, the one generator, passes; eps is not
+# multiplicative, and b_2 is where the integral fails
+@example("C4", [("counit", 2, F(0)), ("counit", 3, F(2))])
+def test_integral_check_on_generators_matches_the_full_loop(name, edits):
+    """After one or two entries of the integral or the counit change (index
+    taken mod dim), the check on generators gives the same E, or raises the
+    same exception with the same message, as the check on every basis
+    element."""
+    A = load(name).algebra
+    fields = {"integral": list(A.integral), "counit": list(A.counit)}
+    for field, k, value in edits:
+        fields[field][k % A.dim] = A.tag.coerce(value)
+    A = dataclasses.replace(A, **{f: tuple(v) for f, v in fields.items()})
+    assert idempotent_outcome(hopf_integral_idempotent, A) == \
+        idempotent_outcome(integral_idempotent_by_full_loop, A)
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,6 +266,14 @@ def test_trace_form_validation():
         symmetric_form_data(dataclasses.replace(B, trace_form=None))
 
 
+def test_symmetric_form_data_matches_the_dense_products():
+    algebras = [load(name).algebra for name in builtin_names()]
+    for A in algebras + [dual_numbers()]:
+        if A.trace_form is not None:
+            assert symmetric_form_data(A) == \
+                symmetric_form_data_by_products(A), A.name
+
+
 def test_zero_volume_character():
     A = dual_numbers()
     assert validate_pivotal(A) == []
@@ -236,6 +285,135 @@ def test_zero_volume_character():
     assert data.volume == two_x
     with pytest.raises(ZeroVolumeCharacter):
         fs_via_symmetric(A, triv, data)
+
+
+# --- one indicator element per twisted algebra ---------------------------------
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the elements each route builds, by route name."""
+    counts = collections.Counter()
+    element = formulas._element
+
+    def counting(A, route, source, build):
+        def counted():
+            counts[route] += 1
+            return build()
+        return element(A, route, source, counted)
+
+    monkeypatch.setattr(formulas, "_element", counting)
+    return counts
+
+
+@pytest.mark.parametrize("name, expected", [
+    # 5 modules, no twist: 10 cells would build 10 elements
+    ("Q8", {"separability": 1, "symmetric": 1}),
+    # 4 modules, 2 twists
+    ("C4", {"separability": 2, "symmetric": 2}),
+    # 3 modules; no integral
+    ("scheme-C4-cycle", {"symmetric": 1, "doi": 1}),
+])
+def test_table_builds_one_element_per_route_and_twist(
+        name, expected, builds, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(builtin_document(name)))
+    assert cli.main(["table", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["discrepancy"] is False
+    assert builds == expected
+
+
+def test_doi_builds_one_element_per_twist_for_any_number_of_characters(
+        builds):
+    A = load("S3-grouplike").algebra
+    for T in [None] + list(A.involutions.values()):
+        At = twist_algebra(A, T)
+        for chi in (A.grouplike.eps, (1,) * A.dim):
+            doi_grouplike_indicator(At, chi, 1)
+    assert builds == {"doi": 2}
+
+
+def test_an_equal_but_fresh_source_rebuilds_the_element(builds):
+    A = load("C3").algebra
+    V = load("C3").modules["chi1"]
+    E, data = hopf_integral_idempotent(A), symmetric_form_data(A)
+    for source in (E, E, SeparabilityIdempotent(list(E.terms)), E):
+        fs_via_separability(A, V, source)
+    for source in (data, data, SymmetricFormData(list(data.dual_basis),
+                                                 data.volume)):
+        fs_via_symmetric(A, V, source)
+    assert builds == {"separability": 3, "symmetric": 2}
+    B = k3_algebra()
+    doi_grouplike_indicator(B, (1, -1), 1)
+    B.grouplike = GroupLikeData(B.grouplike.star, B.grouplike.eps)
+    doi_grouplike_indicator(B, (1, -1), 1)
+    doi_grouplike_indicator(B, (1, 2), 1)
+    assert builds["doi"] == 2
+
+
+def test_replaced_and_twisted_algebras_start_without_elements(builds):
+    doc = load("C3-inv")
+    A, V = doc.algebra, doc.modules["chi1"]
+    E = hopf_integral_idempotent(A)
+    fs_via_separability(A, V, E)
+    for B in (twist_algebra(A, A.involutions["inv"]),
+              dataclasses.replace(A), dataclasses.replace(A, name="B")):
+        assert "_indicator_elements" not in vars(B)
+        fs_via_separability(B, V, E)
+    assert builds == {"separability": 4}
+    assert dataclasses.replace(A) == A
+
+
+def dual_basis_reference(A, At, chi, dim, dual_basis):
+    """(nu, schur) of the dual-basis route over At for one character, its
+    element built afresh and the volume by dense products."""
+    one, z = A.tag.one(), A.tag.zero()
+    volume = [z] * A.dim
+    for i, w in enumerate(dual_basis):
+        volume = [x + y for x, y in
+                  zip(volume, multiply(A, basis_vector(A, i), w))]
+    chi_vol = sum((c * x for c, x in zip(chi, volume)), z)
+    d = A.tag.coerce(dim)
+    w = casimir_sum(At, chi, [({i: one}, _sparse(u))
+                              for i, u in enumerate(dual_basis)])
+    return d / chi_vol * w, chi_vol / (d * d)
+
+
+def test_cached_elements_match_the_sums_built_per_module():
+    """Every builtin module under every twist, each route called twice (the
+    second time on its kept element), against the sum built afresh."""
+    for name in builtin_names():
+        doc = load(name)
+        A = doc.algebra
+        E = hopf_integral_idempotent(A) if A.integral is not None else None
+        data = symmetric_form_data(A) if A.trace_form is not None else None
+        doi_dual = [tuple(x / e for x in basis_vector(A, j)) for j, e in
+                    zip(A.grouplike.star, A.grouplike.eps)
+                    ] if A.grouplike is not None else None
+        for T in [None] + list(A.involutions.values()):
+            At = twist_algebra(A, T)
+            for V in doc.modules.values():
+                chi, where = V.character_on_basis(), (name, T, V.name)
+                if E is not None:
+                    expected = casimir_sum(At, chi, [
+                        (_sparse(u), _sparse(v)) for u, v in E.terms])
+                    for _ in range(2):
+                        assert fs_via_separability(At, V, E) == expected, where
+                if data is not None and not fs_indicator(At, V).abs_simple:
+                    with pytest.raises(NotAbsolutelySimple):
+                        fs_via_symmetric(At, V, data)
+                elif data is not None:
+                    expected = dual_basis_reference(
+                        A, At, chi, V.dim,
+                        symmetric_form_data_by_products(A).dual_basis)
+                    for _ in range(2):
+                        out = fs_via_symmetric(At, V, data)
+                        assert (out.nu, out.schur) == expected, where
+                if doi_dual is not None:
+                    expected, _ = dual_basis_reference(A, At, chi, V.dim,
+                                                       doi_dual)
+                    for _ in range(2):
+                        assert doi_grouplike_indicator(At, chi, V.dim) == \
+                            expected, where
 
 
 # --- antipode traces ----------------------------------------------------------

@@ -18,6 +18,8 @@ from fsind.scalars import (
     field_tag_from_string,
     parse_scalar,
     scalar_to_string,
+    _cyclotomic,
+    _fold,
     _gcd_heu,
     _poly_string,
     _primitive,
@@ -321,6 +323,39 @@ def test_cyclotomic_matches_the_polynomial_reference(operands, e):
     assert _stored(c) == _stored(a) and c == a and hash(c) == hash(a)
     tag = cyclotomic_field(order)
     assert parse_scalar(scalar_to_string(a), tag).coeffs == a.coeffs
+
+
+def product_by_convolution(a, b):
+    """a * b by the general path: convolve the numerators, fold z^phi and
+    above, normalise over the product of the denominators."""
+    out = [0] * (2 * len(a._n) - 1)
+    for i, x in enumerate(a._n):
+        for j, y in enumerate(b._n):
+            out[i + j] += x * y
+    return _cyclotomic(a.order, _fold(out, a.order), a._d * b._d)
+
+
+@st.composite
+def rational_and_general(draw):
+    """(order, c, x): a rational constant c, zero and negatives included,
+    and a general x of Q(z_order)."""
+    order = draw(st.sampled_from((3, 4, 5, 8, 12)))
+    constants = st.sampled_from((F(0), F(-1), F(-3, 4))) | small_fractions
+    c = Cyclotomic(order, (draw(constants),))
+    return order, c, draw(cyclotomics(order))
+
+
+@given(rational_and_general())
+@example((4, Cyclotomic(4, (F(0),)), Cyclotomic(4, (F(1, 2), F(-3)))))
+@example((12, Cyclotomic(12, (F(-2, 3),)), Cyclotomic(12, (F(3, 4),))))
+def test_rational_factor_scales_like_the_convolution(operands):
+    order, c, x = operands
+    for a, b in ((c, x), (x, c), (c, c)):
+        expected = product_by_convolution(a, b)
+        got = a * b
+        assert (got.order, got._n, got._d) == \
+            (expected.order, expected._n, expected._d)
+        _stored(got)
 
 
 def test_cyclotomic_inverse_at_order_105():
