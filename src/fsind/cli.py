@@ -159,7 +159,7 @@ class MethodRunner:
                 values.append(value)
         if self.A.grouplike is not None and "def" in methods:
             entry, value = self._doi_entry(
-                V.character_on_basis(), V.dim, At, rep)
+                V.character_on_basis, V.dim, At, rep)
             out["methods"]["doi"] = entry
             if value is not None:
                 values.append(value)

@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import Matrix, _transpose
 from .pivotal import (
     GroupLikeData,
     ModuleRep,
     PivotalAlgebra,
     ValidationError,
+    _accumulate,
 )
 from .scalars import FieldTag, scalar_to_string
 
@@ -393,13 +394,10 @@ def scheme_to_grouplike(spec: SchemeSpec, tag: FieldTag, name="scheme"):
 
 def scheme_standard_module(spec: SchemeSpec, tag: FieldTag, name="standard"):
     """The adjacency matrices acting on the underlying point set."""
-    z, o = tag.zero(), tag.one()
-    mats = []
-    for i in range(spec.rank):
-        mats.append(Matrix(tag, [[o if spec.relations[x][y] == i else z
-                                  for y in range(spec.size)]
-                                 for x in range(spec.size)]))
-    return ModuleRep(name, spec.size, tuple(mats))
+    o = tag.one()
+    return ModuleRep(name, spec.size, tuple(
+        [{y: o for y, rel in enumerate(row) if rel == i}
+         for row in spec.relations] for i in range(spec.rank)), tag)
 
 
 def scheme_involution(A: PivotalAlgebra, perm):
@@ -471,17 +469,12 @@ def dualize_coalgebra(spec: CoalgebraSpec):
 
 
 def coalgebra_regular_module(spec: CoalgebraSpec, name="coreg"):
-    """C as a module over its dual via f . c = c_1 f(c_2)."""
-    z = spec.tag.zero()
-    mats = []
-    for i in range(spec.dim):
-        rows = [[z] * spec.dim for _ in range(spec.dim)]
-        for k in range(spec.dim):
-            for s, t, c in spec.comult.get(k, ()):
-                if t == i:
-                    rows[s][k] = rows[s][k] + c
-        mats.append(Matrix(spec.tag, rows))
-    return ModuleRep(name, spec.dim, tuple(mats))
+    """C as a module over its dual via f . c = c_1 f(c_2): column k of
+    R(b_i) sums c b_s over the terms c b_s x b_i of D(b_k)."""
+    n = spec.dim
+    return ModuleRep(name, n, tuple(_transpose(
+        [_accumulate((s, c) for s, t, c in spec.comult.get(k, ()) if t == i)
+         for k in range(n)], n) for i in range(n)), spec.tag)
 
 
 def coalgebra_regular_indicator(spec: CoalgebraSpec):
@@ -524,10 +517,6 @@ def group_like_coalgebra(ct: CayleyTable, tag: FieldTag, labels=None,
 
 def _one_dim(values):
     return [[[scalar_to_string(v)]] for v in values]
-
-
-def _mats(ms):
-    return [[[scalar_to_string(x) for x in row] for row in m] for m in ms]
 
 
 def _cyclic_char_doc(n, field):
@@ -684,16 +673,16 @@ def _s3_grouplike_doc():
     # thin scheme of the group: relation index of (x, y) is x^-1 y
     inv = [ct.inverse(i) for i in range(n)]
     rel = [[ct.table[inv[x]][y] for y in range(n)] for x in range(n)]
-    spec = SchemeSpec(size=n, rank=n, relations=tuple(tuple(r) for r in rel))
-    std = scheme_standard_module(spec, FieldTag("rational"))
     # conjugation by the swap s is an involutive scheme symmetry
     s_idx = 3
     conj = [ct.table[ct.table[s_idx][i]][inv[s_idx]] for i in range(n)]
     return {
         "field": "rational",
         "scheme": {"size": n, "relations": [list(r) for r in rel]},
-        "modules": [{"name": "standard", "dim": n,
-                     "action": _mats([m.rows for m in std.action])}],
+        # the standard module: relation i acts by its adjacency matrix
+        "modules": [{"name": "standard", "dim": n, "action": [
+            [["1" if r == i else "0" for r in row] for row in rel]
+            for i in range(n)]}],
         "involutions": [{"name": "conj", "perm": conj}],
     }
 

@@ -45,6 +45,7 @@ from .pivotal import (
     ModuleRep,
     PivotalAlgebra,
     ValidationError,
+    _sparse,
     validate_algebra_involution,
     validate_module,
     validate_pivotal,
@@ -112,12 +113,13 @@ def _vector(tag, xs, n, where, memo=None):
     return tuple(out)
 
 
-def _matrix(tag, rows, nrows, ncols, where):
+def _rows(tag, rows, nrows, ncols, where):
+    """The rows of a matrix as scalar tuples."""
     if not isinstance(rows, list) or len(rows) != nrows:
         raise DocumentError("%s: expected %d matrix rows" % (where, nrows))
     memo = {}
-    return Matrix(tag, [_vector(tag, r, ncols, "%s[%d]" % (where, i), memo)
-                        for i, r in enumerate(rows)])
+    return [_vector(tag, r, ncols, "%s[%d]" % (where, i), memo)
+            for i, r in enumerate(rows)]
 
 
 def _index(x, bound, where):
@@ -241,7 +243,7 @@ def _load_coalgebra_section(section, tag, name):
         comult=_structure_constants(tag, comult_raw, dim, "coalgebra.comult",
                                     comult=True),
         counit=_vector(tag, counit_raw, dim, "coalgebra.counit"),
-        S=_matrix(tag, s_raw, dim, dim, "coalgebra.S"),
+        S=Matrix(tag, _rows(tag, s_raw, dim, dim, "coalgebra.S")),
         gamma=_vector(tag, gamma_raw, dim, "coalgebra.gamma"),
         name=name,
     )
@@ -263,7 +265,7 @@ def _load_algebra_section(section, tag, name):
         labels=_labels(section, dim, "algebra"),
         mult=_structure_constants(tag, section["mult"], dim, "algebra.mult"),
         unit=_vector(tag, section["unit"], dim, "algebra.unit"),
-        S=_matrix(tag, section["S"], dim, dim, "algebra.S"),
+        S=Matrix(tag, _rows(tag, section["S"], dim, dim, "algebra.S")),
         g=_vector(tag, section["g"], dim, "algebra.g"),
         name=name,
     )
@@ -283,9 +285,10 @@ def _load_module(A, entry, where):
         raise DocumentError("%s.action: expected one %dx%d matrix per"
                             " algebra basis element (%d of them)"
                             % (where, dim, dim, A.dim))
-    mats = tuple(_matrix(A.tag, m, dim, dim, "%s.action[%d]" % (where, i))
+    mats = tuple([_sparse(r) for r in _rows(A.tag, m, dim, dim,
+                                             "%s.action[%d]" % (where, i))]
                  for i, m in enumerate(action))
-    return ModuleRep(name, dim, mats)
+    return ModuleRep(name, dim, mats, A.tag)
 
 
 def _list(doc, key):
@@ -394,8 +397,8 @@ def document_from_dict(doc, name=None, validate=None):
                     if bad:
                         raise ValidationError(bad)
             else:
-                T = _matrix(tag, entry["matrix"], A.dim, A.dim,
-                            where + ".matrix")
+                T = Matrix(tag, _rows(tag, entry["matrix"], A.dim, A.dim,
+                                      where + ".matrix"))
                 if validate:
                     bad = validate_algebra_involution(A, T)
                     if bad:

@@ -16,10 +16,12 @@ x' (x) x'' of A (x) A:
 
 S(x') g x'' is the indicator element (Linchenko-Montgomery,
 Kashina-Sommerhaeuser-Zhu) with the pivotal g; it does not depend on V.
-Each route builds its own once per algebra from its own input, so a module
-costs one character evaluation. The integral is checked on generators.
+Each route builds its own once per algebra from its own input, and each
+module computes chi_V on the basis once (ModuleRep.character_on_basis), so
+a cell costs one evaluation. The integral is checked on generators.
 
-Every product is PivotalAlgebra.multiply on sparse elements. Dense tuples
+Every product is PivotalAlgebra.multiply on sparse elements, and module
+matrices are read as the sparse rows they are stored in. Dense tuples
 remain only in the results that callers read: SeparabilityIdempotent.terms
 and SymmetricFormData.
 
@@ -40,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, SingularMatrix, SparseRows, _rref_in_place,
-                     inverse, rank)
+from .linalg import (Matrix, SingularMatrix, SparseRows, _back_substitute,
+                     _pivots, inverse, rank)
 from .pivotal import (
     MissingData,
     ModuleRep,
@@ -204,7 +206,7 @@ def fs_via_separability(A: PivotalAlgebra, V: ModuleRep,
     """nu(V) = chi_V(S(E') g E'')."""
     w = _element(A, "separability", E, lambda: _casimir_element(
         A, [(_sparse(u), _sparse(v)) for u, v in E.terms]))
-    return _evaluate(A.tag, V.character_on_basis(), w)
+    return _evaluate(A.tag, V.character_on_basis, w)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +273,12 @@ def symmetric_form_data(A: PivotalAlgebra):
     return _dual_basis_data(A, [_sparse(row) for row in graminv.rows])
 
 
+def _vec(m, d, start=0):
+    """Row-major vec of d x d sparse rows m, as (start + index, value)."""
+    return [(start + r * d + c, x) for r, row in enumerate(m)
+            for c, x in row.items()]
+
+
 def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
                      data: SymmetricFormData | None = None):
     """Dual-basis character sum; also reports the Schur element.
@@ -281,15 +289,14 @@ def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
     if data is None:
         data = symmetric_form_data(A)
     d = V.dim
-    rows = [[(r * d + c, x) for r, row in enumerate(m) for c, x in row.items()]
-            for m in V.action_rows]
+    rows = [_vec(m, d) for m in V.action]
     if rank(SparseRows(A.tag, d * d, rows)) != d * d:
         raise NotAbsolutelySimple(
             "module %r is not absolutely simple; the dual-basis formula is"
             " heuristic here" % V.name)
     element = _element(A, "symmetric", data,
                        lambda: _dual_basis_element(A, data))
-    nu, schur = _dual_basis_sum(A, V.character_on_basis(), V.dim, element,
+    nu, schur = _dual_basis_sum(A, V.character_on_basis, V.dim, element,
                                 "chi_%s" % V.name)
     return SymmetricIndicator(nu=nu, schur=schur)
 
@@ -309,32 +316,35 @@ def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep):
     """(Trace(S_V), Trace(Q_V)) with S_V(rho(a)) = rho(S(a)) on the image.
 
     Requires V absolutely simple and self-dual, which is exactly when S_V
-    is well defined. One elimination of the rows vec R(b_i) | vec R(S(b_i))
-    decides both: the left halves span End(V) exactly when V is absolutely
-    simple (Burnside), and S descends exactly when no pivot falls in the
-    right half. Row k is then E_k | vec S_V(E_k) for the matrix unit
-    E_k = E_rc: its entry d^2 + k adds to Trace(S_V), and row r of S_V(E_k)
-    dotted with column c of R(g) adds entry k of Q_V(E_k) = S_V(E_k) R(g).
+    is well defined. One elimination of the rows vec R(S(b_i)) | vec R(b_i),
+    each pivoting at its last nonzero column, decides both: the right
+    halves span End(V) exactly when V is absolutely simple (Burnside),
+    which is when every right-half column pivots, and S descends exactly
+    when no pivot falls in the left half. Reduced, the row pivoting at
+    d^2 + k is then vec S_V(E_k) | E_k for the matrix unit E_k = E_rc: its
+    entry k adds to Trace(S_V), and row r of S_V(E_k) dotted with column c
+    of R(g) adds entry k of Q_V(E_k) = S_V(E_k) R(g).
     """
     d = V.dim
     d2 = d * d
-    rows = [list(V.action[i].vec())
-            + list(V.of_vector(A.S_columns[i]).vec())
-            for i in range(A.dim)]
-    pivots = _rref_in_place(rows, 2 * d2)
-    if pivots[:d2] != list(range(d2)):
+    pivots = _pivots(_vec(V.of_vector(A.S_columns[i]), d)
+                     + _vec(V.action[i], d, d2) for i in range(A.dim))
+    if sum(c >= d2 for c in pivots) != d2:
         raise NotAbsolutelySimple(
             "the action does not span End(%s)" % V.name)
     if len(pivots) > d2:
         raise NotSelfDual(
             "the antipode does not descend to the image of %s" % V.name)
-    rg = V.of_vector(A.g).rows
+    _back_substitute(pivots)
+    rg = V.of_vector(A.g)
     trace_s = trace_q = A.tag.zero()
-    for k, row in enumerate(rows[:d2]):
+    for k in range(d2):
         r, c = divmod(k, d)
-        trace_s = trace_s + row[d2 + k]
-        for t, x in enumerate(row[d2 + r * d:d2 + (r + 1) * d]):
-            if x and rg[t][c]:
+        for j, x in pivots[d2 + k].items():
+            s, t = divmod(j, d)  # x is entry (s, t) of S_V(E_k)
+            if j == k:
+                trace_s = trace_s + x
+            if s == r and c in rg[t]:
                 trace_q = trace_q + x * rg[t][c]
     return trace_s, trace_q
 
@@ -408,4 +418,4 @@ def fs_hopf_character_formula(A: PivotalAlgebra, V: ModuleRep, alpha):
         for i, j, c in A.comult.get(k, ())
         for s, t, c2 in A.comult.get(j, ())
         for kv in A.multiply({s: lk * c * alpha_s[i] * c2}, {t: one}).items())
-    return _evaluate(A.tag, V.character_on_basis(), x)
+    return _evaluate(A.tag, V.character_on_basis, x)

@@ -1,13 +1,15 @@
 """Exact linear algebra over the scalar fields.
 
-Matrix is dense and immutable by convention (nothing mutates rows after
-construction). One sparse Gauss-Jordan elimination gives every rank,
-kernel and RREF: _insert_row adds a row to a growing set of unit pivot
-rows, _back_substitute fully reduces them, and _rref_in_place (inverse,
-span solving) runs both on mirrored columns. Determinants use
-fraction-free Bareiss elimination so rational-function entries do not
-balloon. The intertwiner solver never goes dense: its d^2 x d^2 systems
-are built, eliminated and restricted as SparseRows.
+A module's matrices are sparse rows, dicts {column: value} without zeros,
+which intertwiner_constraint takes as they are. Matrix is dense (S, T, Gram
+matrices, the transposition) and immutable by convention. One sparse
+Gauss-Jordan elimination gives every rank, kernel and RREF: _insert_row
+adds a row to a growing set of unit pivot rows, _back_substitute fully
+reduces them, and _rref_in_place (inverse, span solving) runs both on
+mirrored columns. Determinants use fraction-free Bareiss elimination so
+rational-function entries do not balloon. The intertwiner solver never
+goes dense: its d^2 x d^2 systems are built, eliminated and restricted as
+SparseRows.
 
 Kernel bases are sparse vectors [(column, value), ...] in ascending column
 order, whatever the input, and canonical: the rows of the unique reduced
@@ -46,11 +48,6 @@ class Matrix:
             if len(r) != self.ncols:
                 raise DimensionMismatch("ragged rows")
         self.rows = rows
-
-    @staticmethod
-    def zeros(tag, nrows, ncols):
-        z = tag.zero()
-        return Matrix(tag, [[z] * ncols for _ in range(nrows)])
 
     @staticmethod
     def identity(tag, n):
@@ -96,9 +93,6 @@ class Matrix:
             raise DimensionMismatch("shape %s vs %s" % (self.shape, other.shape))
         return Matrix(self.tag, [[a - b for a, b in zip(ra, rb)]
                                  for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return Matrix(self.tag, [[-a for a in r] for r in self.rows])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -270,8 +264,19 @@ def kernel_basis(m):
     return list(vectors.values())
 
 
-def intertwiner_constraint(a: Matrix, b: Matrix):
-    """SparseRows of X -> bX - Xa on row-major vec(X), X being b.nrows x a.nrows.
+def _transpose(rows, ncols):
+    """The transpose of a matrix with ncols columns given as sparse rows
+    {column: value}, again as sparse rows."""
+    out = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
+
+
+def intertwiner_constraint(tag, a, b, dv, dw):
+    """SparseRows of X -> bX - Xa on row-major vec(X), X being dw x dv, for
+    a (dv x dv) and b (dw x dw) given as sparse rows {column: value}.
 
     Its kernel is {X : X a = b X}, the maps intertwining a with b. Every
     linear system of the package (hom spaces, invariant forms, commutants)
@@ -279,23 +284,21 @@ def intertwiner_constraint(a: Matrix, b: Matrix):
     row r of b and of column c of a, so a permutation action gives at most
     two entries a row.
     """
-    if a.nrows != a.ncols or b.nrows != b.ncols:
-        raise DimensionMismatch("intertwiner constraint needs square matrices,"
-                                " got %s and %s" % (a.shape, b.shape))
-    dv, dw = a.nrows, b.nrows
-    b_rows = [[(s, x) for s, x in enumerate(row) if x] for row in b.rows]
-    a_cols = [[(t, -y) for t, y in enumerate(col) if y]
-              for col in zip(*a.rows)]
+    for m, d in ((a, dv), (b, dw)):
+        if len(m) != d or any(not 0 <= c < d for row in m for c in row):
+            raise DimensionMismatch("intertwiner constraint needs %d x %d"
+                                    " sparse rows" % (d, d))
+    a_cols = [[(t, -y) for t, y in col.items()] for col in _transpose(a, dv)]
     rows = []
-    for r, b_row in enumerate(b_rows):
+    for r, b_row in enumerate(b):
         for c, a_col in enumerate(a_cols):
-            row = {s * dv + c: x for s, x in b_row}
+            row = {s * dv + c: x for s, x in b_row.items()}
             for t, y in a_col:  # the terms share only the cell t = c, s = r
                 j = r * dv + t
                 x = row.get(j)
                 row[j] = y if x is None else x + y
             rows.append([(j, x) for j, x in row.items() if x])
-    return SparseRows(a.tag, dw * dv, rows)
+    return SparseRows(tag, dw * dv, rows)
 
 
 def _axpy(acc, f, v):

@@ -12,13 +12,15 @@ zeros. PivotalAlgebra.multiply, read off the structure constants A.mult, is
 the one product, and apply_S applies S through its sparse columns
 A.S_columns, computed once per algebra. Dense coefficient tuples remain only
 in the fields that documents fill (unit, g, counit, integral, trace_form);
-each is made sparse where a computation starts.
+each is made sparse where a computation starts. A module's R(b_i) are
+sparse rows, dicts {column: value} without zeros (ModuleRep.action), as
+every constructor writes them and every route reads them.
 
 One core, indicator_from_presentation, computes every indicator report. It
 reads a module only through a presentation: R(b) and R(S(b)) for generators
-b of the algebra, and R(g). fs_indicator feeds it PivotalAlgebra.generators;
-qsl2 feeds it K, E and F. Every linear system (the forms, End(V), and
-Hom(V, W) in hom_space) is the joint kernel of one
+b of the algebra, and R(g), as sparse rows. fs_indicator feeds it
+PivotalAlgebra.generators; qsl2 feeds it K, E and F. Every linear system
+(the forms, End(V), and Hom(V, W) in hom_space) is the joint kernel of one
 linalg.intertwiner_constraint per generator, not one per basis element:
 b -> R(b) and b -> R(S(b))^T are algebra maps, so a map intertwining them
 on generators does so on all of A. A constraint is sparse rows, each
@@ -26,7 +28,7 @@ holding the nonzeros of a row of one matrix and a column of the other, and
 kernel_intersection restricts each to the kernel found so far: no
 d^2 x d^2 system is ever dense. Its result, sparse RREF vectors, stays
 sparse through the transposition and the End(V) count; Matrix.from_sparse
-reshapes it only where a caller reads Gram or hom matrices.
+reshapes it only into the Gram and hom matrices that callers read.
 
 Twisting by an involution tau replaces S by S o tau and keeps g. That is
 the only place a twist enters: twist_algebra builds (A, S o tau, g), and
@@ -45,6 +47,7 @@ from .linalg import (
     _axpy,
     _combine,
     _insert_row,
+    _transpose,
     det,
     intertwiner_constraint,
     kernel_intersection,
@@ -98,6 +101,11 @@ def _apply_columns(cols, u):
     """M u for the sparse columns cols of a matrix M and a sparse u."""
     return _accumulate((r, x * s) for m, x in u.items()
                        for r, s in cols[m].items())
+
+
+def _times(a, b):
+    """a b for matrices given as sparse rows {column: value}."""
+    return [_apply_columns(b, row) for row in a]
 
 
 def _evaluate(tag, covector, u):
@@ -184,30 +192,31 @@ class PivotalAlgebra:
 class ModuleRep:
     name: str
     dim: int
-    action: tuple  # one dim x dim Matrix per algebra basis index
+    # R(b_i) per basis index i, as dim sparse rows {column: value}, no zeros
+    action: tuple
+    tag: FieldTag
 
     def of_vector(self, u):
-        """R(u) for a sparse element u, or a dense coefficient tuple."""
+        """R(u) as sparse rows, for a sparse element u or a dense
+        coefficient tuple."""
         u = u if isinstance(u, dict) else _sparse(u)
-        out = None
-        for k, c in u.items():
-            term = self.action[k] if c == 1 else self.action[k].scale(c)
-            out = term if out is None else out + term
-        if out is None:
-            return Matrix.zeros(self.action[0].tag, self.dim, self.dim)
-        return out
+        return [_accumulate((c, x * y) for k, x in u.items()
+                            for c, y in self.action[k][r].items())
+                for r in range(self.dim)]
 
     @cached_property
-    def action_rows(self):
-        """R(b_i) as lists of sparse rows {column: value}. Not a field, so
+    def character_on_basis(self):
+        """chi_V(b_i), the trace of R(b_i), for each basis index. Computed
+        once per module, as S_columns is per algebra; not a field, so
         replace() builds a module that computes its own."""
-        return [[_sparse(row) for row in m.rows] for m in self.action]
+        z = self.tag.zero()
+        return tuple(sum((row[r] for r, row in enumerate(m) if r in row), z)
+                     for m in self.action)
 
     def character(self, u):
-        return self.of_vector(u).trace()
-
-    def character_on_basis(self):
-        return tuple(m.trace() for m in self.action)
+        """chi_V(u) for a sparse element u or a dense coefficient tuple."""
+        return _evaluate(self.tag, self.character_on_basis,
+                         u if isinstance(u, dict) else _sparse(u))
 
 
 @dataclass
@@ -314,20 +323,12 @@ def validate_module(A: PivotalAlgebra, V: ModuleRep):
     R(w x) = R(w) R(x), and words span A (A is associative: validate_pivotal
     or its constructor proves it). On a failure every (i, j) is checked.
     """
-    rows = V.action_rows
-
-    def of_vector(u):
-        return [_accumulate((c, x * y) for k, x in u.items()
-                            for c, y in rows[k][r].items())
-                for r in range(V.dim)]
-
     def breaks(i, j):
-        prod = _accumulate(A.mult.get((i, j), ()))
-        return ([_apply_columns(rows[j], row) for row in rows[i]]
-                != of_vector(prod))
+        return (_times(V.action[i], V.action[j])
+                != V.of_vector(_accumulate(A.mult.get((i, j), ()))))
 
     one = A.tag.one()
-    unit_ok = of_vector(_sparse(A.unit)) == [{r: one} for r in range(V.dim)]
+    unit_ok = V.of_vector(A.unit) == [{r: one} for r in range(V.dim)]
     if unit_ok and not any(breaks(i, j) for i in A.generators
                            for j in range(A.dim)):
         return []
@@ -344,29 +345,25 @@ def validate_module(A: PivotalAlgebra, V: ModuleRep):
 def regular_module(A: PivotalAlgebra, name="reg"):
     """Left multiplication: column j of R(b_i) is b_i b_j."""
     return ModuleRep(name, A.dim, tuple(
-        Matrix(A.tag, zip(*(_dense(A, _accumulate(A.mult.get((i, j), ())))
-                            for j in range(A.dim))))
-        for i in range(A.dim)))
+        _transpose([_accumulate(A.mult.get((i, j), ()))
+                    for j in range(A.dim)], A.dim)
+        for i in range(A.dim)), A.tag)
 
 
 def dual_module(A: PivotalAlgebra, V: ModuleRep):
     """Dual action in the dual basis: R*(b) = R(S(b))^T."""
-    action = tuple(V.of_vector(col).transpose() for col in A.S_columns)
-    return ModuleRep("dual(%s)" % V.name, V.dim, action)
+    action = tuple(_transpose(V.of_vector(col), V.dim)
+                   for col in A.S_columns)
+    return ModuleRep("dual(%s)" % V.name, V.dim, action, V.tag)
 
 
 def direct_sum(V: ModuleRep, W: ModuleRep, name=None):
     if len(V.action) != len(W.action):
         raise MissingData("modules over different algebras")
-    tag = V.action[0].tag
-    z = tag.zero()
-    mats = []
-    for a, b in zip(V.action, W.action):
-        rows = [list(r) + [z] * W.dim for r in a.rows]
-        rows += [[z] * V.dim + list(r) for r in b.rows]
-        mats.append(Matrix(tag, rows))
-    return ModuleRep(name or "%s + %s" % (V.name, W.name),
-                     V.dim + W.dim, tuple(mats))
+    d = V.dim
+    return ModuleRep(name or "%s + %s" % (V.name, W.name), d + W.dim, tuple(
+        a + [{c + d: x for c, x in row.items()} for row in b]
+        for a, b in zip(V.action, W.action)), V.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +375,8 @@ def hom_space(A: PivotalAlgebra, V: ModuleRep, W: ModuleRep):
     Only generators of A give constraints: the b with F R_V(b) = R_W(b) F
     form a subalgebra, R_V and R_W (or b -> R(S(b))^T) being algebra maps.
     """
-    constraints = (intertwiner_constraint(V.action[i], W.action[i])
+    constraints = (intertwiner_constraint(A.tag, V.action[i], W.action[i],
+                                          V.dim, W.dim)
                    for i in A.generators)
     kernel = kernel_intersection(A.tag, constraints, W.dim * V.dim)
     return [Matrix.from_sparse(A.tag, W.dim, V.dim, v) for v in kernel]
@@ -393,7 +391,7 @@ def _presentation(A: PivotalAlgebra, V: ModuleRep):
 def _forms(tag, gens, dual_gens, d):
     """Canonical basis of the Gram matrices M with R(b)^T M = M R(S(b))
     for each generator b, as sparse RREF vectors of row-major vec(M)."""
-    constraints = (intertwiner_constraint(s, r.transpose())
+    constraints = (intertwiner_constraint(tag, s, _transpose(r, d), d, d)
                    for r, s in zip(gens, dual_gens))
     return kernel_intersection(tag, constraints, d * d)
 
@@ -414,8 +412,8 @@ def _transposition(tag, rg, forms):
     R(g) = I only permutes indices. An image's coordinates are its entries
     at the forms' pivots; NotInSpan means those do not recombine to it.
     """
-    d = rg.nrows
-    rg_rows = [[(i * d, y) for i, y in enumerate(row) if y] for row in rg.rows]
+    d = len(rg)
+    rg_rows = [[(i * d, y) for i, y in row.items()] for row in rg]
     pivots = [v[0][0] for v in forms]
     z = tag.zero()
     cols = []
@@ -487,12 +485,12 @@ def indicator_from_presentation(tag, gens, dual_gens, g):
     """IndicatorReport of a module given by a presentation.
 
     gens are R(b) for generators b of the algebra, dual_gens are R(S(b))
-    for the same b (S o tau when twisted), and g is R(g). Two systems are
-    solved: the invariant forms and End(V). nu is the trace of the
-    transposition on the forms, and dim_plus/dim_minus are the dimensions
-    of its +-1 eigenspaces.
+    for the same b (S o tau when twisted), and g is R(g), all as sparse
+    rows {column: value}. Two systems are solved: the invariant forms and
+    End(V). nu is the trace of the transposition on the forms, and
+    dim_plus/dim_minus are the dimensions of its +-1 eigenspaces.
     """
-    d = g.nrows
+    d = len(g)
     forms = _forms(tag, gens, dual_gens, d)
     m = len(forms)
     if m:
@@ -505,7 +503,7 @@ def indicator_from_presentation(tag, gens, dual_gens, g):
         nu = tag.zero()
         dim_plus = dim_minus = 0
     end_dim = len(kernel_intersection(
-        tag, (intertwiner_constraint(r, r) for r in gens), d * d))
+        tag, (intertwiner_constraint(tag, r, r, d, d) for r in gens), d * d))
     grams = [Matrix.from_sparse(tag, d, d, v) for v in forms]
     return IndicatorReport(
         nu=nu,

@@ -12,10 +12,12 @@ sign-flip involution is tau(E) = -E, tau(F) = -F, tau(K) = K.
 
 The indicator is pivotal.indicator_from_presentation, the core that
 fs_indicator also goes through, fed with the generators (K, E, F), or
-(K, -E, -F) = tau(K, E, F) when twisted, their images under S, and K. The
-form space is one-dimensional and the transposition fixes or negates its
-generator. K comes first since its constraint confines M to the
-antidiagonal, which keeps the elimination over Q(q) tiny.
+(K, -E, -F) = tau(K, E, F) when twisted, their images under S, and K.
+Every matrix is sparse rows {column: value}, as in a ModuleRep, from
+build_vl through the relations and the antipode. The form space is
+one-dimensional and the transposition fixes or negates its generator. K
+comes first since its constraint confines M to the antidiagonal, which
+keeps the elimination over Q(q) tiny.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix
 # unused; test_uninstall_restores_every_attribute pins it (ROADMAP item 1)
 from .linalg import kernel_intersection  # noqa: F401
-from .pivotal import (_accumulate, _apply_columns, _sparse,
-                      indicator_from_presentation)
+from .pivotal import _accumulate, _times, indicator_from_presentation
 from .scalars import RATIONAL_FUNCTION, RatFun, _new_ratfun
 
 TAG = RATIONAL_FUNCTION
@@ -59,13 +59,14 @@ def q_power(e):
 
 @dataclass
 class QslModule:
-    """The simple V_l in weight coordinates; two_ell = 2l."""
+    """The simple V_l in weight coordinates; two_ell = 2l. K, Kinv, E and F
+    are sparse rows {column: value}, as a ModuleRep's action is."""
 
     two_ell: int
-    K: Matrix
-    Kinv: Matrix
-    E: Matrix
-    F: Matrix
+    K: list
+    Kinv: list
+    E: list
+    F: list
 
     @property
     def dim(self):
@@ -73,29 +74,18 @@ class QslModule:
 
 
 def build_vl(two_ell):
+    """V_l with 2l = two_ell: row s of E holds [s] at column s - 1, row s
+    of F holds [L - s] at column s + 1."""
     if two_ell < 0:
         raise ValueError("2l must be non-negative")
     d = two_ell + 1
-    z = TAG.zero()
-    kd = [[z] * d for _ in range(d)]
-    kinv = [[z] * d for _ in range(d)]
-    e = [[z] * d for _ in range(d)]
-    f = [[z] * d for _ in range(d)]
-    for t in range(d):
-        kd[t][t] = q_power(2 * t - two_ell)
-        kinv[t][t] = q_power(two_ell - 2 * t)
-        if t + 1 < d:
-            e[t + 1][t] = q_integer(t + 1)
-        if t >= 1:
-            f[t - 1][t] = q_integer(two_ell - t + 1)
-    return QslModule(two_ell=two_ell,
-                     K=Matrix(TAG, kd), Kinv=Matrix(TAG, kinv),
-                     E=Matrix(TAG, e), F=Matrix(TAG, f))
-
-
-def _times(a, b):
-    """a b for matrices given as sparse rows {column: value}."""
-    return [_apply_columns(b, row) for row in a]
+    return QslModule(
+        two_ell=two_ell,
+        K=[{t: q_power(2 * t - two_ell)} for t in range(d)],
+        Kinv=[{t: q_power(two_ell - 2 * t)} for t in range(d)],
+        E=[{t - 1: q_integer(t)} if t else {} for t in range(d)],
+        F=[{t + 1: q_integer(two_ell - t)} if t < two_ell else {}
+           for t in range(d)])
 
 
 def _minus(a, b):
@@ -113,8 +103,7 @@ def verify_relations(m: QslModule):
     """The defining relations of U_q(sl2) on the module, checked on the
     nonzero cells only; [] when all hold."""
     bad = []
-    K, Kinv, E, F = ([_sparse(r) for r in x.rows]
-                     for x in (m.K, m.Kinv, m.E, m.F))
+    K, Kinv, E, F = m.K, m.Kinv, m.E, m.F
     ident = [{i: TAG.one()} for i in range(m.dim)]
     if _times(K, Kinv) != ident or _times(Kinv, K) != ident:
         bad.append("K K^-1 != 1")
@@ -139,8 +128,11 @@ def qsl2_indicator(two_ell, twisted=False, max_two_ell=DEFAULT_MAX_TWO_ELL):
     bad = verify_relations(m)
     if bad:
         raise AssertionError("module construction broke: %s" % "; ".join(bad))
-    gens = [m.K, -m.E, -m.F] if twisted else [m.K, m.E, m.F]
-    antipode = [m.Kinv, -(m.E * m.Kinv), -(m.K * m.F)]
+    minus = -TAG.one()
+    gens = ([m.K, _scaled(minus, m.E), _scaled(minus, m.F)] if twisted
+            else [m.K, m.E, m.F])
+    antipode = [m.Kinv, _scaled(minus, _times(m.E, m.Kinv)),
+                _scaled(minus, _times(m.K, m.F))]
     rep = indicator_from_presentation(TAG, gens, antipode, m.K)
     if rep.dim_bil != 1:
         raise UnexpectedFormDimension(

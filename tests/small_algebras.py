@@ -30,6 +30,36 @@ def dense(tag, vectors, ncols):
     return [tuple(dict(v).get(j, z) for j in range(ncols)) for v in vectors]
 
 
+def to_matrix(tag, rows):
+    """A square matrix given as sparse rows {column: value}, as a Matrix."""
+    return Matrix(tag, dense(tag, [r.items() for r in rows], len(rows)))
+
+
+def from_matrix(m):
+    """A Matrix as sparse rows {column: value}, the format of a module."""
+    return [_sparse(r) for r in m.rows]
+
+
+def module_of(name, mats):
+    """The ModuleRep acting by the given dense matrices."""
+    return ModuleRep(name, mats[0].nrows,
+                     tuple(from_matrix(m) for m in mats), mats[0].tag)
+
+
+def dense_action(V):
+    """R(b_i) of the module V as Matrix objects."""
+    return tuple(to_matrix(V.tag, m) for m in V.action)
+
+
+def dense_of_vector(A, mats, u):
+    """sum u_k mats[k] over a dense coefficient tuple u."""
+    out = Matrix.from_sparse(A.tag, mats[0].nrows, mats[0].ncols, [])
+    for k, c in enumerate(u):
+        if c:
+            out = out + mats[k].scale(c)
+    return out
+
+
 def s4_table():
     perms = list(itertools.permutations(range(4)))
     index = {p: i for i, p in enumerate(perms)}
@@ -40,8 +70,7 @@ def s4_table():
 def conjugate_module(V, P, name=None):
     """Base change: action matrices become P R P^-1."""
     pinv = inverse(P)
-    return ModuleRep(name or V.name, V.dim,
-                     tuple(P * m * pinv for m in V.action))
+    return module_of(name or V.name, [P * m * pinv for m in dense_action(V)])
 
 
 # --- dense references --------------------------------------------------------
@@ -208,20 +237,14 @@ def module_violations_by_full_loop(A, V):
     """R(1) = I and R(b_i) R(b_j) = R(b_i b_j) on every basis pair, by
     dense matrix products: the reference for pivotal.validate_module, with
     the same messages in the same order."""
-    def of_vector(u):
-        out = Matrix.zeros(A.tag, V.dim, V.dim)
-        for k, c in enumerate(u):
-            if c:
-                out = out + V.action[k].scale(c)
-        return out
-
+    action = dense_action(V)
     bad = []
-    if of_vector(A.unit) != Matrix.identity(A.tag, V.dim):
+    if dense_of_vector(A, action, A.unit) != Matrix.identity(A.tag, V.dim):
         bad.append("module %r: unit does not act as identity" % V.name)
     for i in range(A.dim):
         for j in range(A.dim):
             prod = multiply(A, basis_vector(A, i), basis_vector(A, j))
-            if V.action[i] * V.action[j] != of_vector(prod):
+            if action[i] * action[j] != dense_of_vector(A, action, prod):
                 bad.append("module %r: action breaks at (%d, %d)"
                            % (V.name, i, j))
     return bad
@@ -406,7 +429,7 @@ def upper_triangular_natural():
         return Matrix(RATIONAL, [[one if (i, j) == (r, c) else zero
                                   for j in range(2)] for i in range(2)])
 
-    return ModuleRep("natural", 2, (unit(0, 0), unit(0, 1), unit(1, 1)))
+    return module_of("natural", [unit(0, 0), unit(0, 1), unit(1, 1)])
 
 
 def qsl2_violations_by_dense_products(m):
@@ -416,14 +439,16 @@ def qsl2_violations_by_dense_products(m):
     bad = []
     ident = Matrix.identity(RATIONAL_FUNCTION, m.dim)
     q = RatFun.generator()
-    if m.K * m.Kinv != ident or m.Kinv * m.K != ident:
+    K, Kinv, E, F = (to_matrix(RATIONAL_FUNCTION, x)
+                     for x in (m.K, m.Kinv, m.E, m.F))
+    if K * Kinv != ident or Kinv * K != ident:
         bad.append("K K^-1 != 1")
-    if m.K * m.E * m.Kinv != m.E.scale(q ** 2):
+    if K * E * Kinv != E.scale(q ** 2):
         bad.append("K E K^-1 != q^2 E")
-    if m.K * m.F * m.Kinv != m.F.scale(q ** -2):
+    if K * F * Kinv != F.scale(q ** -2):
         bad.append("K F K^-1 != q^-2 F")
-    comm = m.E * m.F - m.F * m.E
-    target = (m.K - m.Kinv).scale((q - q ** -1) ** -1)
+    comm = E * F - F * E
+    target = (K - Kinv).scale((q - q ** -1) ** -1)
     if comm != target:
         bad.append("[E, F] != (K - K^-1)/(q - q^-1)")
     return bad

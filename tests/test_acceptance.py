@@ -45,7 +45,7 @@ from fsind.pivotal import (
 )
 from fsind.qsl2 import qsl2_indicator
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION
-from small_algebras import conjugate_module
+from small_algebras import conjugate_module, to_matrix
 
 GROUP_DOCS = ("C2", "C3", "C4", "C6", "S3", "D4", "Q8")
 SCHEME_DOCS = ("scheme-K3", "scheme-C4-cycle", "S3-grouplike")
@@ -114,7 +114,7 @@ def test_criterion_03_oracle_triangle():
                 continue
             assert rep.nu == fs_via_symmetric(A, V, data).nu, (name, V.name)
             assert rep.nu == doi_grouplike_indicator(
-                A, V.character_on_basis(), V.dim), (name, V.name)
+                A, V.character_on_basis, V.dim), (name, V.name)
     print("criterion 3 PASS: definition, separability, and dual-basis"
           " routes agree on every builtin simple (Q8 twodim = -1)")
 
@@ -131,7 +131,8 @@ def test_criterion_04_trichotomy_and_canonical_form():
             if rep.nu != A.tag.zero():
                 m = rep.canonical_form
                 assert m is not None and rank(m) == V.dim, (name, V.name)
-                flip = V.of_vector(A.g).transpose() * m.transpose()
+                rg = to_matrix(A.tag, V.of_vector(A.g))
+                flip = rg.transpose() * m.transpose()
                 assert flip == m.scale(rep.nu), (name, V.name)
     print("criterion 4 PASS: trichotomy, self-duality, and the sign"
           " identity R(g)^T M^T = nu M hold on every abs simple builtin")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -20,6 +21,9 @@ from fsind.cli import main
 from fsind.constructors import builtin_document, builtin_names
 
 from small_algebras import s4_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 K3_TEXT = "3 2\n0 1 1\n1 0 1\n1 1 0\n"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -243,6 +247,62 @@ def test_indicator_on_the_regular_module_of_s4(tmp_path, capsys):
     assert payload["nu"] == "10"
     assert payload["report"]["dim_bil"] == payload["report"]["end_dim"] == 24
     assert payload["discrepancy"] is False
+
+
+# The whole `indicator --module reg --json` output for a regular module:
+# it does not depend on how the group elements are labelled.
+REGULAR_REPORT = """{
+  "document": "%(group)s-reg",
+  "module": "reg",
+  "twist": null,
+  "nu": "%(nu)d",
+  "report": {
+    "nu": "%(nu)d",
+    "dim_bil": %(order)d,
+    "dim_plus": %(plus)d,
+    "dim_minus": %(minus)d,
+    "end_dim": %(order)d,
+    "self_dual": true,
+    "abs_simple": false,
+    "canonical_form": null
+  },
+  "methods": {
+    "definition": {
+      "nu": "%(nu)d"
+    },
+    "separability": {
+      "nu": "%(nu)d"
+    },
+    "symmetric": {
+      "skipped": "module is not absolutely simple"
+    }
+  },
+  "discrepancy": false
+}
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("group, nu, plus, minus", [
+    ("D5", 6, 8, 2), ("Q8", 2, 5, 3), ("S3", 4, 5, 1)])
+def test_regular_indicator_output_is_pinned(tmp_path, capsys, group, nu,
+                                            plus, minus, seed):
+    """D5 over Q, Q8 over Q(i) and S3 over Q(z_3), relabelled by a seeded
+    permutation as in the benchmark's regular workload."""
+    _, field, table = next(g for g in workloads.REGULAR_GROUPS
+                           if g[0] == group)
+    perm = list(range(len(table)))
+    random.Random(seed).shuffle(perm)
+    assert perm != sorted(perm)
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps(workloads.regular_document(
+        group + "-reg", field, workloads.relabel(table, perm))))
+    code, out, err = run(capsys, "indicator", str(path), "--module", "reg",
+                         "--json")
+    assert (code, err) == (0, "")
+    assert out == REGULAR_REPORT % {"group": group, "nu": nu,
+                                    "order": len(table), "plus": plus,
+                                    "minus": minus}
 
 
 def test_indicator_twist(tmp_path, capsys):

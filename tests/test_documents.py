@@ -15,6 +15,7 @@ from fsind.documents import (
 )
 from fsind.pivotal import ValidationError
 from fsind.scalars import parse_scalar
+from small_algebras import to_matrix
 
 K3_TEXT = "3 2\n0 1 1\n1 0 1\n1 1 0\n"
 
@@ -134,8 +135,9 @@ def test_each_literal_parses_in_its_own_field():
         for entry in raw["modules"]:
             mats = doc.modules[entry["name"]].action
             for m, rows in zip(mats, entry["action"]):
-                assert m.rows == [[parse_scalar(x, tag) for x in row]
-                                  for row in rows], (name, entry["name"])
+                assert to_matrix(tag, m).rows == [
+                    [parse_scalar(x, tag) for x in row] for row in rows
+                ], (name, entry["name"])
         z[name] = parse_scalar("z", tag)
     assert z["C3"] ** 3 == 1 and z["C4"] ** 4 == 1 and z["C6"] ** 6 == 1
     assert len({z["C3"], z["C4"], z["C6"]}) == 3

@@ -51,6 +51,7 @@ from fsind.pivotal import (
     GroupLikeData,
     MissingData,
     ModuleRep,
+    direct_sum,
     fs_indicator,
     pivotal_from_character,
     regular_module,
@@ -65,6 +66,7 @@ from small_algebras import (
     casimir_sum,
     dual_numbers,
     integral_idempotent_by_full_loop,
+    module_of,
     multiply,
     symmetric_form_data_by_products,
     upper_triangular,
@@ -277,8 +279,8 @@ def test_symmetric_form_data_matches_the_dense_products():
 def test_zero_volume_character():
     A = dual_numbers()
     assert validate_pivotal(A) == []
-    triv = ModuleRep("triv", 1, (Matrix(RATIONAL, [[F(1)]]),
-                                 Matrix(RATIONAL, [[F(0)]])))
+    triv = module_of("triv", [Matrix(RATIONAL, [[F(1)]]),
+                              Matrix(RATIONAL, [[F(0)]])])
     assert validate_module(A, triv) == []
     data = symmetric_form_data(A)
     two_x = (F(0), F(2))
@@ -320,6 +322,27 @@ def test_table_builds_one_element_per_route_and_twist(
     assert cli.main(["table", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["discrepancy"] is False
     assert builds == expected
+
+
+def test_table_computes_each_character_once(monkeypatch, tmp_path, capsys):
+    """chi_V on the basis is computed once per module of Q8, though the
+    separability and symmetric routes and Trace(S) all read it."""
+    calls = collections.Counter()
+    body = ModuleRep.character_on_basis.func
+
+    def counted(V):
+        calls[V.name] += 1
+        return body(V)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(ModuleRep, "character_on_basis")
+    monkeypatch.setattr(ModuleRep, "character_on_basis", prop)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(builtin_document("Q8")))
+    assert cli.main(["table", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["discrepancy"] is False
+    assert calls == {name: 1 for name in
+                     ("triv", "chi-i", "chi-j", "chi-k", "twodim")}
 
 
 def test_doi_builds_one_element_per_twist_for_any_number_of_characters(
@@ -392,7 +415,7 @@ def test_cached_elements_match_the_sums_built_per_module():
         for T in [None] + list(A.involutions.values()):
             At = twist_algebra(A, T)
             for V in doc.modules.values():
-                chi, where = V.character_on_basis(), (name, T, V.name)
+                chi, where = V.character_on_basis, (name, T, V.name)
                 if E is not None:
                     expected = casimir_sum(At, chi, [
                         (_sparse(u), _sparse(v)) for u, v in E.terms])
@@ -459,6 +482,16 @@ def test_trace_s_on_image_preconditions():
     s3 = load("S3")
     with pytest.raises(NotAbsolutelySimple):
         trace_S_on_image(s3.algebra, regular_module(s3.algebra))
+
+
+def test_trace_s_on_image_counts_the_pivots_of_the_action_half():
+    # chi1 + chi2 over C6: the R(b_i) span 2 of the 4 dimensions of End(V),
+    # and with the R(S(b_i)), whose characters chi5 and chi4 differ from
+    # both, the rows reach rank 4 = d^2 all the same
+    c6 = load("C6")
+    V = direct_sum(c6.modules["chi1"], c6.modules["chi2"])
+    with pytest.raises(NotAbsolutelySimple):
+        trace_S_on_image(c6.algebra, V)
 
 
 def test_trace_s_on_image_refuses_a_non_simple_module_with_trivial_end():
@@ -541,7 +574,7 @@ def test_character_formula_matches_definition():
 
 def test_character_formula_needs_hopf_data():
     A = k3_algebra()
-    triv = ModuleRep("triv", 1, (Matrix(RATIONAL, [[F(1)]]),
-                                 Matrix(RATIONAL, [[F(2)]])))
+    triv = module_of("triv", [Matrix(RATIONAL, [[F(1)]]),
+                              Matrix(RATIONAL, [[F(2)]])])
     with pytest.raises(MissingData):
         fs_hopf_character_formula(A, triv, (1, 1))

@@ -23,7 +23,7 @@ from fsind.linalg import (
     solve_in_span,
 )
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION, RatFun, cyclotomic_field
-from small_algebras import dense, dense_rref, span_canonical
+from small_algebras import dense, dense_rref, from_matrix, span_canonical
 
 F = Fraction
 
@@ -295,7 +295,8 @@ intertwiner_cases = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
 @given(intertwiner_cases)
 def test_intertwiner_constraint_applies_bx_minus_xa(case):
     a, b, x = case
-    c = intertwiner_constraint(a, b)
+    c = intertwiner_constraint(RATIONAL, from_matrix(a), from_matrix(b),
+                               a.nrows, b.nrows)
     n = a.nrows * b.nrows
     assert c.shape == (n, n)
     assert c.apply(x.vec()) == (b * x - x * a).vec()
@@ -304,17 +305,21 @@ def test_intertwiner_constraint_applies_bx_minus_xa(case):
 @given(st.integers(1, 6).flatmap(
     lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
 def test_intertwiner_constraint_of_permutations_has_two_entries_a_row(perms):
-    a, b = (perm_matrix(RATIONAL, p) for p in perms)
-    c = intertwiner_constraint(a, b)
+    a, b = (from_matrix(perm_matrix(RATIONAL, p)) for p in perms)
+    c = intertwiner_constraint(RATIONAL, a, b, len(a), len(b))
     assert c.nrows == c.ncols == len(perms[0]) ** 2
     assert all(len(row) <= 2 and all(x for _, x in row) for row in c.rows)
 
 
 def test_intertwiner_constraint_needs_square_matrices():
-    with pytest.raises(DimensionMismatch):
-        intertwiner_constraint(rmat([[1, 2]]), rmat([[1]]))
-    with pytest.raises(DimensionMismatch):
-        intertwiner_constraint(rmat([[1]]), rmat([[1], [2]]))
+    one, two = from_matrix(rmat([[1]])), from_matrix(rmat([[1], [2]]))
+    with pytest.raises(DimensionMismatch):  # column 1 of a 1 x 1 matrix
+        intertwiner_constraint(RATIONAL, from_matrix(rmat([[1, 2]])), one,
+                               1, 1)
+    with pytest.raises(DimensionMismatch):  # 2 rows for a 1 x 1 matrix
+        intertwiner_constraint(RATIONAL, one, two, 1, 1)
+    with pytest.raises(DimensionMismatch):  # column -1
+        intertwiner_constraint(RATIONAL, one, [{-1: RATIONAL.one()}], 1, 1)
 
 
 def test_cyclotomic_elimination():

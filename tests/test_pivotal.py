@@ -23,6 +23,7 @@ from fsind.constructors import (
     group_like_coalgebra,
     q8_table,
     s3_table,
+    scheme_standard_module,
     scheme_to_grouplike,
     SchemeSpec,
 )
@@ -41,7 +42,6 @@ from fsind.linalg import (
 from fsind.pivotal import (
     FormBasis,
     MissingComultiplication,
-    ModuleRep,
     NotCentralCharacter,
     PivotalAlgebra,
     _transposition,
@@ -59,19 +59,31 @@ from fsind.pivotal import (
     validate_module,
     validate_pivotal,
 )
-from fsind.scalars import RATIONAL, cyclotomic_field
+from fsind.qsl2 import build_vl, q_integer
+from fsind.scalars import (
+    RATIONAL,
+    RATIONAL_FUNCTION,
+    RatFun,
+    cyclotomic_field,
+    parse_scalar,
+)
 from small_algebras import (
     apply_S,
     basis_vector,
     conjugate_module,
+    dense_action,
+    dense_of_vector,
     dual_numbers,
+    from_matrix,
     generators_by_closure,
     left_mult,
+    module_of,
     module_violations_by_full_loop,
     multiply,
     primitive_coalgebra,
     s4_table,
     span_canonical,
+    to_matrix,
     upper_triangular,
     upper_triangular_3,
     validate_algebra_involution_by_definition,
@@ -226,8 +238,88 @@ def test_sparse_product_and_S_match_the_dense_reference(name, data):
 def test_regular_module_is_dense_left_multiplication():
     for A in [load(name).algebra for name in builtin_names()] + [
             group_algebra(s4_table(), RATIONAL)]:
-        assert regular_module(A).action == tuple(
+        assert dense_action(regular_module(A)) == tuple(
             left_mult(A, basis_vector(A, i)) for i in range(A.dim)), A.name
+
+
+def assert_sparse_action(tag, action, dense_mats):
+    """Each matrix of action is sparse rows {column: value}, one dict per
+    row with no zero value and every column in range, equal to the dense
+    matrix it was built from."""
+    assert len(action) == len(dense_mats)
+    for rows, m in zip(action, dense_mats):
+        assert isinstance(rows, list) and len(rows) == m.nrows == m.ncols
+        for row in rows:
+            assert isinstance(row, dict)
+            assert all(x and 0 <= c < m.ncols for c, x in row.items()), row
+        assert to_matrix(tag, rows) == m
+
+
+def block_diagonal(tag, a, b):
+    z = tag.zero()
+    return Matrix(tag, [list(r) + [z] * b.nrows for r in a.rows]
+                  + [[z] * a.nrows + list(r) for r in b.rows])
+
+
+def test_every_module_builder_stores_sparse_rows():
+    """The loader, regular_module, dual_module, direct_sum,
+    scheme_standard_module, coalgebra_regular_module and build_vl all
+    store sparse rows, equal to the dense action of their source."""
+    for name in builtin_names():
+        raw = builtin_document(name)
+        doc = document_from_dict(raw, name=name)
+        A, tag = doc.algebra, doc.algebra.tag
+        modules = []
+        for entry in raw.get("modules", ()):
+            V = doc.modules[entry["name"]]
+            mats = [Matrix(tag, [[tag.coerce(x) if isinstance(x, int)
+                                  else parse_scalar(x, tag) for x in row]
+                                 for row in m]) for m in entry["action"]]
+            assert_sparse_action(tag, V.action, mats)
+            modules.append((V, mats))
+        reg = regular_module(A)
+        reg_mats = [left_mult(A, basis_vector(A, i)) for i in range(A.dim)]
+        assert_sparse_action(tag, reg.action, reg_mats)
+        for V, mats in modules + [(reg, reg_mats)]:
+            assert_sparse_action(tag, dual_module(A, V).action, [
+                dense_of_vector(A, mats, apply_S(A, basis_vector(A, i)))
+                .transpose() for i in range(A.dim)])
+            assert_sparse_action(tag, direct_sum(V, reg).action, [
+                block_diagonal(tag, m, r) for m, r in zip(mats, reg_mats)])
+        if doc.scheme is not None:
+            spec = doc.scheme
+            std = scheme_standard_module(spec, tag)
+            assert_sparse_action(tag, std.action, [Matrix(tag, [
+                [tag.one() if spec.relations[x][y] == i else tag.zero()
+                 for y in range(spec.size)] for x in range(spec.size)])
+                for i in range(spec.rank)])
+        if doc.coalgebra is not None:
+            spec = doc.coalgebra
+            mats = []
+            for i in range(spec.dim):  # D(b_k) = c b_s x b_i adds c b_s
+                rows = [[tag.zero()] * spec.dim for _ in range(spec.dim)]
+                for k in range(spec.dim):
+                    for s, t, c in spec.comult.get(k, ()):
+                        if t == i:
+                            rows[s][k] = rows[s][k] + c
+                mats.append(Matrix(tag, rows))
+            assert_sparse_action(
+                tag, coalgebra_regular_module(spec).action, mats)
+    for two_ell in range(7):
+        m, d, z = build_vl(two_ell), two_ell + 1, RATIONAL_FUNCTION.zero()
+        dense = {key: [[z] * d for _ in range(d)]
+                 for key in ("K", "Kinv", "E", "F")}
+        for t in range(d):  # K v_t = q^(2t-L) v_t, E v_t = [t+1] v_{t+1}, ...
+            dense["K"][t][t] = RatFun.generator() ** (2 * t - two_ell)
+            dense["Kinv"][t][t] = RatFun.generator() ** (two_ell - 2 * t)
+            if t < two_ell:
+                dense["E"][t + 1][t] = q_integer(t + 1)
+            if t > 0:
+                dense["F"][t - 1][t] = q_integer(two_ell - t + 1)
+        assert_sparse_action(
+            RATIONAL_FUNCTION, [m.K, m.Kinv, m.E, m.F],
+            [Matrix(RATIONAL_FUNCTION, dense[key])
+             for key in ("K", "Kinv", "E", "F")])
 
 
 @functools.lru_cache(maxsize=None)
@@ -262,11 +354,11 @@ def test_broken_module_action_is_caught():
     # S3's generators are b_1 and b_3; b_0 is the unit, b_4 neither
     assert A.generators == (1, 3)
     for broken in (1, 4, 0):
-        rows = [list(r) for r in std.action[broken].rows]
+        mats = list(dense_action(std))
+        rows = [list(r) for r in mats[broken].rows]
         rows[0][0] = rows[0][0] + 1
-        mats = list(std.action)
         mats[broken] = Matrix(A.tag, rows)
-        V = ModuleRep("std", 2, tuple(mats))
+        V = module_of("std", mats)
         bad = validate_module(A, V)
         assert bad
         assert bad == module_violations_by_full_loop(A, V), broken
@@ -298,13 +390,13 @@ def test_validate_module_matches_the_full_loop(case, edits):
     after one or two cells of any action matrix change, the unit's
     included (indices taken mod their ranges)."""
     A, V = module_cases()[case]
-    mats = list(V.action)
+    mats = list(dense_action(V))
     for k, r, c, value in edits:
         k %= A.dim
         rows = [list(row) for row in mats[k].rows]
         rows[r % V.dim][c % V.dim] = A.tag.coerce(value)
         mats[k] = Matrix(A.tag, rows)
-    V = ModuleRep(V.name, V.dim, tuple(mats))
+    V = module_of(V.name, mats)
     assert validate_module(A, V) == module_violations_by_full_loop(A, V)
 
 
@@ -402,7 +494,8 @@ def test_canonical_form_transposition_eigenvector():
             if rep.canonical_form is None:
                 continue
             m = rep.canonical_form
-            flip = V.of_vector(doc.algebra.g).transpose() * m.transpose()
+            rg = to_matrix(V.tag, V.of_vector(doc.algebra.g))
+            flip = rg.transpose() * m.transpose()
             assert flip == m.scale(rep.nu)
             assert det(m)
 
@@ -432,8 +525,9 @@ def assert_forms_are_invariant(A, At, V):
     """Each form M satisfies R(b)^T M = M R(S_t(b)), checked by products."""
     forms = invariant_form_space(At, V).forms
     for i in range(A.dim):
-        left = V.action[i].transpose()
-        right = V.of_vector(apply_S(At, basis_vector(A, i)))
+        left = to_matrix(A.tag, V.action[i]).transpose()
+        right = to_matrix(A.tag,
+                          V.of_vector(apply_S(At, basis_vector(A, i))))
         for M in forms:
             assert left * M == M * right, (V.name, i)
     assert len(forms) == len(hom_space(At, V, dual_module(At, V)))
@@ -476,7 +570,7 @@ def test_forms_when_s_squared_is_not_the_identity():
         unit=Matrix.identity(RATIONAL, 2).vec(), S=S,
         g=(P * pinv.transpose()).vec())
     assert validate_pivotal(A) == []
-    V = ModuleRep("natural", 2, tuple(units))
+    V = module_of("natural", units)
     assert validate_module(A, V) == []
     forms = assert_forms_are_invariant(A, A, V)
     assert forms == [pinv]
@@ -501,12 +595,12 @@ def test_transposition_with_trivial_g_transposes_each_regular_form():
         A = load(name).algebra
         V = regular_module(A)
         ident = Matrix.identity(A.tag, V.dim)
-        assert V.of_vector(A.g) == ident
+        assert to_matrix(A.tag, V.of_vector(A.g)) == ident
         forms = invariant_form_space(A, V).forms
         sparse = [[(j, x) for j, x in enumerate(f.vec()) if x] for f in forms]
-        op = _transposition(A.tag, ident, sparse)
+        op = _transposition(A.tag, from_matrix(ident), sparse)
         for k, f in enumerate(forms):
-            image = Matrix.zeros(A.tag, V.dim, V.dim)
+            image = Matrix.from_sparse(A.tag, V.dim, V.dim, [])
             for i, M in enumerate(forms):
                 image = image + M.scale(op[i, k])
             assert image == f.transpose(), (name, k)
@@ -514,7 +608,7 @@ def test_transposition_with_trivial_g_transposes_each_regular_form():
 
 def transposition_by_solves(A, basis):
     """Reference: each column solved for in the span of the forms."""
-    rg_t = basis.module.of_vector(A.g).transpose()
+    rg_t = to_matrix(A.tag, basis.module.of_vector(A.g)).transpose()
     span = [f.vec() for f in basis.forms]
     cols = [solve_in_span(A.tag, span, (rg_t * f.transpose()).vec())
             for f in basis.forms]
@@ -556,7 +650,8 @@ def constraint_by_definition(a, b):
 
 def hom_space_by_full_basis(A, V, W):
     """Reference: the stacked constraints of every basis element of A."""
-    stacked = Matrix(A.tag, [r for a, b in zip(V.action, W.action)
+    stacked = Matrix(A.tag, [r for a, b in zip(dense_action(V),
+                                               dense_action(W))
                              for r in constraint_by_definition(a, b).rows])
     return [Matrix.from_sparse(A.tag, W.dim, V.dim, v)
             for v in kernel_basis(stacked)]
@@ -577,8 +672,8 @@ def forms_by_full_basis(A, V):
     stacked = Matrix(A.tag, [
         r for i in range(A.dim)
         for r in constraint_by_definition(
-            V.of_vector(apply_S(A, basis_vector(A, i))),
-            V.action[i].transpose()).rows])
+            to_matrix(A.tag, V.of_vector(apply_S(A, basis_vector(A, i)))),
+            to_matrix(A.tag, V.action[i]).transpose()).rows])
     return [Matrix.from_sparse(A.tag, V.dim, V.dim, v)
             for v in kernel_basis(stacked)]
 

@@ -19,7 +19,11 @@ from fsind.qsl2 import (
     verify_relations,
 )
 from fsind.scalars import RATIONAL_FUNCTION as TAG, RatFun
-from small_algebras import qsl2_violations_by_dense_products
+from small_algebras import (
+    from_matrix,
+    qsl2_violations_by_dense_products,
+    to_matrix,
+)
 
 Q = RatFun.generator()
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected" / "qsl2"
@@ -37,21 +41,21 @@ def test_q_integers():
 def test_smallest_modules():
     v0 = build_vl(0)
     assert v0.dim == 1
-    assert v0.K == Matrix.identity(TAG, 1)
-    assert v0.E == Matrix.zeros(TAG, 1, 1)
-    assert v0.F == Matrix.zeros(TAG, 1, 1)
+    assert to_matrix(TAG, v0.K) == Matrix.identity(TAG, 1)
+    assert to_matrix(TAG, v0.E) == Matrix.from_sparse(TAG, 1, 1, [])
+    assert to_matrix(TAG, v0.F) == Matrix.from_sparse(TAG, 1, 1, [])
 
     v1 = build_vl(1)
     z, o = TAG.zero(), TAG.one()
-    assert v1.K == Matrix(TAG, [[Q ** -1, z], [z, Q]])
-    assert v1.E == Matrix(TAG, [[z, z], [o, z]])
-    assert v1.F == Matrix(TAG, [[z, o], [z, z]])
+    assert to_matrix(TAG, v1.K) == Matrix(TAG, [[Q ** -1, z], [z, Q]])
+    assert to_matrix(TAG, v1.E) == Matrix(TAG, [[z, z], [o, z]])
+    assert to_matrix(TAG, v1.F) == Matrix(TAG, [[z, o], [z, z]])
 
     v2 = build_vl(2)
-    assert [v2.K.rows[t][t] for t in range(3)] == [Q ** -2, o, Q ** 2]
-    assert v2.E.rows[2][1] == q_integer(2)
-    assert v2.F.rows[0][1] == q_integer(2)
-    assert v2.F.rows[1][2] == o
+    assert [v2.K[t][t] for t in range(3)] == [Q ** -2, o, Q ** 2]
+    assert v2.E[2][1] == q_integer(2)
+    assert v2.F[0][1] == q_integer(2)
+    assert v2.F[1][2] == o
 
 
 def test_relations_hold_up_to_the_bound():
@@ -61,9 +65,10 @@ def test_relations_hold_up_to_the_bound():
 
 def test_relations_catch_a_bad_coefficient():
     m = build_vl(2)
-    e = [list(r) for r in m.E.rows]
+    e = [list(r) for r in to_matrix(TAG, m.E).rows]
     e[1][0] = q_integer(2)
-    bad = verify_relations(dataclasses.replace(m, E=Matrix(TAG, e)))
+    bad = verify_relations(
+        dataclasses.replace(m, E=from_matrix(Matrix(TAG, e))))
     assert bad
 
 
@@ -79,14 +84,14 @@ def edited_modules(draw):
     """build_vl(L), L <= 6, with one or two cells of K, K^-1, E or F
     replaced by a q-power, a q-integer or some other value."""
     m = build_vl(draw(st.integers(0, 6)))
-    rows = {name: [list(r) for r in getattr(m, name).rows]
+    rows = {name: [list(r) for r in to_matrix(TAG, getattr(m, name)).rows]
             for name in ("K", "Kinv", "E", "F")}
     cell = st.integers(0, m.two_ell)
     for _ in range(draw(st.integers(1, 2))):
         name = draw(st.sampled_from(sorted(rows)))
         rows[name][draw(cell)][draw(cell)] = draw(st.sampled_from(CELL_VALUES))
     return dataclasses.replace(
-        m, **{name: Matrix(TAG, r) for name, r in rows.items()})
+        m, **{name: from_matrix(Matrix(TAG, r)) for name, r in rows.items()})
 
 
 def conjugated(m, r, c, x):
@@ -96,16 +101,17 @@ def conjugated(m, r, c, x):
     p_inv = [list(row) for row in p]
     p[r][c], p_inv[r][c] = x, -x
     p, p_inv = Matrix(TAG, p), Matrix(TAG, p_inv)
-    return dataclasses.replace(m, K=p * m.K * p_inv, Kinv=p * m.Kinv * p_inv,
-                               E=p * m.E * p_inv, F=p * m.F * p_inv)
+    return dataclasses.replace(m, **{
+        name: from_matrix(p * to_matrix(TAG, getattr(m, name)) * p_inv)
+        for name in ("K", "Kinv", "E", "F")})
 
 
 @given(edited_modules())
 @example(build_vl(3))
 @example(conjugated(build_vl(3), 0, 2, Q + 1))
-@example(QslModule(two_ell=1, K=Matrix.identity(TAG, 2),
-                   Kinv=Matrix.identity(TAG, 2), E=Matrix.zeros(TAG, 2, 2),
-                   F=Matrix.zeros(TAG, 2, 2)))
+@example(QslModule(two_ell=1, K=from_matrix(Matrix.identity(TAG, 2)),
+                   Kinv=from_matrix(Matrix.identity(TAG, 2)),
+                   E=[{}, {}], F=[{}, {}]))
 def test_relations_match_the_dense_products(m):
     assert verify_relations(m) == qsl2_violations_by_dense_products(m)
 
@@ -139,7 +145,8 @@ def test_canonical_form_satisfies_the_sign_identity():
     for two_ell in range(5):
         m = build_vl(two_ell)
         rep = qsl2_indicator(two_ell)
-        flipped = m.K.transpose() * rep.canonical_form.transpose()
+        flipped = (to_matrix(TAG, m.K).transpose()
+                   * rep.canonical_form.transpose())
         assert flipped == rep.canonical_form.scale(rep.nu)
 
 
@@ -149,7 +156,7 @@ def test_modules_past_the_recorded_range(two_ell, twisted):
     rep = qsl2_indicator(two_ell, twisted=twisted, max_two_ell=two_ell)
     assert rep.nu == TAG.coerce(1 if twisted or two_ell % 2 == 0 else -1)
     assert rep.dim_bil == rep.end_dim == 1 and rep.self_dual
-    k, form = build_vl(two_ell).K, rep.canonical_form
+    k, form = to_matrix(TAG, build_vl(two_ell).K), rep.canonical_form
     assert k.transpose() * form.transpose() == form.scale(rep.nu)
 
 
@@ -161,8 +168,8 @@ def test_weight_bound():
 
 
 def test_guard_against_degenerate_inputs(monkeypatch):
-    ident = Matrix.identity(TAG, 2)
-    zero = Matrix.zeros(TAG, 2, 2)
+    ident = from_matrix(Matrix.identity(TAG, 2))
+    zero = [{}, {}]
     fake = QslModule(two_ell=1, K=ident, Kinv=ident, E=zero, F=zero)
     assert verify_relations(fake) == []
     monkeypatch.setattr(qsl2, "build_vl", lambda two_ell: fake)
