@@ -64,7 +64,6 @@ from fsind.scalars import (
     RATIONAL,
     RATIONAL_FUNCTION,
     RatFun,
-    cyclotomic_field,
     parse_scalar,
 )
 from small_algebras import (
