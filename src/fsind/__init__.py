@@ -106,7 +106,7 @@ from .constructors import (
     group_involution,
     group_like_coalgebra,
     parse_scheme_text,
-    perm_matrix,
+    perm_columns,
     q8_table,
     s3_table,
     scheme_involution,

@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, _transpose
+from .linalg import _transpose
 from .pivotal import (
     GroupLikeData,
     ModuleRep,
     PivotalAlgebra,
     ValidationError,
     _accumulate,
+    _sparse,
 )
 from .scalars import FieldTag, scalar_to_string
 
@@ -127,14 +128,9 @@ def validate_cayley_table(ct: CayleyTable):
     return bad
 
 
-def perm_matrix(tag: FieldTag, perm):
-    """Matrix sending basis vector j to basis vector perm[j]."""
-    z, o = tag.zero(), tag.one()
-    n = len(perm)
-    rows = [[z] * n for _ in range(n)]
-    for j, i in enumerate(perm):
-        rows[i][j] = o
-    return Matrix(tag, rows)
+def perm_columns(tag: FieldTag, perm):
+    """Sparse columns of the map sending b_j to b_perm[j]."""
+    return [{i: tag.one()} for i in perm]
 
 
 def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
@@ -147,7 +143,7 @@ def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
     labels = tuple(labels) if labels else tuple("g%d" % i for i in range(n))
     mult = {(i, j): ((ct.table[i][j], one),) for i in range(n) for j in range(n)}
     z = tag.zero()
-    unit = tuple(one if i == e else z for i in range(n))
+    unit = {e: one}
     inv_perm = [ct.inverse(i) for i in range(n)]
     nth = tag.coerce(Fraction(1, n))
     return PivotalAlgebra(
@@ -156,19 +152,20 @@ def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
         labels=labels,
         mult=mult,
         unit=unit,
-        S=perm_matrix(tag, inv_perm),
+        S=perm_columns(tag, inv_perm),
         g=unit,
         comult={k: ((k, k, one),) for k in range(n)},
         counit=(one,) * n,
-        integral=(nth,) * n,
-        trace_form=unit,
+        integral={i: nth for i in range(n)},
+        trace_form=tuple(one if i == e else z for i in range(n)),
         name=name,
         generators=ct.generators(),
     )
 
 
 def group_involution(ct: CayleyTable, perm, tag: FieldTag):
-    """Validated involutive automorphism, as a matrix on the group algebra."""
+    """Validated involutive automorphism, as sparse columns on the group
+    algebra."""
     n = ct.order
     if sorted(perm) != list(range(n)):
         raise NotAutomorphism("not a permutation of the elements")
@@ -180,7 +177,7 @@ def group_involution(ct: CayleyTable, perm, tag: FieldTag):
             if perm[ct.table[i][j]] != ct.table[perm[i]][perm[j]]:
                 raise NotAutomorphism(
                     "multiplication not preserved at (%d, %d)" % (i, j))
-    return perm_matrix(tag, perm)
+    return perm_columns(tag, perm)
 
 
 # a few concrete tables ------------------------------------------------------
@@ -376,16 +373,16 @@ def scheme_to_grouplike(spec: SchemeSpec, tag: FieldTag, name="scheme"):
                             for k in range(r) if p[i][j][k])
             mult[(i, j)] = entries
     z, o = tag.zero(), tag.one()
-    unit = tuple(o if i == 0 else z for i in range(r))
+    unit = {0: o}
     return PivotalAlgebra(
         tag=tag,
         dim=r,
         labels=tuple("R%d" % i for i in range(r)),
         mult=mult,
         unit=unit,
-        S=perm_matrix(tag, star),
+        S=perm_columns(tag, star),
         g=unit,
-        trace_form=unit,
+        trace_form=tuple(o if i == 0 else z for i in range(r)),
         grouplike=GroupLikeData(star=star,
                                 eps=tuple(tag.coerce(v) for v in val)),
         name=name,
@@ -425,7 +422,7 @@ def scheme_involution(A: PivotalAlgebra, perm):
                 if lhs != rhs:
                     raise NotSchemeInvolution(
                         "p(i,j;k) not preserved at (%d, %d, %d)" % (i, j, k))
-    return perm_matrix(A.tag, perm)
+    return perm_columns(A.tag, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +435,7 @@ class CoalgebraSpec:
     labels: tuple
     comult: dict    # k -> ((i, j, c), ...) meaning D(b_k) = sum c b_i x b_j
     counit: tuple
-    S: Matrix
+    S: list  # S(b_i) per basis index i, a sparse element
     gamma: tuple
     name: str = "C"
 
@@ -447,7 +444,8 @@ def dualize_coalgebra(spec: CoalgebraSpec):
     """The dual algebra (C*, S*, gamma).
 
     Multiplication constants are the comultiplication constants read
-    sideways, the unit is the counit, the pivotal element is gamma. No
+    sideways, the unit is the counit, the pivotal element is gamma, and
+    the columns of S* are the rows of S. No
     check is made here: C is copivotal exactly when C* passes
     validate_pivotal, which is how the loader checks a coalgebra section.
     """
@@ -461,9 +459,9 @@ def dualize_coalgebra(spec: CoalgebraSpec):
         dim=spec.dim,
         labels=spec.labels,
         mult=mult,
-        unit=tuple(spec.counit),
-        S=spec.S.transpose(),
-        g=tuple(spec.gamma),
+        unit=_sparse(spec.counit),
+        S=_transpose(spec.S, spec.dim),
+        g=_sparse(spec.gamma),
         name="dual(%s)" % spec.name,
     )
 
@@ -482,7 +480,7 @@ def coalgebra_regular_indicator(spec: CoalgebraSpec):
     acc = spec.tag.zero()
     for k in range(spec.dim):
         for i, j, c in spec.comult.get(k, ()):
-            w = spec.S.rows[k][i]
+            w = spec.S[i].get(k)
             if w and spec.gamma[j]:
                 acc = acc + c * spec.gamma[j] * w
     return acc
@@ -503,7 +501,7 @@ def group_like_coalgebra(ct: CayleyTable, tag: FieldTag, labels=None,
         labels=tuple(labels) if labels else tuple("g%d" % i for i in range(n)),
         comult={k: ((k, k, one),) for k in range(n)},
         counit=(one,) * n,
-        S=perm_matrix(tag, inv_perm),
+        S=perm_columns(tag, inv_perm),
         gamma=(one,) * n,
         name=name,
     )

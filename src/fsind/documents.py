@@ -35,12 +35,12 @@ from .constructors import (
     group_algebra,
     group_involution,
     parse_scheme_text,
-    perm_matrix,
+    perm_columns,
     scheme_involution,
     scheme_to_grouplike,
     SchemeFormatError,
 )
-from .linalg import Matrix
+from .linalg import _transpose
 from .pivotal import (
     ModuleRep,
     PivotalAlgebra,
@@ -113,13 +113,18 @@ def _vector(tag, xs, n, where, memo=None):
     return tuple(out)
 
 
-def _rows(tag, rows, nrows, ncols, where):
-    """The rows of a matrix as scalar tuples."""
-    if not isinstance(rows, list) or len(rows) != nrows:
-        raise DocumentError("%s: expected %d matrix rows" % (where, nrows))
+def _rows(tag, rows, n, where):
+    """The rows of an n x n matrix as sparse rows {column: value}."""
+    if not isinstance(rows, list) or len(rows) != n:
+        raise DocumentError("%s: expected %d matrix rows" % (where, n))
     memo = {}
-    return [_vector(tag, r, ncols, "%s[%d]" % (where, i), memo)
+    return [_sparse(_vector(tag, r, n, "%s[%d]" % (where, i), memo))
             for i, r in enumerate(rows)]
+
+
+def _columns(tag, rows, n, where):
+    """The sparse columns of an n x n matrix given by its rows."""
+    return _transpose(_rows(tag, rows, n, where), n)
 
 
 def _index(x, bound, where):
@@ -243,7 +248,7 @@ def _load_coalgebra_section(section, tag, name):
         comult=_structure_constants(tag, comult_raw, dim, "coalgebra.comult",
                                     comult=True),
         counit=_vector(tag, counit_raw, dim, "coalgebra.counit"),
-        S=Matrix(tag, _rows(tag, s_raw, dim, dim, "coalgebra.S")),
+        S=_columns(tag, s_raw, dim, "coalgebra.S"),
         gamma=_vector(tag, gamma_raw, dim, "coalgebra.gamma"),
         name=name,
     )
@@ -264,9 +269,9 @@ def _load_algebra_section(section, tag, name):
         dim=dim,
         labels=_labels(section, dim, "algebra"),
         mult=_structure_constants(tag, section["mult"], dim, "algebra.mult"),
-        unit=_vector(tag, section["unit"], dim, "algebra.unit"),
-        S=Matrix(tag, _rows(tag, section["S"], dim, dim, "algebra.S")),
-        g=_vector(tag, section["g"], dim, "algebra.g"),
+        unit=_sparse(_vector(tag, section["unit"], dim, "algebra.unit")),
+        S=_columns(tag, section["S"], dim, "algebra.S"),
+        g=_sparse(_vector(tag, section["g"], dim, "algebra.g")),
         name=name,
     )
 
@@ -285,8 +290,7 @@ def _load_module(A, entry, where):
         raise DocumentError("%s.action: expected one %dx%d matrix per"
                             " algebra basis element (%d of them)"
                             % (where, dim, dim, A.dim))
-    mats = tuple([_sparse(r) for r in _rows(A.tag, m, dim, dim,
-                                             "%s.action[%d]" % (where, i))]
+    mats = tuple(_rows(A.tag, m, dim, "%s.action[%d]" % (where, i))
                  for i, m in enumerate(action))
     return ModuleRep(name, dim, mats, A.tag)
 
@@ -349,9 +353,9 @@ def document_from_dict(doc, name=None, validate=None):
         overrides["counit"] = _vector(tag, doc["counit"], A.dim, "counit")
     elif "counit" in doc:
         raise DocumentError("a top-level 'counit' needs a 'comult'")
-    for key in ("integral", "trace_form"):
-        if key in doc:
-            overrides[key] = _vector(tag, doc[key], A.dim, key)
+    for key, convert in (("integral", _sparse), ("trace_form", tuple)):
+        if key in doc:  # the integral is an element, phi a covector
+            overrides[key] = convert(_vector(tag, doc[key], A.dim, key))
     if overrides:
         A = replace(A, **overrides)
 
@@ -386,19 +390,18 @@ def document_from_dict(doc, name=None, validate=None):
             if "perm" in entry:
                 perm = _perm(entry["perm"], A.dim, where + ".perm")
                 if not validate:
-                    T = perm_matrix(tag, perm)
+                    T = perm_columns(tag, perm)
                 elif kind == "group":
                     T = group_involution(ct, perm, tag)
                 elif kind == "scheme":
                     T = scheme_involution(A, perm)
                 else:
-                    T = perm_matrix(tag, perm)
+                    T = perm_columns(tag, perm)
                     bad = validate_algebra_involution(A, T)
                     if bad:
                         raise ValidationError(bad)
             else:
-                T = Matrix(tag, _rows(tag, entry["matrix"], A.dim, A.dim,
-                                      where + ".matrix"))
+                T = _columns(tag, entry["matrix"], A.dim, where + ".matrix")
                 if validate:
                     bad = validate_algebra_involution(A, T)
                     if bad:

@@ -21,9 +21,11 @@ module computes chi_V on the basis once (ModuleRep.character_on_basis), so
 a cell costs one evaluation. The integral is checked on generators.
 
 Every product is PivotalAlgebra.multiply on sparse elements, and module
-matrices are read as the sparse rows they are stored in. Dense tuples
-remain only in the results that callers read: SeparabilityIdempotent.terms
-and SymmetricFormData.
+matrices are read as the sparse rows they are stored in. The data follow
+the package's one rule: elements (the integral, the terms of E, the dual
+basis and the volume) are sparse dicts, covectors (counit, trace form,
+characters, alpha) are dense tuples, and no route builds a Matrix. The
+Gram matrix of the trace form is sparse rows, inverted by one elimination.
 
 Trace identities on the antipode (Trace(S) globally, Trace(S_V) on the
 image of a self-dual simple, Trace(Q) for the regular module) round out the
@@ -42,17 +44,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, SingularMatrix, SparseRows, _back_substitute,
-                     _pivots, inverse, rank)
+from .linalg import SparseRows, _back_substitute, _pivots, _transpose, rank
 from .pivotal import (
     MissingData,
     ModuleRep,
     PivotalAlgebra,
     ValidationError,
     _accumulate,
-    _dense,
     _evaluate,
-    _sparse,
 )
 
 
@@ -100,7 +99,7 @@ class IncompleteSimplesList(Exception):
 class SeparabilityIdempotent:
     """E = sum of u x v terms with E' E'' = 1 and a E = E a."""
 
-    terms: list  # list of (vector, vector) pairs
+    terms: list  # (u, v) pairs of sparse elements
 
 
 def _tensor(pairs):
@@ -117,11 +116,11 @@ def validate_separability(A: PivotalAlgebra, E: SeparabilityIdempotent):
     A once it holds the generators. On a failure every basis element is
     checked.
     """
-    terms = [(_sparse(u), _sparse(v)) for u, v in E.terms]
+    terms = E.terms
     bad = []
     total = _accumulate(kx for u, v in terms
                         for kx in A.multiply(u, v).items())
-    if total != _sparse(A.unit):
+    if total != A.unit:
         bad.append("E' E'' does not multiply to the unit")
     one = A.tag.one()
 
@@ -146,7 +145,7 @@ def hopf_integral_idempotent(A: PivotalAlgebra):
         raise MissingData("separability from an integral needs comult and counit")
     if A.integral is None:
         raise MissingData("no integral attached to %s" % A.name)
-    lam, one, eps = _sparse(A.integral), A.tag.one(), A.counit
+    lam, one, eps = A.integral, A.tag.one(), A.counit
     if _evaluate(A.tag, eps, lam) != one:
         raise NotAnIntegral("eps(Lambda) != 1")
 
@@ -155,7 +154,7 @@ def hopf_integral_idempotent(A: PivotalAlgebra):
         return (A.multiply({i: one}, lam) != expected
                 or A.multiply(lam, {i: one}) != expected)
 
-    multiplicative = _evaluate(A.tag, eps, _sparse(A.unit)) == one and all(
+    multiplicative = _evaluate(A.tag, eps, A.unit) == one and all(
         _evaluate(A.tag, eps, _accumulate(A.mult.get((i, j), ())))
         == eps[i] * eps[j] for i in A.generators for j in range(A.dim))
     if not multiplicative or any(breaks(i) for i in A.generators):
@@ -173,7 +172,7 @@ def hopf_integral_idempotent(A: PivotalAlgebra):
     for j in sorted(left):
         u = A.apply_S(_accumulate(left[j]))
         if u:
-            terms.append((_dense(A, u), _dense(A, {j: one})))
+            terms.append((u, {j: one}))
     E = SeparabilityIdempotent(terms)
     bad = validate_separability(A, E)
     if bad:
@@ -183,16 +182,15 @@ def hopf_integral_idempotent(A: PivotalAlgebra):
 
 def _casimir_element(A: PivotalAlgebra, terms):
     """sum S(u) g v over the sparse terms u x v, a sparse element."""
-    g = _sparse(A.g)
     return _accumulate(
         kx for u, v in terms
-        for kx in A.multiply(A.multiply(A.apply_S(u), g), v).items())
+        for kx in A.multiply(A.multiply(A.apply_S(u), A.g), v).items())
 
 
 def _element(A: PivotalAlgebra, route, source, build):
     """build(), the element route evaluates characters on over A, kept
     with its source object (E, SymmetricFormData or A.grouplike) and reused
-    only for that object. It lives in A.__dict__, as S_columns does, so
+    only for that object. It lives in A.__dict__, not in a field, so
     replace() and twists start empty and == ignores it."""
     cache = A.__dict__.setdefault("_indicator_elements", {})
     entry = cache.get(route)
@@ -204,8 +202,7 @@ def _element(A: PivotalAlgebra, route, source, build):
 def fs_via_separability(A: PivotalAlgebra, V: ModuleRep,
                         E: SeparabilityIdempotent):
     """nu(V) = chi_V(S(E') g E'')."""
-    w = _element(A, "separability", E, lambda: _casimir_element(
-        A, [(_sparse(u), _sparse(v)) for u, v in E.terms]))
+    w = _element(A, "separability", E, lambda: _casimir_element(A, E.terms))
     return _evaluate(A.tag, V.character_on_basis, w)
 
 
@@ -214,8 +211,8 @@ def fs_via_separability(A: PivotalAlgebra, V: ModuleRep,
 
 @dataclass
 class SymmetricFormData:
-    dual_basis: list   # vectors b_i-dual with phi(b_i b_j-dual) = delta_ij
-    volume: tuple      # sum_i b_i b_i-dual, a central element
+    dual_basis: list   # elements b_i-dual with phi(b_i b_j-dual) = delta_ij
+    volume: dict       # sum_i b_i b_i-dual, a central element
 
 
 @dataclass
@@ -225,21 +222,20 @@ class SymmetricIndicator:
 
 
 def _dual_basis_data(A: PivotalAlgebra, dual):
-    """The sparse dual basis with its volume sum_i b_i b_i-dual, as dense
+    """The dual basis with its volume sum_i b_i b_i-dual, as
     SymmetricFormData."""
     one = A.tag.one()
     vol = _accumulate(kx for i, w in enumerate(dual)
                       for kx in A.multiply({i: one}, w).items())
-    return SymmetricFormData(dual_basis=[_dense(A, w) for w in dual],
-                             volume=_dense(A, vol))
+    return SymmetricFormData(dual_basis=dual, volume=vol)
 
 
 def _dual_basis_element(A: PivotalAlgebra, data):
-    """(sum_i S(b_i) g b_i-dual, the volume v) as sparse elements."""
+    """(sum_i S(b_i) g b_i-dual, the volume v)."""
     one = A.tag.one()
-    return (_casimir_element(A, [({i: one}, _sparse(w))
+    return (_casimir_element(A, [({i: one}, w)
                                  for i, w in enumerate(data.dual_basis)]),
-            _sparse(data.volume))
+            data.volume)
 
 
 def _dual_basis_sum(A: PivotalAlgebra, chi, dim, element, chi_name):
@@ -255,22 +251,26 @@ def _dual_basis_sum(A: PivotalAlgebra, chi, dim, element, chi_name):
 
 
 def symmetric_form_data(A: PivotalAlgebra):
-    """Dual basis and volume of phi: phi(b_i b_j) read off A.mult, the
-    dual basis from the rows of the inverse of the symmetric Gram matrix."""
+    """Dual basis and volume of phi: the Gram matrix G, phi(b_i b_j), read
+    off A.mult as sparse rows, and the dual basis from the rows of G^-1, G
+    being symmetric. The rows [e_i | G_i] are eliminated, each pivoting at
+    its last nonzero column: reduced, the row pivoting at n + k is
+    [row k of G^-1 | e_k], and a pivot below n means G is singular."""
     if A.trace_form is None:
         raise MissingData("no trace form attached to %s" % A.name)
-    n, phi, z = A.dim, A.trace_form, A.tag.zero()
-    gram = Matrix(A.tag, [[sum((c * phi[k] for k, c in A.mult.get((i, j), ())
-                                if phi[k]), z)
-                           for j in range(n)] for i in range(n)])
-    if gram != gram.transpose():
+    n, phi, one = A.dim, A.trace_form, A.tag.one()
+    gram = [_accumulate((j, c * phi[k]) for j in range(n)
+                        for k, c in A.mult.get((i, j), ()) if phi[k])
+            for i in range(n)]
+    if gram != _transpose(gram, n):
         raise NotSymmetric("phi(ab) != phi(ba) somewhere")
-    try:
-        graminv = inverse(gram)
-    except SingularMatrix:
+    pivots = _pivots({i: one, **{n + j: x for j, x in row.items()}}
+                     for i, row in enumerate(gram))
+    if min(pivots) < n:
         raise DegenerateTraceForm("the Gram matrix of phi is singular")
+    _back_substitute(pivots)
     # v is central: sum a b_i (x) b^i = sum b_i (x) b^i a; multiply the legs
-    return _dual_basis_data(A, [_sparse(row) for row in graminv.rows])
+    return _dual_basis_data(A, [pivots[n + k] for k in range(n)])
 
 
 def _vec(m, d, start=0):
@@ -307,9 +307,9 @@ def fs_via_symmetric(A: PivotalAlgebra, V: ModuleRep,
 def fs_regular_trace_q(A: PivotalAlgebra):
     """Trace of a -> S(a) g; equals nu of the regular module for Frobenius
     algebras, and the number of square roots of 1 for group algebras."""
-    g, z = _sparse(A.g), A.tag.zero()
-    return sum((A.multiply(col, g).get(i, z)
-                for i, col in enumerate(A.S_columns)), z)
+    z = A.tag.zero()
+    return sum((A.multiply(col, A.g).get(i, z) for i, col in enumerate(A.S)),
+               z)
 
 
 def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep):
@@ -327,7 +327,7 @@ def trace_S_on_image(A: PivotalAlgebra, V: ModuleRep):
     """
     d = V.dim
     d2 = d * d
-    pivots = _pivots(_vec(V.of_vector(A.S_columns[i]), d)
+    pivots = _pivots(_vec(V.of_vector(A.S[i]), d)
                      + _vec(V.action[i], d, d2) for i in range(A.dim))
     if sum(c >= d2 for c in pivots) != d2:
         raise NotAbsolutelySimple(
@@ -367,8 +367,8 @@ def trace_S_global(A: PivotalAlgebra, simples, nus):
     if total != A.dim:
         raise IncompleteSimplesList(
             "sum of dim^2 is %d but dim A = %d" % (total, A.dim))
-    lhs = A.S.trace()
-    rhs = A.tag.zero()
+    rhs = z = A.tag.zero()
+    lhs = sum((col.get(i, z) for i, col in enumerate(A.S)), z)
     per = []
     for V, nu in zip(simples, nus, strict=True):
         chig = V.character(A.g)
@@ -410,11 +410,11 @@ def fs_hopf_character_formula(A: PivotalAlgebra, V: ModuleRep, alpha):
     if A.comult is None or A.integral is None:
         raise MissingData("needs comultiplication and integral")
     alpha = tuple(A.tag.coerce(a) for a in alpha)
-    alpha_s = [_evaluate(A.tag, alpha, c) for c in A.S_columns]  # alpha o S
+    alpha_s = [_evaluate(A.tag, alpha, c) for c in A.S]  # alpha o S
     one = A.tag.one()
     # alpha(S(L_1)) L_2 L_3, over the double comultiplication of L
     x = _accumulate(
-        kv for k, lk in _sparse(A.integral).items()
+        kv for k, lk in A.integral.items()
         for i, j, c in A.comult.get(k, ())
         for s, t, c2 in A.comult.get(j, ())
         for kv in A.multiply({s: lk * c * alpha_s[i] * c2}, {t: one}).items())

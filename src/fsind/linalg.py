@@ -1,15 +1,18 @@
 """Exact linear algebra over the scalar fields.
 
-A module's matrices are sparse rows, dicts {column: value} without zeros,
-which intertwiner_constraint takes as they are. Matrix is dense (S, T, Gram
-matrices, the transposition) and immutable by convention. One sparse
-Gauss-Jordan elimination gives every rank, kernel and RREF: _insert_row
-adds a row to a growing set of unit pivot rows, _back_substitute fully
-reduces them, and _rref_in_place (inverse, span solving) runs both on
-mirrored columns. Determinants use fraction-free Bareiss elimination so
-rational-function entries do not balloon. The intertwiner solver never
-goes dense: its d^2 x d^2 systems are built, eliminated and restricted as
-SparseRows.
+The package keeps one rule for its data: an algebra element is a sparse
+dict {index: value} without zeros, a covector is a dense tuple, and Matrix,
+dense and immutable by convention, is only what a report prints (Gram and
+hom matrices, the canonical form). A module's matrices are sparse rows
+{column: value}, which intertwiner_constraint takes as they are; S and the
+involutions are sparse columns. One sparse Gauss-Jordan elimination gives
+every rank, kernel, RREF and inverse: _insert_row adds a row to a growing
+set of unit pivot rows and _back_substitute fully reduces them; callers
+read the pivot rows directly, and _rref_in_place (inverse, span solving)
+runs both on mirrored columns for dense callers. Determinants use
+fraction-free Bareiss elimination so rational-function entries do not
+balloon. The intertwiner solver never goes dense: its d^2 x d^2 systems are
+built, eliminated and restricted as SparseRows.
 
 Kernel bases are sparse vectors [(column, value), ...] in ascending column
 order, whatever the input, and canonical: the rows of the unique reduced
@@ -68,10 +71,6 @@ class Matrix:
         """Row-major flattening, entry (r, c) at index r*ncols + c."""
         return tuple(x for row in self.rows for x in row)
 
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.rows[r][c]
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -79,19 +78,10 @@ class Matrix:
                 and all(a == b for ra, rb in zip(self.rows, other.rows)
                         for a, b in zip(ra, rb)))
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, self.vec()))
-
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch("shape %s vs %s" % (self.shape, other.shape))
         return Matrix(self.tag, [[a + b for a, b in zip(ra, rb)]
-                                 for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch("shape %s vs %s" % (self.shape, other.shape))
-        return Matrix(self.tag, [[a - b for a, b in zip(ra, rb)]
                                  for ra, rb in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
@@ -117,10 +107,6 @@ class Matrix:
     def scale(self, s):
         return Matrix(self.tag, [[s * a for a in r] for r in self.rows])
 
-    def transpose(self):
-        return Matrix(self.tag, [list(col) for col in zip(*self.rows)]
-                      if self.rows else [])
-
     def apply(self, vec):
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.ncols:
@@ -135,14 +121,6 @@ class Matrix:
                     acc = acc + a * v
             out.append(acc)
         return tuple(out)
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        acc = self.tag.zero()
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
 
     @property
     def shape(self):

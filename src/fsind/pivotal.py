@@ -7,14 +7,16 @@ b(v, w) = v^T M w, b(a v, w) = b(v, S(a) w), has a Gram matrix M with
 R(b)^T M = M R(S(b)): M is the transpose of a map in Hom(V, V*). The
 indicator is the trace of M -> R(g)^T M^T on that space.
 
-Algebra elements are sparse: dicts {basis index: coefficient} holding no
-zeros. PivotalAlgebra.multiply, read off the structure constants A.mult, is
-the one product, and apply_S applies S through its sparse columns
-A.S_columns, computed once per algebra. Dense coefficient tuples remain only
-in the fields that documents fill (unit, g, counit, integral, trace_form);
-each is made sparse where a computation starts. A module's R(b_i) are
-sparse rows, dicts {column: value} without zeros (ModuleRep.action), as
-every constructor writes them and every route reads them.
+One rule fixes the format of algebra data: an algebra element is a sparse
+dict {basis index: coefficient} holding no zeros, a covector (counit,
+trace_form, a character) is a dense tuple of its values on the basis, and
+Matrix is only what a report prints. So unit, g and integral are sparse
+elements, and S and every involution are lists of sparse columns, column i
+being the image of b_i. PivotalAlgebra.multiply, read off the structure
+constants A.mult, is the one product, and apply_S applies S through its
+columns. A module's R(b_i) are sparse rows, dicts {column: value} without
+zeros (ModuleRep.action), as every constructor writes them and every route
+reads them.
 
 One core, indicator_from_presentation, computes every indicator report. It
 reads a module only through a presentation: R(b) and R(S(b)) for generators
@@ -28,12 +30,15 @@ holding the nonzeros of a row of one matrix and a column of the other, and
 kernel_intersection restricts each to the kernel found so far: no
 d^2 x d^2 system is ever dense. Its result, sparse RREF vectors, stays
 sparse through the transposition and the End(V) count; Matrix.from_sparse
-reshapes it only into the Gram and hom matrices that callers read.
+reshapes it only into the Gram and hom matrices that callers read. The
+transposition is an involution, so nu is its trace and fixes the dimensions
+of its +-1 eigenspaces: dim+- = (dim_bil +- nu) / 2.
 
 Twisting by an involution tau replaces S by S o tau and keeps g. That is
-the only place a twist enters: twist_algebra builds (A, S o tau, g), and
-every indicator route, here and in formulas, reads S from the algebra it is
-given, so nu^tau(V) is fs_indicator(twist_algebra(A, T), V).
+the only place a twist enters: twist_algebra composes the columns of S and
+tau into (A, S o tau, g), and every indicator route, here and in formulas,
+reads S from the algebra it is given, so nu^tau(V) is
+fs_indicator(twist_algebra(A, T), V).
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from functools import cached_property
 
 from .linalg import (
     Matrix,
-    NotInSpan,
     _axpy,
     _combine,
     _insert_row,
@@ -80,12 +84,6 @@ class NotCentralCharacter(Exception):
 def _sparse(u):
     """A dense coefficient tuple as a sparse element {index: value}."""
     return {i: x for i, x in enumerate(u) if x}
-
-
-def _dense(A, u):
-    """A sparse element of A as a dense coefficient tuple."""
-    z = A.tag.zero()
-    return tuple(u.get(i, z) for i in range(A.dim))
 
 
 def _accumulate(terms):
@@ -133,13 +131,13 @@ class PivotalAlgebra:
     labels: tuple
     # sparse structure constants: (i, j) -> ((k, c), ...) with b_i b_j = sum c b_k
     mult: dict
-    unit: tuple
-    S: Matrix
-    g: tuple
+    unit: dict
+    S: list  # S(b_i) per basis index i, a sparse element
+    g: dict
     # optional coalgebra data: k -> ((i, j, c), ...) with D(b_k) = sum c b_i x b_j
     comult: dict | None = None
     counit: tuple | None = None
-    integral: tuple | None = None
+    integral: dict | None = None
     trace_form: tuple | None = None
     involutions: dict = field(default_factory=dict)
     grouplike: GroupLikeData | None = None
@@ -154,7 +152,7 @@ class PivotalAlgebra:
         that span times each generator being inserted once."""
         if self.generators is not None:
             return
-        one, unit = self.tag.one(), _sparse(self.unit)
+        one, unit = self.tag.one(), self.unit
         pivots, gens = {}, []
         kept = [unit] if _insert_row(pivots, unit) else []
         for i in range(self.dim):
@@ -178,14 +176,8 @@ class PivotalAlgebra:
                            for j, y in v.items()
                            for k, c in self.mult.get((i, j), ()))
 
-    @cached_property
-    def S_columns(self):
-        """S(b_i) as sparse elements. Not a field, so replace() builds an
-        algebra that computes its own."""
-        return [_sparse(col) for col in zip(*self.S.rows)]
-
     def apply_S(self, u):
-        return _apply_columns(self.S_columns, u)
+        return _apply_columns(self.S, u)
 
 
 @dataclass
@@ -197,9 +189,7 @@ class ModuleRep:
     tag: FieldTag
 
     def of_vector(self, u):
-        """R(u) as sparse rows, for a sparse element u or a dense
-        coefficient tuple."""
-        u = u if isinstance(u, dict) else _sparse(u)
+        """R(u) as sparse rows, for a sparse element u."""
         return [_accumulate((c, x * y) for k, x in u.items()
                             for c, y in self.action[k][r].items())
                 for r in range(self.dim)]
@@ -207,16 +197,15 @@ class ModuleRep:
     @cached_property
     def character_on_basis(self):
         """chi_V(b_i), the trace of R(b_i), for each basis index. Computed
-        once per module, as S_columns is per algebra; not a field, so
-        replace() builds a module that computes its own."""
+        once per module; not a field, so replace() builds a module that
+        computes its own."""
         z = self.tag.zero()
         return tuple(sum((row[r] for r, row in enumerate(m) if r in row), z)
                      for m in self.action)
 
     def character(self, u):
-        """chi_V(u) for a sparse element u or a dense coefficient tuple."""
-        return _evaluate(self.tag, self.character_on_basis,
-                         u if isinstance(u, dict) else _sparse(u))
+        """chi_V(u) for a sparse element u."""
+        return _evaluate(self.tag, self.character_on_basis, u)
 
 
 @dataclass
@@ -266,9 +255,9 @@ def validate_pivotal(A: PivotalAlgebra):
     Involutions are not read: each is checked when it is attached.
     """
     n, one = A.dim, A.tag.one()
-    cols = A.S_columns
+    cols = A.S
     bad = []
-    unit, g = _sparse(A.unit), _sparse(A.g)
+    unit, g = A.unit, A.g
     for i in range(n):
         b = {i: one}
         if A.multiply(unit, b) != b:
@@ -295,23 +284,21 @@ def validate_pivotal(A: PivotalAlgebra):
     return bad
 
 
-def validate_algebra_involution(A: PivotalAlgebra, T: Matrix):
+def validate_algebra_involution(A: PivotalAlgebra, T):
     """Violations of tau^2 = id, tau(b_i b_j) = tau(b_i) tau(b_j),
-    tau(g) = g and tau S = S tau for the involution matrix T of tau."""
+    tau(g) = g and tau S = S tau for the sparse columns T of tau."""
     bad = []
-    n = A.dim
-    if T * T != Matrix.identity(A.tag, n):
+    n, one = A.dim, A.tag.one()
+    if any(_apply_columns(T, T[i]) != {i: one} for i in range(n)):
         bad.append("tau^2 != id")
-    cols = [_sparse(col) for col in zip(*T.rows)]
     for i in range(n):
         for j in range(n):
-            if (_apply_columns(cols, _accumulate(A.mult.get((i, j), ())))
-                    != A.multiply(cols[i], cols[j])):
+            if (_apply_columns(T, _accumulate(A.mult.get((i, j), ())))
+                    != A.multiply(T[i], T[j])):
                 bad.append("tau is not an algebra map at (%d, %d)" % (i, j))
-    g = _sparse(A.g)
-    if _apply_columns(cols, g) != g:
+    if _apply_columns(T, A.g) != A.g:
         bad.append("tau(g) != g")
-    if T * A.S != A.S * T:
+    if any(_apply_columns(T, A.S[i]) != A.apply_S(T[i]) for i in range(n)):
         bad.append("tau does not commute with S")
     return bad
 
@@ -353,7 +340,7 @@ def regular_module(A: PivotalAlgebra, name="reg"):
 def dual_module(A: PivotalAlgebra, V: ModuleRep):
     """Dual action in the dual basis: R*(b) = R(S(b))^T."""
     action = tuple(_transpose(V.of_vector(col), V.dim)
-                   for col in A.S_columns)
+                   for col in A.S)
     return ModuleRep("dual(%s)" % V.name, V.dim, action, V.tag)
 
 
@@ -385,7 +372,7 @@ def hom_space(A: PivotalAlgebra, V: ModuleRep, W: ModuleRep):
 def _presentation(A: PivotalAlgebra, V: ModuleRep):
     """R(b) and R(S(b)) for the generators b of A."""
     return ([V.action[i] for i in A.generators],
-            [V.of_vector(A.S_columns[i]) for i in A.generators])
+            [V.of_vector(A.S[i]) for i in A.generators])
 
 
 def _forms(tag, gens, dual_gens, d):
@@ -405,50 +392,52 @@ def invariant_form_space(A: PivotalAlgebra, V: ModuleRep):
 
 
 def _transposition(tag, rg, forms):
-    """Matrix of M -> R(g)^T M^T in the canonical sparse basis forms.
+    """Sparse columns of M -> R(g)^T M^T in the canonical sparse basis forms.
 
     The image is built by index arithmetic: each nonzero M[r][k] = x adds
     R(g)[k][i] x at cell (i, r), over the nonzeros of row k of R(g), so
     R(g) = I only permutes indices. An image's coordinates are its entries
-    at the forms' pivots; NotInSpan means those do not recombine to it.
+    at the forms' pivots; if those do not recombine to it, the input data
+    was inconsistent and ValidationError names the check.
     """
     d = len(rg)
     rg_rows = [[(i * d, y) for i, y in row.items()] for row in rg]
     pivots = [v[0][0] for v in forms]
-    z = tag.zero()
     cols = []
     for v in forms:
         image = {}
         for j, x in v:
             r, k = divmod(j, d)
             _axpy(image, x, [(i + r, y) for i, y in rg_rows[k]])
-        cols.append(tuple(image.get(p, z) for p in pivots))
-        coeffs = [(k, x) for k, x in enumerate(cols[-1]) if x]
-        if _combine(coeffs, forms) != sorted(image.items()):
-            raise NotInSpan("the transposed form lies outside the form span")
-    return Matrix(tag, list(zip(*cols))) if cols else Matrix(tag, [])
+        cols.append({k: image[p] for k, p in enumerate(pivots) if p in image})
+        if _combine(cols[-1].items(), forms) != sorted(image.items()):
+            raise ValidationError(["transposed form outside the form span"])
+    return cols
 
 
 def transposition_on_forms(A: PivotalAlgebra, basis: FormBasis):
     """Matrix of M -> R(g)^T M^T in the given canonical form basis.
 
     That map sends b(v, w) to b(w, g v); invariance of the target is a
-    consequence of the pivotal axioms. NotInSpan means the input data was
-    inconsistent.
+    consequence of the pivotal axioms. ValidationError means the input data
+    was inconsistent.
     """
     forms = [[(j, x) for j, x in enumerate(f.vec()) if x] for f in basis.forms]
-    return _transposition(A.tag, basis.module.of_vector(A.g), forms)
+    cols = _transposition(A.tag, basis.module.of_vector(A.g), forms)
+    z = A.tag.zero()
+    return Matrix(A.tag, [[c.get(r, z) for c in cols]
+                          for r in range(len(cols))])
 
 
 # ---------------------------------------------------------------------------
 # twisting
 
 def twist_algebra(A: PivotalAlgebra, T):
-    """(A, S o tau, g) for the involution matrix T of tau (tau applied
-    first); A itself when T is None."""
+    """(A, S o tau, g) for the sparse columns T of tau (tau applied first):
+    column i is S(T[i]). A itself when T is None."""
     if T is None:
         return A
-    return replace(A, S=A.S * T, name="%s^tau" % A.name)
+    return replace(A, S=[A.apply_S(col) for col in T], name="%s^tau" % A.name)
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +476,20 @@ def indicator_from_presentation(tag, gens, dual_gens, g):
     gens are R(b) for generators b of the algebra, dual_gens are R(S(b))
     for the same b (S o tau when twisted), and g is R(g), all as sparse
     rows {column: value}. Two systems are solved: the invariant forms and
-    End(V). nu is the trace of the transposition on the forms, and
-    dim_plus/dim_minus are the dimensions of its +-1 eigenspaces.
+    End(V). nu is the trace of the transposition on the forms. That map is
+    an involution, checked exactly, so dim_plus is the k with
+    2k - dim_bil = nu, and dim_minus = dim_bil - dim_plus.
     """
     d = len(g)
     forms = _forms(tag, gens, dual_gens, d)
     m = len(forms)
-    if m:
-        op = _transposition(tag, g, forms)
-        nu = op.trace()
-        ident = Matrix.identity(tag, m)
-        dim_plus = m - rank(op - ident)
-        dim_minus = m - rank(op + ident)
-    else:
-        nu = tag.zero()
-        dim_plus = dim_minus = 0
+    op = _transposition(tag, g, forms)
+    one, z = tag.one(), tag.zero()
+    if any(_apply_columns(op, col) != {k: one} for k, col in enumerate(op)):
+        raise ValidationError(["transposition is not an involution"])
+    nu = sum((col.get(k, z) for k, col in enumerate(op)), z)
+    # op^2 = I over a field of characteristic 0: nu = dim_plus - dim_minus
+    dim_plus = next(k for k in range(m + 1) if tag.coerce(2 * k - m) == nu)
     end_dim = len(kernel_intersection(
         tag, (intertwiner_constraint(tag, r, r, d, d) for r in gens), d * d))
     grams = [Matrix.from_sparse(tag, d, d, v) for v in forms]
@@ -509,7 +497,7 @@ def indicator_from_presentation(tag, gens, dual_gens, g):
         nu=nu,
         dim_bil=m,
         dim_plus=dim_plus,
-        dim_minus=dim_minus,
+        dim_minus=m - dim_plus,
         end_dim=end_dim,
         self_dual=span_contains_invertible(tag, grams),
         abs_simple=end_dim == 1,
@@ -538,7 +526,7 @@ def pivotal_from_character(A: PivotalAlgebra, alpha):
             "%s carries no comultiplication" % A.name)
     alpha = tuple(A.tag.coerce(a) for a in alpha)
     n, one = A.dim, A.tag.one()
-    if _evaluate(A.tag, alpha, _sparse(A.unit)) != one:
+    if _evaluate(A.tag, alpha, A.unit) != one:
         raise NotCentralCharacter("alpha(1) != 1")
     for i in range(n):
         for j in range(n):
@@ -554,10 +542,9 @@ def pivotal_from_character(A: PivotalAlgebra, alpha):
                 "centrality fails on basis element %d" % k)
 
     # column k is T_alpha(b_k) = S(sum c alpha(b_i) b_j) over D(b_k)
-    cols = [_dense(A, A.apply_S(_accumulate(
-        (j, c * alpha[i]) for i, j, c in A.comult.get(k, ()))))
+    t_alpha = [A.apply_S(_accumulate(
+        (j, c * alpha[i]) for i, j, c in A.comult.get(k, ())))
         for k in range(n)]
-    t_alpha = Matrix(A.tag, list(zip(*cols)))
     out = replace(A, S=t_alpha, g=A.unit, involutions={},
                   name="%s[alpha]" % A.name)
     bad = validate_pivotal(out)

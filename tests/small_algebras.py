@@ -12,12 +12,11 @@ from fsind.formulas import (
     SymmetricFormData,
     validate_separability,
 )
-from fsind.linalg import Matrix, SingularMatrix, inverse
+from fsind.linalg import Matrix, SingularMatrix, inverse, rank
 from fsind.pivotal import (
     ModuleRep,
     PivotalAlgebra,
     _accumulate,
-    _dense,
     _evaluate,
     _sparse,
 )
@@ -38,6 +37,36 @@ def to_matrix(tag, rows):
 def from_matrix(m):
     """A Matrix as sparse rows {column: value}, the format of a module."""
     return [_sparse(r) for r in m.rows]
+
+
+def columns_to_matrix(tag, cols):
+    """A square matrix given as sparse columns {row: value}, as a Matrix:
+    the format of S and of an involution."""
+    return transpose(to_matrix(tag, cols))
+
+
+def matrix_columns(m):
+    """A Matrix as sparse columns {row: value}."""
+    return from_matrix(transpose(m))
+
+
+def transpose(m):
+    return Matrix(m.tag, [list(col) for col in zip(*m.rows)] if m.rows else [])
+
+
+def trace(m):
+    return sum((m.rows[i][i] for i in range(m.nrows)), m.tag.zero())
+
+
+def difference(a, b):
+    """a - b for two Matrix objects of one shape."""
+    return a + b.scale(-a.tag.one())
+
+
+def dense_element(A, u):
+    """A sparse element of A as a dense coefficient tuple."""
+    z = A.tag.zero()
+    return tuple(u.get(i, z) for i in range(A.dim))
 
 
 def module_of(name, mats):
@@ -104,7 +133,7 @@ def left_mult(A, u):
 
 
 def apply_S(A, u):
-    return A.S.apply(u)
+    return columns_to_matrix(A.tag, A.S).apply(u)
 
 
 def dense_rref(rows, ncols):
@@ -157,7 +186,7 @@ def generators_by_closure(A):
     index outside the subalgebra the earlier ones generate, that is, the
     unit's span grown by right multiplication until it is closed, the whole
     span eliminated again at every step."""
-    gens, span = [], span_canonical([A.unit])
+    gens, span = [], span_canonical([dense_element(A, A.unit)])
     for i in range(A.dim):
         if len(span) == A.dim:
             break
@@ -178,11 +207,12 @@ def validate_pivotal_by_definition(A):
     bad = []
     n = A.dim
     basis = [basis_vector(A, i) for i in range(n)]
+    unit, g = dense_element(A, A.unit), dense_element(A, A.g)
 
     for i in range(n):
-        if multiply(A, A.unit, basis[i]) != basis[i]:
+        if multiply(A, unit, basis[i]) != basis[i]:
             bad.append("unit fails on the left at index %d" % i)
-        if multiply(A, basis[i], A.unit) != basis[i]:
+        if multiply(A, basis[i], unit) != basis[i]:
             bad.append("unit fails on the right at index %d" % i)
 
     for i in range(n):
@@ -200,23 +230,44 @@ def validate_pivotal_by_definition(A):
             if lhs != rhs:
                 bad.append("S is not an anti-map at (%d, %d)" % (i, j))
 
-    sg = apply_S(A, A.g)
-    if multiply(A, sg, A.g) != A.unit or multiply(A, A.g, sg) != A.unit:
+    sg = apply_S(A, g)
+    if multiply(A, sg, g) != unit or multiply(A, g, sg) != unit:
         bad.append("S(g) is not the inverse of g")
     else:
         for i in range(n):
             lhs = apply_S(A, apply_S(A, basis[i]))
-            rhs = multiply(A, A.g, multiply(A, basis[i], sg))
+            rhs = multiply(A, g, multiply(A, basis[i], sg))
             if lhs != rhs:
                 bad.append("S^2 != g(.)g^-1 at index %d" % i)
     return bad
 
 
+def twisted_S_by_dense_product(A, T):
+    """The columns of S o tau from the dense product of the matrices S and
+    T: the reference for pivotal.twist_algebra, which composes columns."""
+    return matrix_columns(columns_to_matrix(A.tag, A.S)
+                          * columns_to_matrix(A.tag, T))
+
+
+def eigenspace_dimensions_by_rank(tag, op):
+    """(m - rank(op - I), m - rank(op + I)) for the sparse columns op of an
+    m x m matrix, by two dense eliminations: the reference for the
+    dimensions the indicator core reads off nu."""
+    m, one = len(op), tag.one()
+    ident = Matrix.identity(tag, m)
+    return tuple(m - rank(difference(columns_to_matrix(tag, op),
+                                     ident.scale(s)))
+                 for s in (one, -one))
+
+
 def validate_algebra_involution_by_definition(A, T):
-    """The involution axioms by dense products of basis vectors: the
-    reference for pivotal.validate_algebra_involution."""
+    """The involution axioms by dense products of basis vectors and dense
+    matrices T and S: the reference for pivotal.validate_algebra_involution,
+    which reads the sparse columns T."""
     bad = []
     n = A.dim
+    T, S, g = (columns_to_matrix(A.tag, T), columns_to_matrix(A.tag, A.S),
+               dense_element(A, A.g))
     if T * T != Matrix.identity(A.tag, n):
         bad.append("tau^2 != id")
     basis = [basis_vector(A, i) for i in range(n)]
@@ -226,9 +277,9 @@ def validate_algebra_involution_by_definition(A, T):
             rhs = multiply(A, T.apply(basis[i]), T.apply(basis[j]))
             if lhs != rhs:
                 bad.append("tau is not an algebra map at (%d, %d)" % (i, j))
-    if T.apply(A.g) != A.g:
+    if T.apply(g) != g:
         bad.append("tau(g) != g")
-    if T * A.S != A.S * T:
+    if T * S != S * T:
         bad.append("tau does not commute with S")
     return bad
 
@@ -239,7 +290,8 @@ def module_violations_by_full_loop(A, V):
     the same messages in the same order."""
     action = dense_action(V)
     bad = []
-    if dense_of_vector(A, action, A.unit) != Matrix.identity(A.tag, V.dim):
+    if (dense_of_vector(A, action, dense_element(A, A.unit))
+            != Matrix.identity(A.tag, V.dim)):
         bad.append("module %r: unit does not act as identity" % V.name)
     for i in range(A.dim):
         for j in range(A.dim):
@@ -254,17 +306,18 @@ def validate_separability_by_definition(A, E):
     """E' E'' = 1 and b E = E b on basis elements, by dense products and
     dense tensors: the reference for formulas.validate_separability."""
     bad = []
+    terms = [(dense_element(A, u), dense_element(A, v)) for u, v in E.terms]
     total = (A.tag.zero(),) * A.dim
-    for u, v in E.terms:
+    for u, v in terms:
         total = tuple(x + y for x, y in zip(total, multiply(A, u, v)))
-    if total != A.unit:
+    if total != dense_element(A, A.unit):
         bad.append("E' E'' does not multiply to the unit")
     z = A.tag.zero()
     for i in range(A.dim):
         b = basis_vector(A, i)
         lhs = {}
         rhs = {}
-        for u, v in E.terms:
+        for u, v in terms:
             bu = multiply(A, b, u)
             vb = multiply(A, v, b)
             for p, x in enumerate(bu):
@@ -290,17 +343,16 @@ def casimir_sum(A, chi, terms):
     """chi(sum S(u) g v) over the sparse terms u x v, the element built
     afresh for each character: the reference for the indicator elements the
     closed-form routes keep per algebra."""
-    g = _sparse(A.g)
     return _evaluate(A.tag, chi, _accumulate(
         kx for u, v in terms
-        for kx in A.multiply(A.multiply(A.apply_S(u), g), v).items()))
+        for kx in A.multiply(A.multiply(A.apply_S(u), A.g), v).items()))
 
 
 def integral_idempotent_by_full_loop(A):
     """formulas.hopf_integral_idempotent with the integral checked on every
     basis element: the reference for its check on generators, raising the
     same exceptions with the same messages."""
-    lam, one = _sparse(A.integral), A.tag.one()
+    lam, one = A.integral, A.tag.one()
     if _evaluate(A.tag, A.counit, lam) != one:
         raise NotAnIntegral("eps(Lambda) != 1")
     for i in range(A.dim):
@@ -317,7 +369,7 @@ def integral_idempotent_by_full_loop(A):
     for j in sorted(left):
         u = A.apply_S(_accumulate(left[j]))
         if u:
-            terms.append((_dense(A, u), _dense(A, {j: one})))
+            terms.append((u, {j: one}))
     E = SeparabilityIdempotent(terms)
     bad = validate_separability(A, E)
     if bad:
@@ -327,15 +379,15 @@ def integral_idempotent_by_full_loop(A):
 
 def symmetric_form_data_by_products(A):
     """The Gram matrix phi(b_i b_j) by dense products of basis vectors, the
-    dual basis from the columns of its inverse and the volume
-    sum_i b_i b_i-dual by dense products: the reference for
-    formulas.symmetric_form_data."""
+    dual basis from the columns of its inverse (linalg.inverse) and the
+    volume sum_i b_i b_i-dual by dense products, both made sparse at the end:
+    the reference for formulas.symmetric_form_data."""
     n, z = A.dim, A.tag.zero()
     basis = [basis_vector(A, i) for i in range(n)]
     gram = Matrix(A.tag, [[sum((x * y for x, y in zip(
         A.trace_form, multiply(A, basis[i], basis[j]))), z)
         for j in range(n)] for i in range(n)])
-    if gram != gram.transpose():
+    if gram != transpose(gram):
         raise NotSymmetric("phi(ab) != phi(ba) somewhere")
     try:
         dual = [tuple(col) for col in zip(*inverse(gram).rows)]
@@ -344,7 +396,8 @@ def symmetric_form_data_by_products(A):
     volume = (z,) * n
     for b, w in zip(basis, dual):
         volume = tuple(x + y for x, y in zip(volume, multiply(A, b, w)))
-    return SymmetricFormData(dual_basis=dual, volume=volume)
+    return SymmetricFormData(dual_basis=[_sparse(w) for w in dual],
+                             volume=_sparse(volume))
 
 
 def dual_numbers():
@@ -353,9 +406,9 @@ def dual_numbers():
     return PivotalAlgebra(
         tag=RATIONAL, dim=2, labels=("1", "x"),
         mult={(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),)},
-        unit=(one, zero),
-        S=Matrix.identity(RATIONAL, 2),
-        g=(one, zero),
+        unit={0: one},
+        S=[{0: one}, {1: one}],
+        g={0: one},
         trace_form=(zero, one),
         name="k[x]/(x^2)",
     )
@@ -369,7 +422,7 @@ def primitive_coalgebra():
         tag=RATIONAL, dim=2, labels=("1", "x"),
         comult={0: ((0, 0, one),), 1: ((0, 1, one), (1, 0, one))},
         counit=(one, zero),
-        S=Matrix(RATIONAL, [[one, zero], [zero, -one]]),
+        S=[{0: one}, {1: -one}],
         gamma=(one, zero),
         name="primitive",
     )
@@ -380,18 +433,15 @@ def upper_triangular():
     antidiagonal (e11 <-> e22, e12 fixed), so S^2 = id, and g = 1.
 
     It is not semisimple: e12 spans its radical."""
-    one, zero = RATIONAL.one(), RATIONAL.zero()
-    swap = Matrix(RATIONAL, [[zero, zero, one],
-                             [zero, one, zero],
-                             [one, zero, zero]])
+    one = RATIONAL.one()
     return PivotalAlgebra(
         tag=RATIONAL, dim=3, labels=("e11", "e12", "e22"),
         # e11 e11 = e11, e11 e12 = e12, e12 e22 = e12, e22 e22 = e22
         mult={(0, 0): ((0, one),), (0, 1): ((1, one),),
               (1, 2): ((1, one),), (2, 2): ((2, one),)},
-        unit=(one, zero, one),
-        S=swap,
-        g=(one, zero, one),
+        unit={0: one, 2: one},
+        S=[{2: one}, {1: one}, {0: one}],
+        g={0: one, 2: one},
         name="T2(Q)",
     )
 
@@ -401,7 +451,7 @@ def upper_triangular_3():
     transpose along the antidiagonal and g = 1. Its generators are
     e11, e22, e12 and e23: e13 = e12 e23 is an element kept before e23
     times e23."""
-    one, zero = RATIONAL.one(), RATIONAL.zero()
+    one = RATIONAL.one()
     units = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
     index = {rc: k for k, rc in enumerate(units)}
     mult = {(a, b): ((index[(r, c2)], one),)
@@ -411,10 +461,9 @@ def upper_triangular_3():
     return PivotalAlgebra(
         tag=RATIONAL, dim=6, labels=("e11", "e22", "e33", "e12", "e23", "e13"),
         mult=mult,
-        unit=(one, one, one, zero, zero, zero),
-        S=Matrix(RATIONAL, [[one if flip[j] == i else zero for j in range(6)]
-                            for i in range(6)]),
-        g=(one, one, one, zero, zero, zero),
+        unit={0: one, 1: one, 2: one},
+        S=[{flip[j]: one} for j in range(6)],
+        g={0: one, 1: one, 2: one},
         name="T3(Q)",
     )
 
@@ -447,8 +496,8 @@ def qsl2_violations_by_dense_products(m):
         bad.append("K E K^-1 != q^2 E")
     if K * F * Kinv != F.scale(q ** -2):
         bad.append("K F K^-1 != q^-2 F")
-    comm = E * F - F * E
-    target = (K - Kinv).scale((q - q ** -1) ** -1)
+    comm = difference(E * F, F * E)
+    target = difference(K, Kinv).scale((q - q ** -1) ** -1)
     if comm != target:
         bad.append("[E, F] != (K - K^-1)/(q - q^-1)")
     return bad

@@ -1,5 +1,6 @@
 """End-to-end runs of the fsind command line."""
 
+import collections
 import json
 import os
 import random
@@ -16,9 +17,10 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
-from fsind import cli, pivotal
+from fsind import cli, linalg, pivotal
 from fsind.cli import main
 from fsind.constructors import builtin_document, builtin_names
+from fsind.scalars import RATIONAL
 
 from small_algebras import s4_table
 
@@ -577,6 +579,68 @@ def test_skip_validation_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FSIND_SKIP_VALIDATION", "1")
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0 and out.startswith("ok:")
+
+
+def test_inconsistent_unvalidated_data_is_exit_1(tmp_path, capsys,
+                                                monkeypatch):
+    """kC2 (x x = 1) with S(1) = 0, S(x) = 1 and g = x, loaded unchecked:
+    the transposed regular forms leave the form span. The core names that
+    check as a violation, where it used to end in a traceback."""
+    raw = {
+        "field": "rational",
+        "algebra": {
+            "dim": 2,
+            "mult": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]],
+            "unit": [1, 0],
+            "S": [[0, 1], [0, 0]],
+            "g": [0, 1],
+        },
+        "modules": [{"name": "reg", "dim": 2,
+                     "action": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}],
+    }
+    path = tmp_path / "kc2.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setenv("FSIND_SKIP_VALIDATION", "1")
+    for argv in (("indicator", str(path), "--module", "reg"),
+                 ("table", str(path))):
+        assert run(capsys, *argv) == (
+            1, "", "invalid: transposed form outside the form span\n")
+
+
+def test_reports_reach_no_dense_product_or_solve(tmp_path, capsys,
+                                                 monkeypatch):
+    """table --json on every builtin and qsl2 2l = 0..10, twisted or not,
+    call no dense product, dense inverse or dense span solve: algebra data
+    stay sparse from the loader to the report."""
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for attr in ("__mul__", "apply"):
+        monkeypatch.setattr(linalg.Matrix, attr, counted(
+            "Matrix." + attr, getattr(linalg.Matrix, attr)))
+    for attr in ("inverse", "_rref_in_place", "solve_in_span"):
+        original = getattr(linalg, attr)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "fsind" and \
+                    getattr(mod, attr, None) is original:
+                monkeypatch.setattr(mod, attr, counted(attr, original))
+    for name in builtin_names():
+        path = write_builtin(tmp_path, name)
+        assert main(["table", path, "--json"]) == 0, name
+    for two_ell in range(11):
+        for twisted in ([], ["--twisted"]):
+            assert main(["qsl2", str(two_ell), "--max", "10", "--json"]
+                        + twisted) == 0
+    capsys.readouterr()
+    assert calls == {}
+    # the wrappers are live: inverse eliminates through _rref_in_place
+    linalg.inverse(linalg.Matrix.identity(RATIONAL, 1))
+    assert calls == {"inverse": 1, "_rref_in_place": 1}
 
 
 def script_target():

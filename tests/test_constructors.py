@@ -28,7 +28,7 @@ from fsind.constructors import (
     group_involution,
     group_like_coalgebra,
     parse_scheme_text,
-    perm_matrix,
+    perm_columns,
     q8_table,
     s3_table,
     scheme_intersection_numbers,
@@ -39,7 +39,6 @@ from fsind.constructors import (
 )
 from fsind.documents import document_from_dict
 from fsind.formulas import fs_regular_trace_q
-from fsind.linalg import Matrix
 from fsind.pivotal import (
     fs_indicator,
     validate_algebra_involution,
@@ -48,7 +47,9 @@ from fsind.pivotal import (
 )
 from fsind.scalars import RATIONAL
 
-from small_algebras import primitive_coalgebra, s4_table
+from fsind.linalg import Matrix
+from small_algebras import (columns_to_matrix, dense_element,
+                            primitive_coalgebra, s4_table, trace)
 
 F = Fraction
 
@@ -92,8 +93,8 @@ def test_group_algebra_carries_hopf_data():
     A = group_algebra(s3_table(), RATIONAL)
     assert A.dim == 6
     assert A.counit == (F(1),) * 6
-    assert A.integral == (F(1, 6),) * 6
-    assert A.trace_form == A.unit
+    assert A.integral == {i: F(1, 6) for i in range(6)}
+    assert A.trace_form == dense_element(A, A.unit)
     assert A.g == A.unit
     assert A.comult[3] == ((3, 3, F(1)),)
     assert validate_pivotal(A) == []
@@ -102,7 +103,11 @@ def test_group_algebra_carries_hopf_data():
 def test_group_involutions():
     ct = cyclic_table(4)
     T = group_involution(ct, [0, 3, 2, 1], RATIONAL)
-    assert T == perm_matrix(RATIONAL, [0, 3, 2, 1])
+    assert T == perm_columns(RATIONAL, [0, 3, 2, 1]) \
+        == [{0: F(1)}, {3: F(1)}, {2: F(1)}, {1: F(1)}]
+    # column j is b_perm[j], which a perm of order 3 tells from its inverse
+    assert perm_columns(RATIONAL, [1, 2, 0]) == \
+        [{1: F(1)}, {2: F(1)}, {0: F(1)}]
     with pytest.raises(NotAutomorphism):
         group_involution(ct, [0, 0, 1, 2], RATIONAL)
     with pytest.raises(NotInvolutive):
@@ -180,7 +185,7 @@ def test_scheme_axioms_imply_the_doi_conditions():
 
 def test_scheme_involutions():
     A = scheme_to_grouplike(k3_spec(), RATIONAL)
-    assert scheme_involution(A, [0, 1]) == Matrix.identity(RATIONAL, 2)
+    assert scheme_involution(A, [0, 1]) == [{0: F(1)}, {1: F(1)}]
     B = scheme_to_grouplike(c4_cycle_spec(), RATIONAL)
     with pytest.raises(NotSchemeInvolution):
         scheme_involution(B, [0, 2, 1])     # valency 2 vs 1
@@ -210,11 +215,11 @@ def test_coalgebra_counit_and_gamma_violations():
 
 
 def test_primitive_element_coalgebra():
-    one, zero = F(1), F(0)
+    one = F(1)
     spec = primitive_coalgebra()
     assert validate_pivotal(dualize_coalgebra(spec)) == []
     swapped = dataclasses.replace(
-        spec, S=Matrix(RATIONAL, [[zero, one], [one, zero]]))
+        spec, S=[{1: one}, {0: one}])
     assert any("anti-map" in v
                for v in validate_pivotal(dualize_coalgebra(swapped)))
     crooked = dataclasses.replace(
@@ -222,6 +227,24 @@ def test_primitive_element_coalgebra():
                       1: ((0, 1, one), (1, 1, one))})
     assert ("associativity fails at (1, 0, 1)"
             in validate_pivotal(dualize_coalgebra(crooked)))
+
+
+def test_coalgebra_regular_indicator_is_the_trace_of_s_times_gamma():
+    """Trace(c -> S(c_1) gamma(c_2)) against the dense product S G, G the
+    matrix of c -> c_1 gamma(c_2), on an S that is not symmetric (entry
+    (k, i) of S is the coefficient of b_k in S(b_i), not of b_i in
+    S(b_k)); the axioms are not the point here."""
+    spec = dataclasses.replace(primitive_coalgebra(),
+                               S=[{0: F(1), 1: F(3)}, {1: F(-1)}],
+                               gamma=(F(1), F(2)))
+    n = spec.dim
+    G = Matrix(RATIONAL, [[sum((c * spec.gamma[j]
+                                for i2, j, c in spec.comult.get(k, ())
+                                if i2 == i), F(0))
+                           for k in range(n)] for i in range(n)])
+    expected = trace(columns_to_matrix(RATIONAL, spec.S) * G)
+    assert expected == F(6)
+    assert coalgebra_regular_indicator(spec) == expected
 
 
 def test_dual_of_group_like_coalgebra_is_the_function_algebra():

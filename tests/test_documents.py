@@ -52,6 +52,27 @@ def test_json_file_round_trip(tmp_path):
     assert doc.simples == ("triv", "sign", "std")
 
 
+def test_matrices_are_read_as_columns():
+    """S, a matrix involution and a coalgebra's S are given by rows and
+    stored as sparse columns, the image of b_i in column i; the dual of a
+    coalgebra takes the transpose. The matrices are not symmetric, so a
+    missing or doubled transpose shows; the axioms are not the point here."""
+    one, two, three, five = 1, 2, 3, 5
+    raw = dual_numbers_doc(S=((1, 2), (0, 1)))
+    raw["involutions"] = [{"name": "m", "matrix": [[0, 1], [5, 0]]}]
+    algebra = document_from_dict(raw, validate=False).algebra
+    assert algebra.S == [{0: one}, {0: two, 1: one}]
+    assert algebra.involutions["m"] == [{1: five}, {0: one}]
+    raw = {"field": "rational",
+           "coalgebra": {"comult": [[0, 0, 0, 1], [1, 0, 1, 1], [1, 1, 0, 1]],
+                         "counit": [1, 0], "S": [[1, 0], [3, -1]],
+                         "gamma": [1, 0]}}
+    doc = document_from_dict(raw, validate=False)
+    assert doc.coalgebra.S == [{0: one, 1: three}, {1: -one}]
+    assert doc.algebra.S == [{0: one}, {0: three, 1: -one}]
+    assert doc.algebra.unit == doc.algebra.g == {0: one}
+
+
 def test_scheme_text_document():
     doc = document_from_text(K3_TEXT, name="k3")
     assert doc.kind == "scheme"
@@ -295,7 +316,7 @@ def test_invalid_involutions_are_collected():
 def test_validation_can_be_skipped(monkeypatch):
     raw = dual_numbers_doc(S=((0, 1), (1, 0)))
     doc = document_from_dict(raw, validate=False)
-    assert doc.algebra.S.rows[0][1] == doc.algebra.tag.one()
+    assert doc.algebra.S[1][0] == doc.algebra.tag.one()  # S(b_1) = b_0
 
     monkeypatch.setenv("FSIND_SKIP_VALIDATION", "1")
     assert not validation_enabled()

@@ -15,7 +15,7 @@ from fsind.constructors import (
     cyclic_table,
     d4_table,
     group_algebra,
-    perm_matrix,
+    perm_columns,
     q8_table,
     s3_table,
     scheme_to_grouplike,
@@ -62,8 +62,8 @@ from fsind.pivotal import (
 )
 from fsind.scalars import RATIONAL
 from small_algebras import (
-    basis_vector,
     casimir_sum,
+    dense_element,
     dual_numbers,
     integral_idempotent_by_full_loop,
     module_of,
@@ -94,10 +94,9 @@ def count_square_roots(ct):
 def test_hand_built_idempotent_for_c2():
     A = group_algebra(cyclic_table(2), RATIONAL)
     h = F(1, 2)
-    E = SeparabilityIdempotent([((h, F(0)), (F(1), F(0))),
-                                ((F(0), h), (F(0), F(1)))])
+    E = SeparabilityIdempotent([({0: h}, {0: F(1)}), ({1: h}, {1: F(1)})])
     assert validate_separability(A, E) == []
-    bad = SeparabilityIdempotent([((F(1), F(0)), (F(1), F(0)))])
+    bad = SeparabilityIdempotent([({0: F(1)}, {0: F(1)})])
     assert validate_separability(A, bad)
 
 
@@ -105,8 +104,7 @@ def test_integral_idempotent_c2_terms():
     A = group_algebra(cyclic_table(2), RATIONAL)
     E = hopf_integral_idempotent(A)
     h = F(1, 2)
-    assert E.terms == [((h, F(0)), (F(1), F(0))),
-                       ((F(0), h), (F(0), F(1)))]
+    assert E.terms == [({0: h}, {0: F(1)}), ({1: h}, {1: F(1)})]
 
 
 def test_integral_idempotent_validates_everywhere():
@@ -119,11 +117,9 @@ def test_integral_idempotent_validates_everywhere():
 def test_non_integrals_are_rejected():
     A = group_algebra(cyclic_table(2), RATIONAL)
     with pytest.raises(NotAnIntegral):
-        hopf_integral_idempotent(dataclasses.replace(
-            A, integral=(F(2), F(0))))
+        hopf_integral_idempotent(dataclasses.replace(A, integral={0: F(2)}))
     with pytest.raises(NotAnIntegral):
-        hopf_integral_idempotent(dataclasses.replace(
-            A, integral=(F(1), F(0))))
+        hopf_integral_idempotent(dataclasses.replace(A, integral={0: F(1)}))
     with pytest.raises(MissingData):
         hopf_integral_idempotent(dataclasses.replace(A, integral=None))
 
@@ -153,10 +149,12 @@ def test_integral_check_on_generators_matches_the_full_loop(name, edits):
     same exception with the same message, as the check on every basis
     element."""
     A = load(name).algebra
-    fields = {"integral": list(A.integral), "counit": list(A.counit)}
+    fields = {"integral": list(dense_element(A, A.integral)),
+              "counit": list(A.counit)}
     for field, k, value in edits:
         fields[field][k % A.dim] = A.tag.coerce(value)
-    A = dataclasses.replace(A, **{f: tuple(v) for f, v in fields.items()})
+    A = dataclasses.replace(A, integral=_sparse(fields["integral"]),
+                            counit=tuple(fields["counit"]))
     assert idempotent_outcome(hopf_integral_idempotent, A) == \
         idempotent_outcome(integral_idempotent_by_full_loop, A)
 
@@ -183,9 +181,9 @@ def test_validate_separability_matches_the_definition(name, edits):
     terms = [list(term) for term in E.terms]
     for t, leg, k, value in edits:
         term = terms[t % len(terms)]
-        vec = list(term[leg])
+        vec = list(dense_element(A, term[leg]))
         vec[k % A.dim] = A.tag.coerce(value)
-        term[leg] = tuple(vec)
+        term[leg] = _sparse(vec)
     E = SeparabilityIdempotent([tuple(term) for term in terms])
     assert validate_separability(A, E) == \
         validate_separability_by_definition(A, E)
@@ -222,9 +220,9 @@ def test_symmetric_form_data_s3():
     n = A.dim
     for i in range(n):
         inv = next(j for j in range(n) if ct.table[i][j] == ct.identity())
-        assert data.dual_basis[i] == basis_vector(A, inv)
+        assert data.dual_basis[i] == {inv: A.tag.one()}
     six = A.tag.coerce(6)
-    assert data.volume == tuple(six * x for x in A.unit)
+    assert data.volume == {k: six * x for k, x in A.unit.items()}
 
 
 def test_volume_is_central_for_every_builtin_trace_form():
@@ -233,9 +231,9 @@ def test_volume_is_central_for_every_builtin_trace_form():
         A = load(name).algebra
         if A.trace_form is None:
             continue
-        v = symmetric_form_data(A).volume
+        v = dense_element(A, symmetric_form_data(A).volume)
         for i in range(A.dim):
-            b = basis_vector(A, i)
+            b = dense_element(A, {i: A.tag.one()})
             assert multiply(A, v, b) == multiply(A, b, v), (name, i)
 
 
@@ -276,6 +274,45 @@ def test_symmetric_form_data_matches_the_dense_products():
                 symmetric_form_data_by_products(A), A.name
 
 
+def symmetric_outcome(build, A):
+    """build(A), or the type and message of what it raised."""
+    try:
+        return build(A)
+    except (NotSymmetric, DegenerateTraceForm) as e:
+        return type(e), str(e)
+
+
+@functools.lru_cache(maxsize=None)
+def trace_form_algebras():
+    algebras = {name: load(name).algebra for name in builtin_names()}
+    algebras["k[x]/(x^2)"] = dual_numbers()
+    return {name: A for name, A in algebras.items()
+            if A.trace_form is not None}
+
+
+TRACE_FORM_EDITS = st.tuples(st.integers(0, 7),
+                             st.sampled_from((F(-1), F(0), F(1), F(2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(trace_form_algebras())),
+       st.lists(TRACE_FORM_EDITS, min_size=1, max_size=2))
+@example("S3", [(1, F(1))])   # phi(r) = 1: phi(ab) != phi(ba)
+@example("C2", [(1, F(1))])   # phi = eps: the Gram matrix has rank 1
+def test_trace_form_edits_match_the_dense_products(name, edits):
+    """After one or two entries of the trace form change (index taken mod
+    dim), the elimination on sparse rows gives the same dual basis and
+    volume as the dense inverse, or raises the same exception with the
+    same message."""
+    A = trace_form_algebras()[name]
+    phi = list(A.trace_form)
+    for k, value in edits:
+        phi[k % A.dim] = A.tag.coerce(value)
+    A = dataclasses.replace(A, trace_form=tuple(phi))
+    assert symmetric_outcome(symmetric_form_data, A) == \
+        symmetric_outcome(symmetric_form_data_by_products, A)
+
+
 def test_zero_volume_character():
     A = dual_numbers()
     assert validate_pivotal(A) == []
@@ -283,7 +320,7 @@ def test_zero_volume_character():
                               Matrix(RATIONAL, [[F(0)]])])
     assert validate_module(A, triv) == []
     data = symmetric_form_data(A)
-    two_x = (F(0), F(2))
+    two_x = {1: F(2)}
     assert data.volume == two_x
     with pytest.raises(ZeroVolumeCharacter):
         fs_via_symmetric(A, triv, data)
@@ -392,11 +429,11 @@ def dual_basis_reference(A, At, chi, dim, dual_basis):
     one, z = A.tag.one(), A.tag.zero()
     volume = [z] * A.dim
     for i, w in enumerate(dual_basis):
-        volume = [x + y for x, y in
-                  zip(volume, multiply(A, basis_vector(A, i), w))]
+        volume = [x + y for x, y in zip(volume, multiply(
+            A, dense_element(A, {i: one}), dense_element(A, w)))]
     chi_vol = sum((c * x for c, x in zip(chi, volume)), z)
     d = A.tag.coerce(dim)
-    w = casimir_sum(At, chi, [({i: one}, _sparse(u))
+    w = casimir_sum(At, chi, [({i: one}, u)
                               for i, u in enumerate(dual_basis)])
     return d / chi_vol * w, chi_vol / (d * d)
 
@@ -409,7 +446,7 @@ def test_cached_elements_match_the_sums_built_per_module():
         A = doc.algebra
         E = hopf_integral_idempotent(A) if A.integral is not None else None
         data = symmetric_form_data(A) if A.trace_form is not None else None
-        doi_dual = [tuple(x / e for x in basis_vector(A, j)) for j, e in
+        doi_dual = [{j: A.tag.one() / e} for j, e in
                     zip(A.grouplike.star, A.grouplike.eps)
                     ] if A.grouplike is not None else None
         for T in [None] + list(A.involutions.values()):
@@ -417,8 +454,7 @@ def test_cached_elements_match_the_sums_built_per_module():
             for V in doc.modules.values():
                 chi, where = V.character_on_basis, (name, T, V.name)
                 if E is not None:
-                    expected = casimir_sum(At, chi, [
-                        (_sparse(u), _sparse(v)) for u, v in E.terms])
+                    expected = casimir_sum(At, chi, E.terms)
                     for _ in range(2):
                         assert fs_via_separability(At, V, E) == expected, where
                 if data is not None and not fs_indicator(At, V).abs_simple:
@@ -541,7 +577,7 @@ def test_doi_on_the_complete_graph():
     assert doi_grouplike_indicator(A, (1, 2), 1) == RATIONAL.one()
     assert doi_grouplike_indicator(A, (1, -1), 1) == RATIONAL.one()
     # the identity permutation is the trivial twist
-    At = twist_algebra(A, perm_matrix(RATIONAL, (0, 1)))
+    At = twist_algebra(A, perm_columns(RATIONAL, (0, 1)))
     assert doi_grouplike_indicator(At, (1, -1), 1) == RATIONAL.one()
 
 

@@ -32,7 +32,6 @@ from fsind.constructors import builtin_document, builtin_names
 from fsind.formulas import fs_via_separability, hopf_integral_idempotent
 from fsind.linalg import (
     Matrix,
-    NotInSpan,
     det,
     inverse,
     kernel_basis,
@@ -44,11 +43,13 @@ from fsind.pivotal import (
     MissingComultiplication,
     NotCentralCharacter,
     PivotalAlgebra,
+    ValidationError,
     _transposition,
     direct_sum,
     dual_module,
     fs_indicator,
     hom_space,
+    indicator_from_presentation,
     invariant_form_space,
     pivotal_from_character,
     regular_module,
@@ -59,7 +60,7 @@ from fsind.pivotal import (
     validate_module,
     validate_pivotal,
 )
-from fsind.qsl2 import build_vl, q_integer
+from fsind.qsl2 import build_vl, q_integer, qsl2_indicator
 from fsind.scalars import (
     RATIONAL,
     RATIONAL_FUNCTION,
@@ -71,8 +72,11 @@ from small_algebras import (
     basis_vector,
     conjugate_module,
     dense_action,
+    dense_element,
     dense_of_vector,
+    difference,
     dual_numbers,
+    eigenspace_dimensions_by_rank,
     from_matrix,
     generators_by_closure,
     left_mult,
@@ -83,6 +87,9 @@ from small_algebras import (
     s4_table,
     span_canonical,
     to_matrix,
+    trace,
+    transpose,
+    twisted_S_by_dense_product,
     upper_triangular,
     upper_triangular_3,
     validate_algebra_involution_by_definition,
@@ -118,8 +125,7 @@ def test_group_algebras_validate_clean():
 
 def test_shifted_s_is_caught():
     A = group_algebra(cyclic_table(3), RATIONAL)
-    shift = Matrix(RATIONAL, [[rat(1) if (i - 1) % 3 == j else rat(0)
-                               for j in range(3)] for i in range(3)])
+    shift = [{(j + 1) % 3: rat(1)} for j in range(3)]  # b_j -> b_(j+1)
     bad = validate_pivotal(dataclasses.replace(A, S=shift))
     assert any("anti-map" in v for v in bad)
 
@@ -154,11 +160,10 @@ def edited(A, kind, a, b, c, value):
         return dataclasses.replace(
             A, mult={**A.mult, (a, b): tuple(sorted(terms.items()))})
     if kind == "S":
-        rows = [list(row) for row in A.S.rows]
-        rows[a][b] = value
-        return dataclasses.replace(A, S=Matrix(RATIONAL, rows))
-    return dataclasses.replace(
-        A, g=tuple(value if t == a else x for t, x in enumerate(A.g)))
+        return dataclasses.replace(
+            A, S=edited_columns(A, A.S, [(a, b, value)]))
+    g = {**A.g, a: value}
+    return dataclasses.replace(A, g={t: x for t, x in g.items() if x})
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,23 +215,27 @@ MATRIX_EDITS = st.tuples(st.integers(0, 7), st.integers(0, 7),
                          st.sampled_from((F(-1), F(0), F(1), F(2), F(1, 2))))
 
 
-def edited_matrix(A, M, edits):
-    """M with entry (a, b) set to value for each edit, indices mod dim A."""
-    rows = [list(row) for row in M.rows]
+def edited_columns(A, cols, edits):
+    """The sparse columns cols of a matrix with entry (a, b), row a of
+    column b, set to value for each edit, indices mod dim A."""
+    cols = [dict(col) for col in cols]
     for a, b, value in edits:
-        rows[a % A.dim][b % A.dim] = A.tag.coerce(value)
-    return Matrix(A.tag, rows)
+        col, value = cols[b % A.dim], A.tag.coerce(value)
+        col[a % A.dim] = value
+        if not value:
+            del col[a % A.dim]
+    return cols
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(ELEMENT_ALGEBRAS), st.data())
 def test_sparse_product_and_S_match_the_dense_reference(name, data):
     """Every builtin S is symmetric, so S is also drawn with up to two
-    entries changed; replace() must then give the new S its own columns."""
+    entries changed."""
     A = element_algebra(name)
     s_edits = data.draw(st.lists(MATRIX_EDITS, max_size=2))
     if s_edits:
-        A = dataclasses.replace(A, S=edited_matrix(A, A.S, s_edits))
+        A = dataclasses.replace(A, S=edited_columns(A, A.S, s_edits))
     u, v = data.draw(sparse_elements(A)), data.draw(sparse_elements(A))
     du, dv = (tuple(w.get(i, A.tag.zero()) for i in range(A.dim))
               for w in (u, v))
@@ -281,8 +290,9 @@ def test_every_module_builder_stores_sparse_rows():
         assert_sparse_action(tag, reg.action, reg_mats)
         for V, mats in modules + [(reg, reg_mats)]:
             assert_sparse_action(tag, dual_module(A, V).action, [
-                dense_of_vector(A, mats, apply_S(A, basis_vector(A, i)))
-                .transpose() for i in range(A.dim)])
+                transpose(dense_of_vector(A, mats,
+                                          apply_S(A, basis_vector(A, i))))
+                for i in range(A.dim)])
             assert_sparse_action(tag, direct_sum(V, reg).action, [
                 block_diagonal(tag, m, r) for m, r in zip(mats, reg_mats)])
         if doc.scheme is not None:
@@ -328,7 +338,7 @@ def involution_cases():
     cases = {}
     for name in builtin_names():
         A = load(name).algebra
-        cases[name + ":id"] = (A, Matrix.identity(A.tag, A.dim))
+        cases[name + ":id"] = (A, [{i: A.tag.one()} for i in range(A.dim)])
         for iname, T in A.involutions.items():
             cases[name + ":" + iname] = (A, T)
     return cases
@@ -341,7 +351,7 @@ def test_validate_algebra_involution_matches_the_definition(case, edits):
     """The sparse checker and the dense reference list the same violations
     after one or two entries of T change (indices taken mod dim A)."""
     A, T = involution_cases()[case]
-    T = edited_matrix(A, T, edits)
+    T = edited_columns(A, T, edits)
     assert validate_algebra_involution(A, T) == \
         validate_algebra_involution_by_definition(A, T)
 
@@ -405,8 +415,7 @@ def test_involution_validation():
     inv = group_involution(ct, [0, 2, 1], RATIONAL)
     assert validate_algebra_involution(A, inv) == []
     # swapping the identity with a generator is not an algebra map
-    T = Matrix(RATIONAL, [[rat(v) for v in row]
-                          for row in ((0, 1, 0), (1, 0, 0), (0, 0, 1))])
+    T = [{1: rat(1)}, {0: rat(1)}, {2: rat(1)}]
     assert validate_algebra_involution(A, T)
 
 
@@ -494,7 +503,7 @@ def test_canonical_form_transposition_eigenvector():
                 continue
             m = rep.canonical_form
             rg = to_matrix(V.tag, V.of_vector(doc.algebra.g))
-            flip = rg.transpose() * m.transpose()
+            flip = transpose(rg) * transpose(m)
             assert flip == m.scale(rep.nu)
             assert det(m)
 
@@ -524,9 +533,9 @@ def assert_forms_are_invariant(A, At, V):
     """Each form M satisfies R(b)^T M = M R(S_t(b)), checked by products."""
     forms = invariant_form_space(At, V).forms
     for i in range(A.dim):
-        left = to_matrix(A.tag, V.action[i]).transpose()
+        left = transpose(to_matrix(A.tag, V.action[i]))
         right = to_matrix(A.tag,
-                          V.of_vector(apply_S(At, basis_vector(A, i))))
+                          V.of_vector(sparse(apply_S(At, basis_vector(A, i)))))
         for M in forms:
             assert left * M == M * right, (V.name, i)
     assert len(forms) == len(hom_space(At, V, dual_module(At, V)))
@@ -562,12 +571,11 @@ def test_forms_when_s_squared_is_not_the_identity():
             for i in range(2) for j in range(2)
             for k in range(2) for l in range(2) if j == k}
     pinv = inverse(P)
-    S = Matrix(RATIONAL, list(zip(*[(P * e.transpose() * pinv).vec()
-                                    for e in units])))
+    S = [sparse((P * transpose(e) * pinv).vec()) for e in units]
     A = PivotalAlgebra(
         tag=RATIONAL, dim=4, labels=("e11", "e12", "e21", "e22"), mult=mult,
-        unit=Matrix.identity(RATIONAL, 2).vec(), S=S,
-        g=(P * pinv.transpose()).vec())
+        unit=sparse(Matrix.identity(RATIONAL, 2).vec()), S=S,
+        g=sparse((P * transpose(pinv)).vec()))
     assert validate_pivotal(A) == []
     V = module_of("natural", units)
     assert validate_module(A, V) == []
@@ -601,15 +609,15 @@ def test_transposition_with_trivial_g_transposes_each_regular_form():
         for k, f in enumerate(forms):
             image = Matrix.from_sparse(A.tag, V.dim, V.dim, [])
             for i, M in enumerate(forms):
-                image = image + M.scale(op[i, k])
-            assert image == f.transpose(), (name, k)
+                image = image + M.scale(op[k].get(i, A.tag.zero()))
+            assert image == transpose(f), (name, k)
 
 
 def transposition_by_solves(A, basis):
     """Reference: each column solved for in the span of the forms."""
-    rg_t = to_matrix(A.tag, basis.module.of_vector(A.g)).transpose()
+    rg_t = transpose(to_matrix(A.tag, basis.module.of_vector(A.g)))
     span = [f.vec() for f in basis.forms]
-    cols = [solve_in_span(A.tag, span, (rg_t * f.transpose()).vec())
+    cols = [solve_in_span(A.tag, span, (rg_t * transpose(f)).vec())
             for f in basis.forms]
     return Matrix(A.tag, list(zip(*cols))) if cols else Matrix(A.tag, [])
 
@@ -643,7 +651,7 @@ def constraint_by_definition(a, b):
     cols = []
     for ij in range(n):
         e = Matrix.from_sparse(tag, b.nrows, a.nrows, [(ij, tag.one())])
-        cols.append((b * e - e * a).vec())
+        cols.append(difference(b * e, e * a).vec())
     return Matrix(tag, list(zip(*cols)))
 
 
@@ -671,8 +679,9 @@ def forms_by_full_basis(A, V):
     stacked = Matrix(A.tag, [
         r for i in range(A.dim)
         for r in constraint_by_definition(
-            to_matrix(A.tag, V.of_vector(apply_S(A, basis_vector(A, i)))),
-            to_matrix(A.tag, V.action[i]).transpose()).rows])
+            to_matrix(A.tag,
+                      V.of_vector(sparse(apply_S(A, basis_vector(A, i))))),
+            transpose(to_matrix(A.tag, V.action[i]))).rows])
     return [Matrix.from_sparse(A.tag, V.dim, V.dim, v)
             for v in kernel_basis(stacked)]
 
@@ -688,8 +697,7 @@ def test_indicator_matches_the_full_basis():
         assert rep.dim_bil == len(forms), key
         assert rep.end_dim == len(hom_space_by_full_basis(At, V, V)), key
         assert rep.self_dual == span_contains_invertible(At.tag, forms), key
-        nu = (transposition_by_solves(At, FormBasis(V, forms)).trace()
-              if forms else At.tag.zero())
+        nu = trace(transposition_by_solves(At, FormBasis(V, forms)))
         assert rep.nu == nu, key
 
 
@@ -708,7 +716,7 @@ def test_regular_module_of_order_24():
 def generated_dimension(A, gens):
     """Dimension of the span of the unit closed under multiplying by the
     generators on either side."""
-    span = span_canonical([A.unit])
+    span = span_canonical([dense_element(A, A.unit)])
     while True:
         grown = span_canonical(span + [
             p for w in span for g in gens
@@ -746,12 +754,52 @@ def test_generator_closure_matches_the_reference():
     assert algebras["T3(Q)"].generators == (0, 1, 3, 4)
 
 
+@pytest.fixture
+def transpositions(monkeypatch):
+    """The sparse columns of every transposition the core builds."""
+    ops = []
+    build = fsind.pivotal._transposition
+
+    def recorded(tag, rg, forms):
+        ops.append(build(tag, rg, forms))
+        return ops[-1]
+
+    monkeypatch.setattr(fsind.pivotal, "_transposition", recorded)
+    return ops
+
+
+def test_eigenspace_dimensions_read_off_nu_match_the_ranks(transpositions):
+    """dim+- from nu and dim_bil against m - rank(op -+ I) by elimination,
+    on every builtin (module, twist) pair and on qsl2 2l = 0..10, twisted
+    or not."""
+    reports = [((name, tau, V.name), At.tag, fs_indicator(At, V))
+               for name, tau, At, V in builtin_pairs()]
+    reports += [(("qsl2", two_ell, twisted), RATIONAL_FUNCTION,
+                 qsl2_indicator(two_ell, twisted=twisted, max_two_ell=10))
+                for two_ell in range(11) for twisted in (False, True)]
+    assert len(transpositions) == len(reports) >= 84
+    for (key, tag, rep), op in zip(reports, transpositions):
+        assert len(op) == rep.dim_bil, key
+        assert (rep.dim_plus, rep.dim_minus) == \
+            eigenspace_dimensions_by_rank(tag, op), key
+
+
+def test_a_transposition_that_is_not_an_involution_is_rejected():
+    # R(g) = 2 on a line scales its one form by 2: nu would read 2 with
+    # dim_bil 1, and no dim+- could add up to it
+    with pytest.raises(ValidationError,
+                       match="^transposition is not an involution$"):
+        indicator_from_presentation(RATIONAL, [[{0: 1}]], [[{0: 1}]],
+                                    [{0: 2}])
+
+
 def test_transposition_outside_the_span_is_rejected():
     # with g = 1 the image of E12 is E21, which E12 alone does not span
     doc = load("S3")
     o, z = rat(1), rat(0)
     e12 = Matrix(RATIONAL, [[z, o], [z, z]])
-    with pytest.raises(NotInSpan):
+    with pytest.raises(ValidationError, match="^transposed form outside"
+                       " the form span$"):
         transposition_on_forms(doc.algebra, FormBasis(doc.modules["std"],
                                                       [e12]))
 
@@ -811,8 +859,20 @@ def test_twist_algebra_is_the_only_twist_point():
     T = A.involutions["inv"]
     assert twist_algebra(A, None) is A
     At = twist_algebra(A, T)
-    assert At.S == A.S * T and At.g == A.g
+    assert At.S == twisted_S_by_dense_product(A, T) and At.g == A.g
     assert At.generators == A.generators
+
+
+def test_twisted_columns_match_the_dense_product():
+    """S o tau composed column by column against the dense product S T, on
+    every builtin with the identity and with each named involution, and on
+    an unchecked T that does not commute with S, where the order of the
+    composition shows."""
+    cases = dict(involution_cases())
+    A = load("C3").algebra
+    cases["C3:rotation"] = (A, [{1: rat(1)}, {2: rat(1)}, {0: rat(1)}])
+    for case, (A, T) in cases.items():
+        assert twist_algebra(A, T).S == twisted_S_by_dense_product(A, T), case
 
 
 def test_no_function_takes_a_twist_or_tau():

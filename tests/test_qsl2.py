@@ -23,6 +23,7 @@ from small_algebras import (
     from_matrix,
     qsl2_violations_by_dense_products,
     to_matrix,
+    transpose,
 )
 
 Q = RatFun.generator()
@@ -145,8 +146,8 @@ def test_canonical_form_satisfies_the_sign_identity():
     for two_ell in range(5):
         m = build_vl(two_ell)
         rep = qsl2_indicator(two_ell)
-        flipped = (to_matrix(TAG, m.K).transpose()
-                   * rep.canonical_form.transpose())
+        flipped = (transpose(to_matrix(TAG, m.K))
+                   * transpose(rep.canonical_form))
         assert flipped == rep.canonical_form.scale(rep.nu)
 
 
@@ -157,7 +158,7 @@ def test_modules_past_the_recorded_range(two_ell, twisted):
     assert rep.nu == TAG.coerce(1 if twisted or two_ell % 2 == 0 else -1)
     assert rep.dim_bil == rep.end_dim == 1 and rep.self_dual
     k, form = to_matrix(TAG, build_vl(two_ell).K), rep.canonical_form
-    assert k.transpose() * form.transpose() == form.scale(rep.nu)
+    assert transpose(k) * transpose(form) == form.scale(rep.nu)
 
 
 def test_weight_bound():
