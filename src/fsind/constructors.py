@@ -102,6 +102,14 @@ class CayleyTable:
 
 
 def validate_cayley_table(ct: CayleyTable):
+    """Violations of the group axioms by the table, at most one of them an
+    associativity failure: the first triple (i, j, k) in loop order.
+
+    Associativity is checked by Light's test, (x a) y = x (a y) for the
+    generators a only: the a that pass are closed under the product, and
+    generators() reaches every element as a product of generators. When the
+    test fails, the full loop names the first failing triple.
+    """
     bad = []
     n = ct.order
     for i, row in enumerate(ct.table):
@@ -118,6 +126,10 @@ def validate_cayley_table(ct: CayleyTable):
         ct.identity()
     except InvalidCayleyTable:
         bad.append("no two-sided identity")
+        return bad
+    t = ct.table
+    if all(t[t[i][a]][k] == t[i][t[a][k]] for a in ct.generators()
+           for i in range(n) for k in range(n)):
         return bad
     for i in range(n):
         for j in range(n):

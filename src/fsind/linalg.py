@@ -14,6 +14,17 @@ fraction-free Bareiss elimination so rational-function entries do not
 balloon. The intertwiner solver never goes dense: its d^2 x d^2 systems are
 built, eliminated and restricted as SparseRows.
 
+Permutation actions skip the elimination. intertwiner_constraint of two
+permutation matrices records each row as a pair of cells (i, j), the row
+being x_i - x_j, and kernel_intersection merges such pairs in a union-find
+over the cells. The joint kernel is then spanned by the indicator vectors
+of the classes, which for a permutation module kX are the orbitals of G on
+X x X, and those vectors, ordered by their lowest cell, are the canonical
+RREF basis: the classes are disjoint and each vector has a 1 at its lowest
+cell, a column no other vector touches. No scalar op runs until a
+constraint without pairs arrives; it and the later ones are restricted to
+the classes as usual.
+
 Kernel bases are sparse vectors [(column, value), ...] in ascending column
 order, whatever the input, and canonical: the rows of the unique reduced
 row echelon basis of the null space, ordered by leading index. Repeated
@@ -132,13 +143,18 @@ class Matrix:
 
 class SparseRows:
     """Rows of a linear map, each the list of its nonzero (column, value)
-    pairs: the constraint type that kernel_basis eliminates on."""
+    pairs: the constraint type that kernel_basis eliminates on.
 
-    __slots__ = ("tag", "nrows", "ncols", "rows")
+    pairs, when given, says that row k is x_i - x_j for pairs[k] = (i, j),
+    the row being empty when i = j: kernel_intersection then merges cells
+    instead of eliminating."""
 
-    def __init__(self, tag: FieldTag, ncols, rows):
+    __slots__ = ("tag", "nrows", "ncols", "rows", "pairs")
+
+    def __init__(self, tag: FieldTag, ncols, rows, pairs=None):
         self.tag, self.ncols, self.rows = tag, ncols, rows
         self.nrows = len(rows)
+        self.pairs = pairs
 
     @property
     def shape(self):
@@ -252,6 +268,21 @@ def _transpose(rows, ncols):
     return out
 
 
+def _permutation(m, one):
+    """The column of each row's one entry if the sparse rows m form a
+    permutation matrix, each row holding a single entry equal to one and no
+    column repeating; else None."""
+    cols = []
+    for row in m:
+        if len(row) != 1:
+            return None
+        (c, x), = row.items()
+        if x != one:
+            return None
+        cols.append(c)
+    return cols if len(set(cols)) == len(cols) else None
+
+
 def intertwiner_constraint(tag, a, b, dv, dw):
     """SparseRows of X -> bX - Xa on row-major vec(X), X being dw x dv, for
     a (dv x dv) and b (dw x dw) given as sparse rows {column: value}.
@@ -260,12 +291,25 @@ def intertwiner_constraint(tag, a, b, dv, dw):
     linear system of the package (hom spaces, invariant forms, commutants)
     is an intersection of such kernels. Row (r, c) holds the nonzeros of
     row r of b and of column c of a, so a permutation action gives at most
-    two entries a row.
+    two entries a row. When a and b are both permutations, row (r, c) is
+    X[pb(r)][c] - X[r][pa^-1(c)]; its two cells are recorded as the
+    constraint's pairs and the rows are written without scalar arithmetic.
     """
     for m, d in ((a, dv), (b, dw)):
         if len(m) != d or any(not 0 <= c < d for row in m for c in row):
             raise DimensionMismatch("intertwiner constraint needs %d x %d"
                                     " sparse rows" % (d, d))
+    one = tag.one()
+    pa, pb = _permutation(a, one), _permutation(b, one)
+    if pa is not None and pb is not None:
+        pa_inv = [0] * dv
+        for t, c in enumerate(pa):
+            pa_inv[c] = t
+        pairs = [(s * dv + c, r * dv + t) for r, s in enumerate(pb)
+                 for c, t in enumerate(pa_inv)]
+        minus = tag.coerce(-1)
+        rows = [[(i, one), (j, minus)] if i != j else [] for i, j in pairs]
+        return SparseRows(tag, dw * dv, rows, pairs)
     a_cols = [[(t, -y) for t, y in col.items()] for col in _transpose(a, dv)]
     rows = []
     for r, b_row in enumerate(b):
@@ -302,6 +346,32 @@ def _combine(coeffs, vectors):
     return sorted(out.items())
 
 
+def _merge(parent, pairs):
+    """Union-find over cells: join the classes of i and j for each pair,
+    the lowest cell of a class being its root, so parent[x] <= x always."""
+    for i, j in pairs:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+
+
+def _classes(tag, parent):
+    """The classes of _merge as sparse vectors [(cell, 1), ...], ordered by
+    their lowest cell. As parent[x] <= x, one ascending pass finds roots."""
+    one, classes = tag.one(), {}
+    for x, p in enumerate(parent):
+        parent[x] = root = parent[p]
+        classes.setdefault(root, []).append((x, one))
+    return list(classes.values())
+
+
 def kernel_intersection(tag, constraints, ncols):
     """Canonical basis of the joint kernel of a sequence of constraints.
 
@@ -311,13 +381,30 @@ def kernel_intersection(tag, constraints, ncols):
     is kept as sparse RREF vectors; recombining such a basis by an RREF
     coefficient basis gives an RREF basis again, so the result is canonical.
     With no constraints it is the unit vectors.
+
+    A leading run of constraints that carry pairs, rows x_i - x_j as
+    intertwiner_constraint writes for two permutations, is solved without
+    scalar arithmetic: a union-find merges the cells i and j, and the joint
+    kernel is spanned by the indicator vectors of the classes (for a
+    permutation module, the orbitals). Those vectors are already the
+    canonical RREF basis: the classes are disjoint, and each vector has a
+    1 at its lowest cell, which no other vector touches. The first
+    constraint without pairs is restricted to that basis as above.
     """
     basis = None  # sparse vectors [(column, value), ...] spanning the solutions
+    parent = None  # the union-find of the leading constraints with pairs
     for c in constraints:
         if c.ncols != ncols:
             raise DimensionMismatch("constraint has %d columns, expected %d"
                                     % (c.ncols, ncols))
         c = _sparse_rows(c)
+        if basis is None and c.pairs is not None:
+            if parent is None:
+                parent = list(range(ncols))
+            _merge(parent, c.pairs)
+            continue
+        if basis is None and parent is not None:
+            basis = _classes(tag, parent)
         if basis is None:
             basis = kernel_basis(c)
         else:
@@ -331,7 +418,7 @@ def kernel_intersection(tag, constraints, ncols):
         if not basis:
             return []
     if basis is None:
-        return [[(j, tag.one())] for j in range(ncols)]
+        return _classes(tag, parent or list(range(ncols)))
     return basis
 
 

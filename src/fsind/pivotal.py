@@ -51,6 +51,7 @@ from .linalg import (
     _axpy,
     _combine,
     _insert_row,
+    _permutation,
     _transpose,
     det,
     intertwiner_constraint,
@@ -395,20 +396,25 @@ def _transposition(tag, rg, forms):
     """Sparse columns of M -> R(g)^T M^T in the canonical sparse basis forms.
 
     The image is built by index arithmetic: each nonzero M[r][k] = x adds
-    R(g)[k][i] x at cell (i, r), over the nonzeros of row k of R(g), so
-    R(g) = I only permutes indices. An image's coordinates are its entries
-    at the forms' pivots; if those do not recombine to it, the input data
-    was inconsistent and ValidationError names the check.
+    R(g)[k][i] x at cell (i, r), over the nonzeros of row k of R(g); when
+    R(g) is a permutation, x just moves to cell (pg(k), r). An image's
+    coordinates are its entries at the forms' pivots; if those do not
+    recombine to it, the input data was inconsistent and ValidationError
+    names the check.
     """
     d = len(rg)
+    pg = _permutation(rg, tag.one())
     rg_rows = [[(i * d, y) for i, y in row.items()] for row in rg]
     pivots = [v[0][0] for v in forms]
     cols = []
     for v in forms:
-        image = {}
-        for j, x in v:
-            r, k = divmod(j, d)
-            _axpy(image, x, [(i + r, y) for i, y in rg_rows[k]])
+        if pg is not None:
+            image = {pg[j % d] * d + j // d: x for j, x in v}
+        else:
+            image = {}
+            for j, x in v:
+                r, k = divmod(j, d)
+                _axpy(image, x, [(i + r, y) for i, y in rg_rows[k]])
         cols.append({k: image[p] for k, p in enumerate(pivots) if p in image})
         if _combine(cols[-1].items(), forms) != sorted(image.items()):
             raise ValidationError(["transposed form outside the form span"])

@@ -89,11 +89,17 @@ def dense_of_vector(A, mats, u):
     return out
 
 
-def s4_table():
-    perms = list(itertools.permutations(range(4)))
+def symmetric_group_table(n):
+    """S_n on its elements in itertools.permutations order, p q being
+    x -> p(q(x))."""
+    perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    return CayleyTable(tuple(tuple(index[tuple(p[q[x]] for x in range(4))]
+    return CayleyTable(tuple(tuple(index[tuple(p[q[x]] for x in range(n))]
                                    for q in perms) for p in perms))
+
+
+def s4_table():
+    return symmetric_group_table(4)
 
 
 def conjugate_module(V, P, name=None):
@@ -198,6 +204,32 @@ def generators_by_closure(A):
             grown = span_canonical(span + [
                 multiply(A, w, basis_vector(A, g)) for w in span for g in gens])
     return tuple(gens)
+
+
+def cayley_violations_by_full_loop(ct):
+    """The group axioms of a Cayley table with associativity checked on
+    every triple: the reference for constructors.validate_cayley_table,
+    with the same messages in the same order."""
+    bad = []
+    n, t = ct.order, ct.table
+    for i, row in enumerate(t):
+        if len(row) != n:
+            return ["row %d has length %d, expected %d" % (i, len(row), n)]
+        if any(not isinstance(x, int) or not 0 <= x < n for x in row):
+            return ["row %d contains an out-of-range entry" % i]
+    for i in range(n):
+        if sorted(t[i]) != list(range(n)):
+            bad.append("row %d is not a permutation" % i)
+        if sorted(t[j][i] for j in range(n)) != list(range(n)):
+            bad.append("column %d is not a permutation" % i)
+    identities = [e for e in range(n) if all(t[e][j] == j == t[j][e]
+                                             for j in range(n))]
+    if not identities:
+        return bad + ["no two-sided identity"]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if t[t[i][j]][k] != t[i][t[j][k]]:
+            return bad + ["associativity fails at (%d, %d, %d)" % (i, j, k)]
+    return bad
 
 
 def validate_pivotal_by_definition(A):

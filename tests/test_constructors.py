@@ -1,6 +1,7 @@
 """Group tables, schemes, copivotal coalgebras, and the builtin catalog."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -48,8 +49,9 @@ from fsind.pivotal import (
 from fsind.scalars import RATIONAL
 
 from fsind.linalg import Matrix
-from small_algebras import (columns_to_matrix, dense_element,
-                            primitive_coalgebra, s4_table, trace)
+from small_algebras import (cayley_violations_by_full_loop, columns_to_matrix,
+                            dense_element, primitive_coalgebra, s4_table,
+                            trace)
 
 F = Fraction
 
@@ -68,6 +70,66 @@ def test_concrete_tables_are_groups():
                       (d4_table(), 8), (q8_table(), 8)):
         assert ct.order == order
         assert validate_cayley_table(ct) == []
+
+
+def builtin_tables():
+    """The Cayley table of every builtin group, and S4's."""
+    tables = {"S4": s4_table()}
+    for name in builtin_names():
+        raw = builtin_document(name)
+        if "group" in raw:
+            tables[name] = CayleyTable(tuple(tuple(r)
+                                             for r in raw["group"]["table"]))
+    return tables
+
+
+def single_cell_mutations(ct, values):
+    """ct with one cell (i, j) set to v != table[i][j], over every cell and
+    the v that values(i, j) yields."""
+    for i, j in itertools.product(range(ct.order), repeat=2):
+        for v in values(i, j):
+            if v != ct.table[i][j]:
+                rows = [list(r) for r in ct.table]
+                rows[i][j] = v
+                yield CayleyTable(tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("name", sorted(builtin_tables()))
+def test_light_associativity_test_matches_the_full_loop(name):
+    """Every value in every cell of a builtin table; in each cell of S4's,
+    the entry plus 1 and plus 7 mod 24. The mutations that keep a two-sided
+    identity reach the associativity check, which fails on some of them
+    (no single-cell mutation of C2's table is nonassociative)."""
+    ct = builtin_tables()[name]
+    n = ct.order
+    if n > 8:
+        def values(i, j):
+            return ((ct.table[i][j] + 1) % n, (ct.table[i][j] + 7) % n)
+    else:
+        def values(i, j):
+            return range(n)
+    failures = 0
+    for mutated in single_cell_mutations(ct, values):
+        bad = validate_cayley_table(mutated)
+        assert bad == cayley_violations_by_full_loop(mutated)
+        failures += any(v.startswith("associativity") for v in bad)
+    assert failures or n == 2
+
+
+def test_light_associativity_test_reads_every_generator():
+    """C2 x L, L the nonassociative loop of order 5, with (c, l) at index
+    c + 2l: generators() picks the C2 generator first, which associates
+    with everything, so only a later generator shows the failure."""
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+            (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    ct = CayleyTable(tuple(tuple((i ^ j) % 2 + 2 * loop[i // 2][j // 2]
+                                 for j in range(10)) for i in range(10)))
+    t, first = ct.table, ct.generators()[0]
+    assert all(t[t[x][first]][y] == t[x][t[first][y]]
+               for x in range(10) for y in range(10))
+    bad = validate_cayley_table(ct)
+    assert bad == cayley_violations_by_full_loop(ct)
+    assert bad and bad[-1].startswith("associativity fails")
 
 
 def test_quaternion_multiplication():

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -311,6 +312,71 @@ def test_intertwiner_constraint_of_permutations_has_two_entries_a_row(perms):
     c = intertwiner_constraint(RATIONAL, a, b, len(a), len(b))
     assert c.nrows == c.ncols == len(perms[0]) ** 2
     assert all(len(row) <= 2 and all(x for _, x in row) for row in c.rows)
+
+
+def is_permutation(tag, m):
+    cols = [c for row in m for c in row]
+    return (sorted(cols) == list(range(len(m)))
+            and all(x == tag.one() for row in m for x in row.values()))
+
+
+@st.composite
+def permutation_and_general_constraints(draw):
+    """(tag, ncols, [(constraint, general, permutations)]) over Q, Q(z_4) or
+    Q(q), X being dw x dv, in any order: plain sparse rows, whose general is
+    None, and intertwiner constraints, each with the constraint that the
+    general path builds from the same pair and whether both are
+    permutations. The pairs are permutations, identities (all rows zero) or
+    matrices with one entry a row, which may repeat a column or differ
+    from 1."""
+    tag = draw(st.sampled_from((RATIONAL, cyclotomic_field(4),
+                                RATIONAL_FUNCTION)))
+    dv, dw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ncols, one = dv * dw, tag.one()
+    entry = st.sampled_from(field_values(tag))
+
+    def one_entry_a_row(d):
+        cols = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+        values = st.sampled_from([one] * 4 + field_values(tag))
+        return [{c: draw(values)} for c in cols]
+
+    cases = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("perm", "identity", "one entry a row", "rows")),
+            min_size=1, max_size=4)):
+        if kind == "rows":
+            rows = draw(st.lists(st.dictionaries(
+                st.integers(0, ncols - 1), entry, max_size=3), max_size=3))
+            cases.append((SparseRows(tag, ncols,
+                                     [list(r.items()) for r in rows]),
+                          None, False))
+            continue
+        if kind == "one entry a row":
+            a, b = one_entry_a_row(dv), one_entry_a_row(dw)
+        else:
+            pa, pb = range(dv), range(dw)
+            if kind == "perm":
+                pa, pb = draw(st.permutations(pa)), draw(st.permutations(pb))
+            a, b = [{c: one} for c in pa], [{c: one} for c in pb]
+        with mock.patch("fsind.linalg._permutation", return_value=None):
+            general = intertwiner_constraint(tag, a, b, dv, dw)
+        cases.append((intertwiner_constraint(tag, a, b, dv, dw), general,
+                      is_permutation(tag, a) and is_permutation(tag, b)))
+    return tag, ncols, cases
+
+
+@given(permutation_and_general_constraints())
+def test_kernel_intersection_merges_permutation_constraints(case):
+    """Union-find on the leading permutation constraints, elimination from
+    the first general one on: the kernel of the stacked rows either way."""
+    tag, ncols, cases = case
+    constraints = [c for c, _, _ in cases]
+    for c, general, permutations in cases:
+        assert (c.pairs is not None) == permutations
+        if general is not None:
+            assert general.pairs is None and c.rows == general.rows
+    stacked = SparseRows(tag, ncols, [r for c in constraints for r in c.rows])
+    assert kernel_intersection(tag, constraints, ncols) == kernel_basis(stacked)
 
 
 def test_intertwiner_constraint_needs_square_matrices():
