@@ -9,7 +9,10 @@ comultiplication, the normalized integral and the identity-coefficient trace
 form; schemes get the delta-at-0 trace form and the Doi star/valency data.
 
 A group or scheme constructor checks its input (the Cayley table, the relation
-axioms), and those checks imply the pivotal axioms of what it builds.
+axioms), and those checks imply the pivotal axioms of what it builds. A
+group algebra also hands over its separability idempotent
+E = (1/|G|) sum_g g^-1 (x) g, which the table's checks prove separable, so
+formulas.hopf_integral_idempotent returns it without re-proving it.
 dualize_coalgebra checks nothing: C is copivotal exactly when its dual
 passes pivotal.validate_pivotal, the one checker of the pivotal axioms.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .formulas import _attach_idempotent
 from .linalg import _transpose
 from .pivotal import (
     GroupLikeData,
@@ -158,7 +162,7 @@ def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
     unit = {e: one}
     inv_perm = [ct.inverse(i) for i in range(n)]
     nth = tag.coerce(Fraction(1, n))
-    return PivotalAlgebra(
+    A = PivotalAlgebra(
         tag=tag,
         dim=n,
         labels=labels,
@@ -173,6 +177,10 @@ def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
         name=name,
         generators=ct.generators(),
     )
+    # E = (1/n) sum_j g_j^-1 (x) g_j, terms in the order of
+    # hopf_integral_idempotent: the table being a group proves it separable
+    return _attach_idempotent(
+        A, [({inv_perm[j]: nth}, {j: one}) for j in range(n)])
 
 
 def group_involution(ct: CayleyTable, perm, tag: FieldTag):

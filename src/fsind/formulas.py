@@ -18,7 +18,8 @@ S(x') g x'' is the indicator element (Linchenko-Montgomery,
 Kashina-Sommerhaeuser-Zhu) with the pivotal g; it does not depend on V.
 Each route builds its own once per algebra from its own input, and each
 module computes chi_V on the basis once (ModuleRep.character_on_basis), so
-a cell costs one evaluation. The integral is checked on generators.
+a cell costs one evaluation. The integral is checked on generators, and
+not at all for a group algebra, whose constructor hands E over.
 
 Every product is PivotalAlgebra.multiply on sparse elements, and module
 matrices are read as the sparse rows they are stored in. The data follow
@@ -135,12 +136,37 @@ def validate_separability(A: PivotalAlgebra, E: SeparabilityIdempotent):
     return bad
 
 
+def _idempotent_sources(A: PivotalAlgebra):
+    """The fields a handed-over idempotent was built from."""
+    return (A.mult, A.S, A.comult, A.counit, A.integral)
+
+
+def _attach_idempotent(A: PivotalAlgebra, terms):
+    """Attach E = sum u (x) v over the sparse terms to A, for a constructor
+    whose checked input already proves E separable (group_algebra: E is
+    (1/|G|) sum_g g^-1 (x) g once the Cayley table is a group). Like the
+    cache of _element it lives in A.__dict__, not in a field, and it is
+    read only while A still holds the mult, S, comult, counit and integral
+    objects it came with: replace(), twists and a document's top-level
+    integral, counit or comult overrides all start without it."""
+    A.__dict__["_separability_idempotent"] = (
+        _idempotent_sources(A), SeparabilityIdempotent(terms))
+    return A
+
+
 def hopf_integral_idempotent(A: PivotalAlgebra):
     """E = S(L_1) x L_2 from a normalized two-sided integral L, checked by
     validate_separability. Once eps(1) = 1 and eps(b b_j) = eps(b) eps(b_j)
     for generators b, eps is multiplicative (A is associative) and the a
     with aL = eps(a)L = La form a subalgebra: L is checked on generators,
-    and on every basis element after a failure."""
+    and on every basis element after a failure.
+
+    An E its constructor handed over (_attach_idempotent) is returned as
+    it is, with no check: the constructor's own checks imply this one."""
+    given = A.__dict__.get("_separability_idempotent")
+    if given is not None and all(
+            x is y for x, y in zip(given[0], _idempotent_sources(A))):
+        return given[1]
     if A.comult is None or A.counit is None:
         raise MissingData("separability from an integral needs comult and counit")
     if A.integral is None:

@@ -23,7 +23,8 @@ X x X, and those vectors, ordered by their lowest cell, are the canonical
 RREF basis: the classes are disjoint and each vector has a 1 at its lowest
 cell, a column no other vector touches. No scalar op runs until a
 constraint without pairs arrives; it and the later ones are restricted to
-the classes as usual.
+the classes as usual. A constraint with pairs writes its rows only if the
+general path reads them.
 
 Kernel bases are sparse vectors [(column, value), ...] in ascending column
 order, whatever the input, and canonical: the rows of the unique reduced
@@ -73,7 +74,8 @@ class Matrix:
     def from_sparse(tag, nrows, ncols, vec):
         """Reshape a sparse row-major vector [(index, value), ...]; the
         inverse of .vec() with the zero cells dropped."""
-        rows = [[tag.zero()] * ncols for _ in range(nrows)]
+        z = tag.zero()
+        rows = [[z] * ncols for _ in range(nrows)]
         for j, x in vec:
             rows[j // ncols][j % ncols] = x
         return Matrix(tag, rows)
@@ -147,14 +149,24 @@ class SparseRows:
 
     pairs, when given, says that row k is x_i - x_j for pairs[k] = (i, j),
     the row being empty when i = j: kernel_intersection then merges cells
-    instead of eliminating."""
+    instead of eliminating. Such a constraint may come without rows (rows
+    None); nrows is then the number of pairs, and the rows are written the
+    first time they are read."""
 
-    __slots__ = ("tag", "nrows", "ncols", "rows", "pairs")
+    __slots__ = ("tag", "nrows", "ncols", "_rows", "pairs")
 
     def __init__(self, tag: FieldTag, ncols, rows, pairs=None):
-        self.tag, self.ncols, self.rows = tag, ncols, rows
-        self.nrows = len(rows)
+        self.tag, self.ncols, self._rows = tag, ncols, rows
+        self.nrows = len(pairs if rows is None else rows)
         self.pairs = pairs
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            one, minus = self.tag.one(), self.tag.coerce(-1)
+            self._rows = [[(i, one), (j, minus)] if i != j else []
+                          for i, j in self.pairs]
+        return self._rows
 
     @property
     def shape(self):
@@ -293,7 +305,8 @@ def intertwiner_constraint(tag, a, b, dv, dw):
     row r of b and of column c of a, so a permutation action gives at most
     two entries a row. When a and b are both permutations, row (r, c) is
     X[pb(r)][c] - X[r][pa^-1(c)]; its two cells are recorded as the
-    constraint's pairs and the rows are written without scalar arithmetic.
+    constraint's pairs, and the rows are written, without scalar
+    arithmetic, only if something reads them.
     """
     for m, d in ((a, dv), (b, dw)):
         if len(m) != d or any(not 0 <= c < d for row in m for c in row):
@@ -307,9 +320,7 @@ def intertwiner_constraint(tag, a, b, dv, dw):
             pa_inv[c] = t
         pairs = [(s * dv + c, r * dv + t) for r, s in enumerate(pb)
                  for c, t in enumerate(pa_inv)]
-        minus = tag.coerce(-1)
-        rows = [[(i, one), (j, minus)] if i != j else [] for i, j in pairs]
-        return SparseRows(tag, dw * dv, rows, pairs)
+        return SparseRows(tag, dw * dv, None, pairs)
     a_cols = [[(t, -y) for t, y in col.items()] for col in _transpose(a, dv)]
     rows = []
     for r, b_row in enumerate(b):

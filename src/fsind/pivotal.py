@@ -310,12 +310,25 @@ def validate_module(A: PivotalAlgebra, V: ModuleRep):
     R(1) = I and the rows i in A.generators suffice: by induction on words,
     R(w x) = R(w) R(x), and words span A (A is associative: validate_pivotal
     or its constructor proves it). On a failure every (i, j) is checked.
-    """
-    def breaks(i, j):
-        return (_times(V.action[i], V.action[j])
-                != V.of_vector(_accumulate(A.mult.get((i, j), ()))))
 
+    When b_i b_j = 1 b_k and R(b_i), R(b_j), R(b_k) are permutation
+    matrices (linalg._permutation), as for a permutation module of a group,
+    the product is compared by composing index lists: row r of
+    R(b_i) R(b_j) is the unit row at pj[pi[r]]. Every other pair takes the
+    sparse product. Both are exact, so the violations are the same.
+    """
     one = A.tag.one()
+    perms = [_permutation(m, one) for m in V.action]
+
+    def breaks(i, j):
+        terms = A.mult.get((i, j), ())
+        if len(terms) == 1 and terms[0][1] == one:
+            pi, pj, pk = perms[i], perms[j], perms[terms[0][0]]
+            if pi is not None and pj is not None and pk is not None:
+                return [pj[c] for c in pi] != pk
+        return (_times(V.action[i], V.action[j])
+                != V.of_vector(_accumulate(terms)))
+
     unit_ok = V.of_vector(A.unit) == [{r: one} for r in range(V.dim)]
     if unit_ok and not any(breaks(i, j) for i in A.generators
                            for j in range(A.dim)):
@@ -454,15 +467,17 @@ def span_contains_invertible(tag, mats):
 
     Tries the basis itself by rank, then the pencil sum_i t^i F_i for
     enough values of t to decide whether that curve's determinant vanishes
-    identically.
+    identically. mats may be an iterator: it is read only up to the first
+    matrix of full rank.
     """
-    mats = list(mats)
-    if not mats:
+    read = []
+    for m in mats:
+        if rank(m) == m.nrows:
+            return True
+        read.append(m)
+    if len(read) < 2:
         return False
-    if any(rank(m) == m.nrows for m in mats):
-        return True
-    if len(mats) == 1:
-        return False
+    mats = read
     d = mats[0].nrows
     bound = d * (len(mats) - 1) + 2
     for t in range(1, bound + 1):
@@ -498,7 +513,10 @@ def indicator_from_presentation(tag, gens, dual_gens, g):
     dim_plus = next(k for k in range(m + 1) if tag.coerce(2 * k - m) == nu)
     end_dim = len(kernel_intersection(
         tag, (intertwiner_constraint(tag, r, r, d, d) for r in gens), d * d))
-    grams = [Matrix.from_sparse(tag, d, d, v) for v in forms]
+    # the Grams are made dense only as span_contains_invertible reads them
+    grams = (Matrix.from_sparse(tag, d, d, v) for v in forms)
+    if m == 1:
+        grams = [next(grams)]
     return IndicatorReport(
         nu=nu,
         dim_bil=m,

@@ -19,6 +19,7 @@ from fsind.pivotal import (
     _accumulate,
     _evaluate,
     _sparse,
+    _times,
 )
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION, RatFun
 
@@ -331,6 +332,26 @@ def module_violations_by_full_loop(A, V):
             if action[i] * action[j] != dense_of_vector(A, action, prod):
                 bad.append("module %r: action breaks at (%d, %d)"
                            % (V.name, i, j))
+    return bad
+
+
+def module_violations_by_sparse_products(A, V):
+    """pivotal.validate_module with every pair compared by a sparse product
+    of scalars, permutation actions included: the reference for its index
+    path, with the generator rows first and every pair after a failure."""
+    def breaks(i, j):
+        return (_times(V.action[i], V.action[j])
+                != V.of_vector(_accumulate(A.mult.get((i, j), ()))))
+
+    one = A.tag.one()
+    unit_ok = V.of_vector(A.unit) == [{r: one} for r in range(V.dim)]
+    if unit_ok and not any(breaks(i, j) for i in A.generators
+                           for j in range(A.dim)):
+        return []
+    bad = [] if unit_ok else [
+        "module %r: unit does not act as identity" % V.name]
+    bad.extend("module %r: action breaks at (%d, %d)" % (V.name, i, j)
+               for i in range(A.dim) for j in range(A.dim) if breaks(i, j))
     return bad
 
 

@@ -1,6 +1,7 @@
 """End-to-end runs of the fsind command line."""
 
 import collections
+import dataclasses
 import json
 import os
 import random
@@ -17,9 +18,10 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
-from fsind import cli, linalg, pivotal
+from fsind import cli, formulas, linalg, pivotal
 from fsind.cli import main
 from fsind.constructors import builtin_document, builtin_names
+from fsind.documents import document_from_dict
 from fsind.scalars import RATIONAL
 
 from small_algebras import s4_table
@@ -641,6 +643,49 @@ def test_reports_reach_no_dense_product_or_solve(tmp_path, capsys,
     # the wrappers are live: inverse eliminates through _rref_in_place
     linalg.inverse(linalg.Matrix.identity(RATIONAL, 1))
     assert calls == {"inverse": 1, "_rref_in_place": 1}
+
+
+def test_group_documents_reach_no_scalar_check(tmp_path, capsys,
+                                               monkeypatch):
+    """Group documents cost index arithmetic where their constructor already
+    proves the facts: loading a regular-module document compares its
+    permutation actions by index maps, calling no pivotal._times, and
+    table --json on every group builtin takes the idempotent group_algebra
+    handed over, calling no formulas.validate_separability. Structural
+    counts only, no clock."""
+    calls = collections.Counter()
+
+    def counted(mod, attr):
+        original = getattr(mod, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(mod, attr, wrapper)
+
+    counted(pivotal, "_times")
+    counted(formulas, "validate_separability")
+    for name, field, table in workloads.REGULAR_GROUPS:
+        path = tmp_path / ("%s-reg.json" % name)
+        path.write_text(json.dumps(workloads.regular_document(
+            name, field, table)), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert main(["indicator", str(path), "--module", "reg",
+                     "--json"]) == 0
+    assert calls == {}
+    for name in builtin_names():
+        if "group" in builtin_document(name):
+            assert main(["table", write_builtin(tmp_path, name), "--json"]) \
+                == 0, name
+    capsys.readouterr()
+    assert calls["validate_separability"] == 0
+    calls.clear()
+    # the wrappers are live: S3's 2-dim simple is no permutation module, and
+    # an edited integral is checked
+    doc = document_from_dict(builtin_document("S3"))
+    pivotal.validate_module(doc.algebra, doc.modules["std"])
+    formulas.hopf_integral_idempotent(dataclasses.replace(doc.algebra))
+    assert calls["_times"] > 0 and calls["validate_separability"] == 1
 
 
 def script_target():

@@ -69,6 +69,7 @@ from small_algebras import (
     module_of,
     multiply,
     symmetric_form_data_by_products,
+    symmetric_group_table,
     upper_triangular,
     upper_triangular_natural,
     validate_separability_by_definition,
@@ -122,6 +123,72 @@ def test_non_integrals_are_rejected():
         hopf_integral_idempotent(dataclasses.replace(A, integral={0: F(1)}))
     with pytest.raises(MissingData):
         hopf_integral_idempotent(dataclasses.replace(A, integral=None))
+
+
+def group_algebras():
+    """Every builtin group algebra, with its involutions, and S4 and S5."""
+    out = {name: load(name).algebra for name in builtin_names()
+           if "group" in builtin_document(name)}
+    for n in (4, 5):
+        out["S%d" % n] = group_algebra(symmetric_group_table(n), RATIONAL)
+    return out
+
+
+def test_constructor_idempotent_matches_the_full_check():
+    """group_algebra hands over E = (1/n) sum_g g^-1 (x) g: the same terms,
+    in the same order, as the integral and separability checks build, and
+    returned with no check at all."""
+    for name, A in group_algebras().items():
+        E = hopf_integral_idempotent(A)
+        assert hopf_integral_idempotent(A) is E, name
+        assert E.terms == hopf_integral_idempotent(
+            dataclasses.replace(A)).terms, name
+        assert E.terms == integral_idempotent_by_full_loop(A).terms, name
+
+
+@pytest.fixture
+def separability_checks(monkeypatch):
+    """The number of formulas.validate_separability calls, as a list."""
+    calls = [0]
+    original = formulas.validate_separability
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(formulas, "validate_separability", counted)
+    return calls
+
+
+def test_edited_algebras_take_the_full_check(separability_checks):
+    """The handed-over E is read only on the algebra group_algebra built:
+    replace(), a twist, an integral or counit assigned in place and a
+    document's top-level integral, counit or comult all run the check."""
+    doc = builtin_document("C3-inv")
+    A = load("C3-inv").algebra
+    E = hopf_integral_idempotent(A)
+    assert separability_checks == [0]
+    edited = [dataclasses.replace(A, integral=dict(A.integral)),
+              dataclasses.replace(A, counit=tuple(A.counit)),
+              dataclasses.replace(A, comult=dict(A.comult))]
+    for key, value in (("integral", ["1/3"] * 3), ("counit", ["1"] * 3)):
+        raw = dict(doc, **{key: value})
+        if key == "counit":
+            raw["comult"] = [[k, k, k, "1"] for k in range(3)]
+        edited.append(document_from_dict(raw).algebra)
+    in_place = load("C3-inv").algebra
+    in_place.integral = dict(in_place.integral)
+    edited.append(in_place)
+    for k, B in enumerate(edited, 1):
+        assert hopf_integral_idempotent(B).terms == E.terms
+        assert separability_checks == [k]
+    # S o tau = id on kC3: E = (1/3) sum g (x) g is not separable
+    with pytest.raises(NotSeparable):
+        hopf_integral_idempotent(twist_algebra(A, A.involutions["inv"]))
+    assert separability_checks == [len(edited) + 1]
+    raw = dict(doc, integral=["1", "0", "0"])
+    with pytest.raises(NotAnIntegral):
+        hopf_integral_idempotent(document_from_dict(raw).algebra)
 
 
 def idempotent_outcome(build, A):

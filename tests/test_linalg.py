@@ -379,6 +379,21 @@ def test_kernel_intersection_merges_permutation_constraints(case):
     assert kernel_intersection(tag, constraints, ncols) == kernel_basis(stacked)
 
 
+def test_permutation_constraint_writes_its_rows_when_read():
+    """A constraint of two permutations counts one row per pair, and the
+    union-find solves it without its rows; read, they are the general
+    path's rows."""
+    one = RATIONAL.one()
+    a, b = [{1: one}, {2: one}, {0: one}], [{1: one}, {0: one}]
+    c = intertwiner_constraint(RATIONAL, a, b, 3, 2)
+    assert c.shape == (6, 6) and c.nrows == len(c.pairs)
+    kernel_intersection(RATIONAL, [c], 6)
+    assert c._rows is None
+    with mock.patch("fsind.linalg._permutation", return_value=None):
+        general = intertwiner_constraint(RATIONAL, a, b, 3, 2)
+    assert c.rows == general.rows and c.nrows == general.nrows
+
+
 def test_intertwiner_constraint_needs_square_matrices():
     one, two = from_matrix(rmat([[1]])), from_matrix(rmat([[1], [2]]))
     with pytest.raises(DimensionMismatch):  # column 1 of a 1 x 1 matrix

@@ -14,6 +14,7 @@ the group's Cayley table alone, never by the library's solver or routes:
 """
 
 import collections
+import dataclasses
 import itertools
 import sys
 
@@ -33,10 +34,15 @@ from fsind.pivotal import (
     fs_indicator,
     regular_module,
     twist_algebra,
+    validate_module,
 )
 from fsind.qsl2 import qsl2_indicator
 from fsind.scalars import RATIONAL
-from small_algebras import s4_table, symmetric_group_table
+from small_algebras import (
+    module_violations_by_sparse_products,
+    s4_table,
+    symmetric_group_table,
+)
 
 
 def groups():
@@ -232,3 +238,89 @@ def test_permutation_actions_reach_no_elimination(elimination_calls):
     qsl2_indicator(3)
     assert elimination_calls["kernel_basis"] > 0
     assert elimination_calls["_insert_row"] > 0
+
+
+# --- validate_module: index maps against the sparse product -------------------
+
+def permutation_modules(ct, A):
+    """The regular module and every k[G/H] above, by name."""
+    out = {"reg": regular_module(A)}
+    for H in subgroups_up_to_conjugacy(ct):
+        V = permutation_module(A, coset_action(ct, H))
+        out["k[G/H] %d" % V.dim] = V
+    return out
+
+
+def builtin_modules():
+    """(A, V) for every module of every builtin document."""
+    for name in builtin_names():
+        doc = document_from_dict(builtin_document(name))
+        for V in doc.modules.values():
+            yield doc.algebra, V
+
+
+def test_index_path_matches_the_sparse_products_on_clean_modules():
+    """Every builtin module and every permutation module above passes both
+    checks; the permutation modules by index maps alone."""
+    for A, V in builtin_modules():
+        assert validate_module(A, V) == \
+            module_violations_by_sparse_products(A, V) == [], V.name
+    for name, (ct, A) in groups().items():
+        for key, V in permutation_modules(ct, A).items():
+            assert validate_module(A, V) == \
+                module_violations_by_sparse_products(A, V) == [], (name, key)
+
+
+def mutants(V, k):
+    """(kind, V with R(b_k) changed): its row 0 moved to the next column,
+    its rows 0 and 1 swapped (still a permutation matrix), and its entry in
+    row 0 set to -1."""
+    action = V.action
+    (c, x), = action[k][0].items()
+    m, rows = V.dim, action[k]
+    moved = [{(c + 1) % m: x}] + rows[1:]
+    swapped = [rows[1], rows[0]] + rows[2:]
+    negated = [{c: -x}] + rows[1:]
+    for kind, new in (("moved", moved), ("swapped", swapped),
+                      ("negated", negated)):
+        yield kind, ModuleRep(V.name, m, tuple(
+            new if i == k else r for i, r in enumerate(action)), V.tag)
+
+
+def test_index_path_matches_the_sparse_products_on_mutants():
+    """Both checks list the same violations, whether the changed matrix is
+    still a permutation or not. A moved or negated row always breaks the
+    action; swapped rows may give an action again (C2's swap becomes the
+    identity), but most do not. The builtin groups only, to keep the full
+    loops small."""
+    broken = collections.Counter()
+    for name, (ct, A) in groups().items():
+        if name == "S4":
+            continue
+        for key, V in permutation_modules(ct, A).items():
+            if V.dim < 2:
+                continue
+            for k in {0, A.generators[-1], A.dim - 1}:
+                for kind, W in mutants(V, k):
+                    bad = validate_module(A, W)
+                    assert bad == module_violations_by_sparse_products(A, W), \
+                        (name, key, k, kind)
+                    assert bad or kind == "swapped", (name, key, k, kind)
+                    broken[kind, bool(bad)] += 1
+    assert broken["swapped", True] > broken["swapped", False] > 0
+
+
+def test_index_path_needs_a_unit_structure_constant():
+    """A structure constant b_i b_j = c b_k with c != 1 takes the sparse
+    product, and both checks name the same pairs."""
+    for name in ("C3", "S3", "Q8"):
+        ct, A = groups()[name]
+        i = A.generators[0]
+        (k, one), = A.mult[(i, i)]
+        for c in (A.tag.coerce(2), A.tag.coerce(-1)):
+            B = dataclasses.replace(A, mult={**A.mult, (i, i): ((k, c),)})
+            for key, V in permutation_modules(ct, B).items():
+                bad = validate_module(B, V)
+                assert "module %r: action breaks at (%d, %d)" % (
+                    V.name, i, i) in bad, (name, key)
+                assert bad == module_violations_by_sparse_products(B, V)

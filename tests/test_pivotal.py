@@ -933,3 +933,23 @@ def test_span_invertibility_needs_the_pencil():
     # rank-one spans never contain an invertible element
     c = Matrix(RATIONAL, [[rat(0), rat(1)], [rat(0), rat(0)]])
     assert not span_contains_invertible(RATIONAL, [a, c])
+
+
+def test_span_invertibility_reads_up_to_the_first_invertible():
+    """An iterator of matrices is read only up to the first of full rank,
+    so the indicator core densifies no Gram past it; without one, every
+    matrix is read for the pencil."""
+    a = Matrix(RATIONAL, [[rat(1), rat(0)], [rat(0), rat(0)]])
+    b = Matrix(RATIONAL, [[rat(0), rat(0)], [rat(0), rat(1)]])
+    read = []
+
+    def mats(*ms):
+        for m in ms:
+            read.append(m)
+            yield m
+
+    assert span_contains_invertible(RATIONAL, mats(a, a + b, b, a))
+    assert read == [a, a + b]
+    read.clear()
+    assert span_contains_invertible(RATIONAL, mats(a, b))
+    assert read == [a, b]
