@@ -5,9 +5,13 @@ a group / scheme / coalgebra shorthand section), plus named modules and
 involutions. Scalars are strings in the scalar grammar; bare JSON integers
 are accepted, floating point never is. A file whose first non-blank
 character is not "{" is read as the plain-text scheme format instead: a
-header line "n r" followed by an n x n relation matrix. Each matrix parses
-each distinct literal string once, keeping the scalars that parsed; errors
-name the first bad cell, as cells are read in order.
+header line "n r" followed by an n x n relation matrix. The reader yields
+sparse data from the JSON cells on: a list of scalars becomes a sparse
+element {index: value}, a matrix sparse rows, and only a covector (counit,
+gamma, trace_form) a dense tuple. Each matrix parses each distinct literal
+string once and records with it whether it is zero, so no cell is parsed
+or truth-tested twice; errors name the first bad cell, as cells are read
+in order.
 
 Structural problems (unparseable JSON, wrong shapes, bad scalars, duplicate
 structure constants) raise DocumentError and map to the CLI's usage exit
@@ -45,7 +49,6 @@ from .pivotal import (
     ModuleRep,
     PivotalAlgebra,
     ValidationError,
-    _sparse,
     validate_algebra_involution,
     validate_module,
     validate_pivotal,
@@ -55,6 +58,9 @@ from .scalars import FieldMismatch, ParseError, field_tag_from_string, parse_sca
 
 class DocumentError(Exception):
     """The document cannot be interpreted at all."""
+
+
+_UNREAD = object()  # a literal not yet in the memo of _vector
 
 
 _TOP_KEYS = frozenset((
@@ -99,18 +105,32 @@ def _scalar(tag, x, where):
 
 
 def _vector(tag, xs, n, where, memo=None):
+    """The list xs of n scalars as a sparse element {index: value}.
+
+    memo maps each literal string read so far to its scalar, or to None
+    when that scalar is zero; a matrix shares one memo over its rows, so
+    each distinct literal is parsed and truth-tested once. Only strings are
+    keys: True == 1 and hashes alike, and a boolean cell must still fail.
+    """
     if not isinstance(xs, list) or len(xs) != n:
         raise DocumentError("%s: expected a list of %d scalars" % (where, n))
     memo = {} if memo is None else memo
-    out = []
+    out = {}
     for i, x in enumerate(xs):
-        y = memo.get(x) if isinstance(x, str) else None
-        if y is None:
-            y = _scalar(tag, x, "%s[%d]" % (where, i))
+        y = memo.get(x, _UNREAD) if isinstance(x, str) else _UNREAD
+        if y is _UNREAD:
+            y = _scalar(tag, x, "%s[%d]" % (where, i)) or None
             if isinstance(x, str):
                 memo[x] = y
-        out.append(y)
-    return tuple(out)
+        if y is not None:
+            out[i] = y
+    return out
+
+
+def _covector(tag, xs, n, where):
+    """The list xs of n scalars as a dense tuple: a covector's values."""
+    u, z = _vector(tag, xs, n, where), tag.zero()
+    return tuple(u.get(i, z) for i in range(n))
 
 
 def _rows(tag, rows, n, where):
@@ -118,7 +138,7 @@ def _rows(tag, rows, n, where):
     if not isinstance(rows, list) or len(rows) != n:
         raise DocumentError("%s: expected %d matrix rows" % (where, n))
     memo = {}
-    return [_sparse(_vector(tag, r, n, "%s[%d]" % (where, i), memo))
+    return [_vector(tag, r, n, "%s[%d]" % (where, i), memo)
             for i, r in enumerate(rows)]
 
 
@@ -247,9 +267,9 @@ def _load_coalgebra_section(section, tag, name):
         labels=_labels(section, dim, "coalgebra", default="c"),
         comult=_structure_constants(tag, comult_raw, dim, "coalgebra.comult",
                                     comult=True),
-        counit=_vector(tag, counit_raw, dim, "coalgebra.counit"),
+        counit=_covector(tag, counit_raw, dim, "coalgebra.counit"),
         S=_columns(tag, s_raw, dim, "coalgebra.S"),
-        gamma=_vector(tag, gamma_raw, dim, "coalgebra.gamma"),
+        gamma=_covector(tag, gamma_raw, dim, "coalgebra.gamma"),
         name=name,
     )
     return spec, dualize_coalgebra(spec)
@@ -269,9 +289,9 @@ def _load_algebra_section(section, tag, name):
         dim=dim,
         labels=_labels(section, dim, "algebra"),
         mult=_structure_constants(tag, section["mult"], dim, "algebra.mult"),
-        unit=_sparse(_vector(tag, section["unit"], dim, "algebra.unit")),
+        unit=_vector(tag, section["unit"], dim, "algebra.unit"),
         S=_columns(tag, section["S"], dim, "algebra.S"),
-        g=_sparse(_vector(tag, section["g"], dim, "algebra.g")),
+        g=_vector(tag, section["g"], dim, "algebra.g"),
         name=name,
     )
 
@@ -350,12 +370,12 @@ def document_from_dict(doc, name=None, validate=None):
             raise DocumentError("a top-level 'comult' needs a 'counit'")
         overrides["comult"] = _structure_constants(
             tag, doc["comult"], A.dim, "comult", comult=True)
-        overrides["counit"] = _vector(tag, doc["counit"], A.dim, "counit")
+        overrides["counit"] = _covector(tag, doc["counit"], A.dim, "counit")
     elif "counit" in doc:
         raise DocumentError("a top-level 'counit' needs a 'comult'")
-    for key, convert in (("integral", _sparse), ("trace_form", tuple)):
+    for key, read in (("integral", _vector), ("trace_form", _covector)):
         if key in doc:  # the integral is an element, phi a covector
-            overrides[key] = convert(_vector(tag, doc[key], A.dim, key))
+            overrides[key] = read(tag, doc[key], A.dim, key)
     if overrides:
         A = replace(A, **overrides)
 

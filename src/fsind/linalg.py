@@ -2,17 +2,20 @@
 
 The package keeps one rule for its data: an algebra element is a sparse
 dict {index: value} without zeros, a covector is a dense tuple, and Matrix,
-dense and immutable by convention, is only what a report prints (Gram and
-hom matrices, the canonical form). A module's matrices are sparse rows
-{column: value}, which intertwiner_constraint takes as they are; S and the
-involutions are sparse columns. One sparse Gauss-Jordan elimination gives
-every rank, kernel, RREF and inverse: _insert_row adds a row to a growing
-set of unit pivot rows and _back_substitute fully reduces them; callers
-read the pivot rows directly, and _rref_in_place (inverse, span solving)
-runs both on mirrored columns for dense callers. Determinants use
-fraction-free Bareiss elimination so rational-function entries do not
-balloon. The intertwiner solver never goes dense: its d^2 x d^2 systems are
-built, eliminated and restricted as SparseRows.
+dense and immutable by convention, is only what a report prints: the
+canonical form and hom_space's matrices. A module's matrices are sparse
+rows {column: value}, which intertwiner_constraint takes as they are; S and
+the involutions are sparse columns. One sparse Gauss-Jordan elimination
+gives every rank, kernel, RREF and inverse: _insert_row adds a row to a
+growing set of unit pivot rows and _back_substitute fully reduces them.
+rank, kernel_basis and kernel_intersection take SparseRows only and read
+the pivot rows directly; _rref_in_place runs both on mirrored columns for
+the dense inverse and span solving, which no library route calls.
+Determinants use fraction-free Bareiss elimination so rational-function
+entries do not balloon; det's one library caller is the self-duality
+pencil, whose sums are the only dense matrices an indicator builds besides
+what its report prints. The intertwiner solver never goes dense: its
+d^2 x d^2 systems are built, eliminated and restricted as SparseRows.
 
 Permutation actions skip the elimination. intertwiner_constraint of two
 permutation matrices records each row as a pair of cells (i, j), the row
@@ -31,7 +34,7 @@ order, whatever the input, and canonical: the rows of the unique reduced
 row echelon basis of the null space, ordered by leading index. Repeated
 runs therefore produce identical bases, which the CLI's byte-stable
 reports rely on. Matrix.from_sparse is the one place such a vector becomes
-dense, for callers that read a Matrix.
+dense.
 """
 
 from __future__ import annotations
@@ -91,12 +94,6 @@ class Matrix:
                 and all(a == b for ra, rb in zip(self.rows, other.rows)
                         for a, b in zip(ra, rb)))
 
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch("shape %s vs %s" % (self.shape, other.shape))
-        return Matrix(self.tag, [[a + b for a, b in zip(ra, rb)]
-                                 for ra, rb in zip(self.rows, other.rows)])
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -116,9 +113,6 @@ class Matrix:
                     if b:
                         orow[j] = orow[j] + a * b
         return Matrix(self.tag, out)
-
-    def scale(self, s):
-        return Matrix(self.tag, [[s * a for a in r] for r in self.rows])
 
     def apply(self, vec):
         """Matrix times column vector, returned as a tuple."""
@@ -171,22 +165,6 @@ class SparseRows:
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def apply(self, vec):
-        """The map applied to a dense vector, returned as a tuple."""
-        if len(vec) != self.ncols:
-            raise DimensionMismatch("vector length %d != %d"
-                                    % (len(vec), self.ncols))
-        z = self.tag.zero()
-        return tuple(sum((a * vec[j] for j, a in row), z) for row in self.rows)
-
-
-def _sparse_rows(m):
-    """m as SparseRows; a Matrix keeps only its nonzero cells."""
-    if isinstance(m, SparseRows):
-        return m
-    return SparseRows(m.tag, m.ncols,
-                      [[(j, a) for j, a in enumerate(r) if a] for r in m.rows])
 
 
 def _insert_row(pivots, row):
@@ -246,12 +224,12 @@ def _rref_in_place(rows, ncols):
 
 
 def rank(m):
-    """Rank of a Matrix or SparseRows: the pivot count of its rows."""
-    return len(_pivots(_sparse_rows(m).rows))
+    """Rank of SparseRows: the pivot count of its rows."""
+    return len(_pivots(m.rows))
 
 
 def kernel_basis(m):
-    """Canonical basis of {x : m x = 0}, for a Matrix or SparseRows.
+    """Canonical basis of {x : m x = 0}, for SparseRows m.
 
     One sparse Gauss-Jordan elimination takes the pivot of each row at its
     last nonzero column. With that reversed column order the null space
@@ -260,7 +238,7 @@ def kernel_basis(m):
     canonical RREF basis, returned as sparse vectors [(column, value), ...]
     in ascending column order.
     """
-    pivots = _pivots(_sparse_rows(m).rows)
+    pivots = _pivots(m.rows)
     _back_substitute(pivots)
     one = m.tag.one()
     vectors = {f: [(f, one)] for f in range(m.ncols) if f not in pivots}
@@ -313,7 +291,8 @@ def intertwiner_constraint(tag, a, b, dv, dw):
             raise DimensionMismatch("intertwiner constraint needs %d x %d"
                                     " sparse rows" % (d, d))
     one = tag.one()
-    pa, pb = _permutation(a, one), _permutation(b, one)
+    pa = _permutation(a, one)
+    pb = pa if b is a else _permutation(b, one)
     if pa is not None and pb is not None:
         pa_inv = [0] * dv
         for t, c in enumerate(pa):
@@ -386,9 +365,9 @@ def _classes(tag, parent):
 def kernel_intersection(tag, constraints, ncols):
     """Canonical basis of the joint kernel of a sequence of constraints.
 
-    Constraints (SparseRows or Matrix) are consumed lazily and each one is
-    restricted to the solution span found so far, so the eliminations stay
-    small once the first few constraints have cut the space down. The span
+    Constraints, SparseRows, are consumed lazily and each one is restricted
+    to the solution span found so far, so the eliminations stay small once
+    the first few constraints have cut the space down. The span
     is kept as sparse RREF vectors; recombining such a basis by an RREF
     coefficient basis gives an RREF basis again, so the result is canonical.
     With no constraints it is the unit vectors.
@@ -408,7 +387,6 @@ def kernel_intersection(tag, constraints, ncols):
         if c.ncols != ncols:
             raise DimensionMismatch("constraint has %d columns, expected %d"
                                     % (c.ncols, ncols))
-        c = _sparse_rows(c)
         if basis is None and c.pairs is not None:
             if parent is None:
                 parent = list(range(ncols))

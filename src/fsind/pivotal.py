@@ -29,8 +29,10 @@ on generators does so on all of A. A constraint is sparse rows, each
 holding the nonzeros of a row of one matrix and a column of the other, and
 kernel_intersection restricts each to the kernel found so far: no
 d^2 x d^2 system is ever dense. Its result, sparse RREF vectors, stays
-sparse through the transposition and the End(V) count; Matrix.from_sparse
-reshapes it only into the Gram and hom matrices that callers read. The
+sparse through the transposition, the End(V) count and the self-duality
+test, which ranks each form on its sparse rows; Matrix.from_sparse reshapes
+it only into what a report prints (the canonical form, hom_space's
+matrices) and into the self-duality pencil's sums, for det. The
 transposition is an involution, so nu is its trace and fixes the dimensions
 of its +-1 eigenspaces: dim+- = (dim_bil +- nu) / 2.
 
@@ -48,6 +50,7 @@ from functools import cached_property
 
 from .linalg import (
     Matrix,
+    SparseRows,
     _axpy,
     _combine,
     _insert_row,
@@ -462,31 +465,27 @@ def twist_algebra(A: PivotalAlgebra, T):
 # ---------------------------------------------------------------------------
 # the indicator
 
-def span_contains_invertible(tag, mats):
-    """Exact search for an invertible element of a matrix span.
+def span_contains_invertible(tag, forms, d):
+    """Exact search for an invertible element of a span of d x d matrices.
 
-    Tries the basis itself by rank, then the pencil sum_i t^i F_i for
-    enough values of t to decide whether that curve's determinant vanishes
-    identically. mats may be an iterator: it is read only up to the first
-    matrix of full rank.
+    forms are sparse row-major vectors [(cell, value), ...], as the solver
+    returns them. Each is tried by the rank of its sparse rows, up to the
+    first of full rank; then the pencil sum_i t^i F_i is tried for enough
+    values of t to decide whether that curve's determinant vanishes
+    identically. Only the pencil's sum for each t is made dense, for det.
     """
-    read = []
-    for m in mats:
-        if rank(m) == m.nrows:
+    for v in forms:
+        rows = [[] for _ in range(d)]
+        for j, x in v:
+            rows[j // d].append((j % d, x))
+        if rank(SparseRows(tag, d, rows)) == d:
             return True
-        read.append(m)
-    if len(read) < 2:
+    if len(forms) < 2:
         return False
-    mats = read
-    d = mats[0].nrows
-    bound = d * (len(mats) - 1) + 2
-    for t in range(1, bound + 1):
-        combo = mats[0]
-        w = 1
-        for m in mats[1:]:
-            w *= t
-            combo = combo + m.scale(tag.coerce(w))
-        if det(combo):
+    for t in range(1, d * (len(forms) - 1) + 3):
+        combo = _combine([(k, tag.coerce(t ** k)) for k in range(len(forms))],
+                         forms)
+        if det(Matrix.from_sparse(tag, d, d, combo)):
             return True
     return False
 
@@ -513,19 +512,16 @@ def indicator_from_presentation(tag, gens, dual_gens, g):
     dim_plus = next(k for k in range(m + 1) if tag.coerce(2 * k - m) == nu)
     end_dim = len(kernel_intersection(
         tag, (intertwiner_constraint(tag, r, r, d, d) for r in gens), d * d))
-    # the Grams are made dense only as span_contains_invertible reads them
-    grams = (Matrix.from_sparse(tag, d, d, v) for v in forms)
-    if m == 1:
-        grams = [next(grams)]
     return IndicatorReport(
         nu=nu,
         dim_bil=m,
         dim_plus=dim_plus,
         dim_minus=m - dim_plus,
         end_dim=end_dim,
-        self_dual=span_contains_invertible(tag, grams),
+        self_dual=span_contains_invertible(tag, forms, d),
         abs_simple=end_dim == 1,
-        canonical_form=grams[0] if m == 1 else None,
+        canonical_form=(Matrix.from_sparse(tag, d, d, forms[0]) if m == 1
+                        else None),
     )
 
 

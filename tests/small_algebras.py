@@ -3,6 +3,7 @@
 import itertools
 
 from fsind.constructors import CayleyTable, CoalgebraSpec
+from fsind.documents import DocumentError, _scalar
 from fsind.formulas import (
     DegenerateTraceForm,
     NotAnIntegral,
@@ -12,7 +13,7 @@ from fsind.formulas import (
     SymmetricFormData,
     validate_separability,
 )
-from fsind.linalg import Matrix, SingularMatrix, inverse, rank
+from fsind.linalg import Matrix, SingularMatrix, SparseRows, det, inverse
 from fsind.pivotal import (
     ModuleRep,
     PivotalAlgebra,
@@ -59,9 +60,39 @@ def trace(m):
     return sum((m.rows[i][i] for i in range(m.nrows)), m.tag.zero())
 
 
+def add(a, b):
+    """a + b for two Matrix objects of one shape."""
+    return Matrix(a.tag, [[x + y for x, y in zip(ra, rb)]
+                          for ra, rb in zip(a.rows, b.rows)])
+
+
+def scale(m, s):
+    """The Matrix m with every entry multiplied by the scalar s."""
+    return Matrix(m.tag, [[s * x for x in r] for r in m.rows])
+
+
 def difference(a, b):
     """a - b for two Matrix objects of one shape."""
-    return a + b.scale(-a.tag.one())
+    return add(a, scale(b, -a.tag.one()))
+
+
+def sparse_rows(m):
+    """A Matrix as SparseRows of its nonzero cells, the input of rank,
+    kernel_basis and kernel_intersection."""
+    return SparseRows(m.tag, m.ncols,
+                      [[(j, x) for j, x in enumerate(r) if x] for r in m.rows])
+
+
+def sparse_vectors(mats):
+    """Matrix objects as sparse row-major vectors [(cell, value), ...], the
+    format of the solver's forms."""
+    return [[(j, x) for j, x in enumerate(m.vec()) if x] for m in mats]
+
+
+def apply_rows(c, vec):
+    """SparseRows c applied to a dense vector, as a tuple."""
+    z = c.tag.zero()
+    return tuple(sum((x * vec[j] for j, x in row), z) for row in c.rows)
 
 
 def dense_element(A, u):
@@ -86,7 +117,7 @@ def dense_of_vector(A, mats, u):
     out = Matrix.from_sparse(A.tag, mats[0].nrows, mats[0].ncols, [])
     for k, c in enumerate(u):
         if c:
-            out = out + mats[k].scale(c)
+            out = add(out, scale(mats[k], c))
     return out
 
 
@@ -177,6 +208,11 @@ def dense_rref(rows, ncols):
         if prow == len(rows):
             break
     return pivots
+
+
+def dense_rank(m):
+    """The rank of a Matrix by dense_rref."""
+    return len(dense_rref([list(r) for r in m.rows], m.ncols))
 
 
 def span_canonical(vectors):
@@ -288,8 +324,8 @@ def eigenspace_dimensions_by_rank(tag, op):
     dimensions the indicator core reads off nu."""
     m, one = len(op), tag.one()
     ident = Matrix.identity(tag, m)
-    return tuple(m - rank(difference(columns_to_matrix(tag, op),
-                                     ident.scale(s)))
+    return tuple(m - dense_rank(difference(columns_to_matrix(tag, op),
+                                           scale(ident, s)))
                  for s in (one, -one))
 
 
@@ -545,12 +581,59 @@ def qsl2_violations_by_dense_products(m):
                      for x in (m.K, m.Kinv, m.E, m.F))
     if K * Kinv != ident or Kinv * K != ident:
         bad.append("K K^-1 != 1")
-    if K * E * Kinv != E.scale(q ** 2):
+    if K * E * Kinv != scale(E, q ** 2):
         bad.append("K E K^-1 != q^2 E")
-    if K * F * Kinv != F.scale(q ** -2):
+    if K * F * Kinv != scale(F, q ** -2):
         bad.append("K F K^-1 != q^-2 F")
     comm = difference(E * F, F * E)
-    target = difference(K, Kinv).scale((q - q ** -1) ** -1)
+    target = scale(difference(K, Kinv), (q - q ** -1) ** -1)
     if comm != target:
         bad.append("[E, F] != (K - K^-1)/(q - q^-1)")
     return bad
+
+
+def rows_by_dense_reader(tag, rows, n, where):
+    """The rows of an n x n matrix document read densely: each row a dense
+    tuple, each distinct literal string parsed once per matrix, every cell
+    then truth-tested by _sparse. The reference for documents._rows, which
+    yields sparse rows directly."""
+    if not isinstance(rows, list) or len(rows) != n:
+        raise DocumentError("%s: expected %d matrix rows" % (where, n))
+    memo, out = {}, []
+    for i, xs in enumerate(rows):
+        here = "%s[%d]" % (where, i)
+        if not isinstance(xs, list) or len(xs) != n:
+            raise DocumentError("%s: expected a list of %d scalars"
+                                % (here, n))
+        row = []
+        for k, x in enumerate(xs):
+            y = memo.get(x) if isinstance(x, str) else None
+            if y is None:
+                y = _scalar(tag, x, "%s[%d]" % (here, k))
+                if isinstance(x, str):
+                    memo[x] = y
+            row.append(y)
+        out.append(_sparse(row))
+    return out
+
+
+def span_contains_invertible_by_dense_grams(tag, mats):
+    """The self-duality test on dense Gram matrices: each Matrix by its
+    rank, up to the first of full rank, then det of the pencil
+    sum_i t^i F_i for t = 1..d (len(mats) - 1) + 2. The reference for
+    pivotal.span_contains_invertible, which ranks sparse rows."""
+    mats = list(mats)
+    for m in mats:
+        if dense_rank(m) == m.nrows:
+            return True
+    if len(mats) < 2:
+        return False
+    d = mats[0].nrows
+    for t in range(1, d * (len(mats) - 1) + 3):
+        combo, w = mats[0], 1
+        for m in mats[1:]:
+            w *= t
+            combo = add(combo, scale(m, tag.coerce(w)))
+        if det(combo):
+            return True
+    return False

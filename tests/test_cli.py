@@ -645,6 +645,72 @@ def test_reports_reach_no_dense_product_or_solve(tmp_path, capsys,
     assert calls == {"inverse": 1, "_rref_in_place": 1}
 
 
+def test_data_stay_sparse_from_document_to_report(tmp_path, capsys,
+                                                  monkeypatch):
+    """Loading every builtin and the D5, Q8 and S3 regular documents builds
+    no Matrix, and calls pivotal._sparse only where the dual of a coalgebra
+    takes its unit and g from the counit and gamma covectors. Over
+    table --json on every builtin, indicator --json on those regular
+    documents and qsl2 2l = 0..10, Matrix.from_sparse runs only for a
+    canonical form or for a self-duality pencil's sum. Structural counts
+    only, no clock."""
+    calls = collections.Counter()
+
+    def by_caller(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name, sys._getframe(1).f_code.co_name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg.Matrix, "__init__",
+                        by_caller("Matrix", linalg.Matrix.__init__))
+    sparse = pivotal._sparse
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "fsind" and \
+                getattr(mod, "_sparse", None) is sparse:
+            monkeypatch.setattr(mod, "_sparse", by_caller("_sparse", sparse))
+    paths = [write_builtin(tmp_path, name) for name in builtin_names()]
+    regular = []
+    for name, field, table in workloads.REGULAR_GROUPS:
+        path = tmp_path / ("%s-reg.json" % name)
+        path.write_text(json.dumps(workloads.regular_document(
+            name, field, table)), encoding="utf-8")
+        regular.append(str(path))
+    for path in paths + regular:
+        assert main(["check", path]) == 0, path
+    capsys.readouterr()
+    coalgebras = sum("coalgebra" in builtin_document(name)
+                     for name in builtin_names())
+    assert coalgebras and calls == {("_sparse", "dualize_coalgebra"):
+                                    2 * coalgebras}
+
+    calls.clear()
+    monkeypatch.setattr(linalg.Matrix, "from_sparse", staticmethod(
+        by_caller("from_sparse", linalg.Matrix.from_sparse)))
+    core, forms = pivotal.indicator_from_presentation, [0]
+
+    def counted_core(*args):
+        rep = core(*args)
+        forms[0] += rep.canonical_form is not None
+        return rep
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "fsind" and \
+                getattr(mod, "indicator_from_presentation", None) is core:
+            monkeypatch.setattr(mod, "indicator_from_presentation",
+                                counted_core)
+    for path in paths:
+        assert main(["table", path, "--json"]) == 0, path
+    for path in regular:
+        assert main(["indicator", path, "--module", "reg", "--json"]) == 0
+    for two_ell in range(11):
+        assert main(["qsl2", str(two_ell), "--max", "10", "--json"]) == 0
+    capsys.readouterr()
+    assert forms[0] > 0
+    assert calls[("from_sparse", "indicator_from_presentation")] == forms[0]
+    assert {caller for name, caller in calls if name == "from_sparse"} <= {
+        "indicator_from_presentation", "span_contains_invertible"}
+
+
 def test_group_documents_reach_no_scalar_check(tmp_path, capsys,
                                                monkeypatch):
     """Group documents cost index arithmetic where their constructor already

@@ -3,19 +3,26 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fsind.constructors import NotAScheme, builtin_document
 from fsind.documents import (
     Document,
     DocumentError,
+    _rows,
     document_from_dict,
     document_from_text,
     load_document,
     validation_enabled,
 )
 from fsind.pivotal import ValidationError
-from fsind.scalars import parse_scalar
-from small_algebras import to_matrix
+from fsind.scalars import (
+    RATIONAL,
+    RATIONAL_FUNCTION,
+    cyclotomic_field,
+    parse_scalar,
+)
+from small_algebras import rows_by_dense_reader, to_matrix
 
 K3_TEXT = "3 2\n0 1 1\n1 0 1\n1 1 0\n"
 
@@ -163,6 +170,79 @@ def test_each_literal_parses_in_its_own_field():
     assert z["C3"] ** 3 == 1 and z["C4"] ** 4 == 1 and z["C6"] ** 6 == 1
     assert len({z["C3"], z["C4"], z["C6"]}) == 3
     assert z["Q8"] == z["C4"]
+
+
+# zero and nonzero spellings per field; JSON integers among them
+ZEROS = ["0", "-0", "0/3", "(1-1)", 0]
+LITERALS = {
+    RATIONAL: (ZEROS, ["1", "-1", "2/3", "(1+1)", 1, -2]),
+    cyclotomic_field(4): (ZEROS + ["z-z", "z^4-1"],
+                          ["1", "z", "-z", "z^2", "1+z", 3]),
+    RATIONAL_FUNCTION: (ZEROS + ["q-q", "(q+1)-(1+q)"],
+                        ["1", "q", "1/q", "q^2-1", "(q+1)/(q-1)", -1]),
+}
+# cells that no field accepts: bad grammar, division by zero, JSON booleans,
+# floats, null and lists; "z" and "q" fail only outside their fields
+BAD = ["1/", "1+*", "", "1/0", "x", "z", "q", True, False, 0.5, 1.0,
+       None, [1]]
+
+
+def read(reader, tag, rows, n):
+    """reader's rows, or the message of the DocumentError it raises."""
+    try:
+        return reader(tag, rows, n, "m")
+    except DocumentError as e:
+        return e.args[0]
+
+
+@st.composite
+def matrix_cells(draw):
+    """(tag, n, rows): an n x n matrix over Q, Q(z_4) or Q(q) drawn from a
+    few literals, so that they repeat across rows, zeros mostly; on request
+    a cell is replaced by a bad one, or a row is cut short or lengthened,
+    or a row dropped."""
+    tag = draw(st.sampled_from(sorted(LITERALS, key=str)))
+    zeros, nonzeros = LITERALS[tag]
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.sampled_from(zeros + nonzeros), min_size=1,
+                         max_size=4))
+    rows = [[draw(st.sampled_from(pool)) for _ in range(n)]
+            for _ in range(n)]
+    fault = draw(st.sampled_from(("none", "none", "cell", "row length",
+                                  "row count")))
+    r = draw(st.integers(0, n - 1))
+    if fault == "cell":
+        rows[r][draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD))
+    elif fault == "row length":
+        rows[r] = rows[r][1:] if draw(st.booleans()) else rows[r] + ["0"]
+    elif fault == "row count":
+        del rows[r]
+    return tag, n, rows
+
+
+@given(matrix_cells())
+@example((RATIONAL, 2, [["1", "0"], [True, "1"]]))
+@example((RATIONAL, 2, [[1, "0"], ["0", True]]))
+@example((RATIONAL, 2, [["0", "-0"], ["0/3", 0]]))
+def test_reader_matches_the_dense_reader(case):
+    """The sparse reader gives the rows of the dense one, values and keys
+    alike, or the same DocumentError naming the same first bad cell."""
+    tag, n, rows = case
+    got, want = read(_rows, tag, rows, n), read(rows_by_dense_reader, tag,
+                                                rows, n)
+    assert got == want
+    if isinstance(got, list):
+        assert [sorted(r) for r in got] == [sorted(r) for r in want]
+
+
+def test_a_boolean_after_a_one_is_rejected():
+    """True == 1 and hashes alike, so a memo keyed on cells would take a
+    true after a "1" or a 1 for that scalar; the reader keys it on strings
+    only and rejects the boolean."""
+    for first in ("1", 1):
+        for rows in ([[first, True], ["0", "0"]], [[first, "0"], ["0", True]]):
+            with pytest.raises(DocumentError, match="got True"):
+                _rows(RATIONAL, rows, 2, "m")
 
 
 def test_duplicate_structure_constants():

@@ -25,8 +25,9 @@ from fsind.linalg import (
     solve_in_span,
 )
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION, RatFun, cyclotomic_field
-from small_algebras import (dense, dense_rref, difference, from_matrix,
-                            span_canonical, trace)
+from small_algebras import (apply_rows, dense, dense_rank, dense_rref,
+                            difference, from_matrix, span_canonical,
+                            sparse_rows, trace)
 
 F = Fraction
 
@@ -64,13 +65,7 @@ matrices_any = st.integers(1, 4).flatmap(
 
 
 def dense_kernel(m):
-    return dense(m.tag, kernel_basis(m), m.ncols)
-
-
-def dense_rank(m):
-    """The pivot count of the dense Gauss-Jordan elimination, which shares
-    no code with the sparse one behind rank and kernel_basis."""
-    return len(dense_rref([list(r) for r in m.rows], m.ncols))
+    return dense(m.tag, kernel_basis(sparse_rows(m)), m.ncols)
 
 
 def test_rref_known():
@@ -87,13 +82,14 @@ def test_kernel_canonical_frozen():
     # leading coefficient normalized to 1, rows ordered by leading index
     ker = dense_kernel(rmat([[1, 2, 3]]))
     assert ker == [(F(1), F(0), F(-1, 3)), (F(0), F(1), F(-2, 3))]
-    assert kernel_basis(rmat([[1, 2, 3]])) == [[(0, F(1)), (2, F(-1, 3))],
-                                               [(1, F(1)), (2, F(-2, 3))]]
+    assert kernel_basis(sparse_rows(rmat([[1, 2, 3]]))) == [
+        [(0, F(1)), (2, F(-1, 3))], [(1, F(1)), (2, F(-2, 3))]]
 
 
 @given(matrices_any)
 def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == m.ncols
+    rows = sparse_rows(m)
+    assert rank(rows) + len(kernel_basis(rows)) == m.ncols
 
 
 @given(matrices_any)
@@ -110,13 +106,8 @@ def test_kernel_is_subspace_canonical(m):
 
 @given(matrices_any)
 def test_kernel_basis_is_sparse_for_every_input(m):
-    # a Matrix and the same rows as SparseRows give one sparse basis, each
-    # vector its nonzeros in ascending column order
-    rows = SparseRows(m.tag, m.ncols,
-                      [[(j, a) for j, a in enumerate(r) if a] for r in m.rows])
-    ker = kernel_basis(m)
-    assert ker == kernel_basis(rows)
-    for v in ker:
+    # each vector is its nonzeros in ascending column order
+    for v in kernel_basis(sparse_rows(m)):
         assert [j for j, _ in v] == sorted({j for j, _ in v})
         assert all(x for _, x in v)
 
@@ -163,16 +154,19 @@ def test_solve_in_span():
 
 
 def test_kernel_intersection_matches_stacked():
-    a = rmat([[1, 1, 0, 0], [0, 0, 1, -1]])
-    b = rmat([[1, 0, 0, -1]])
-    stacked = rmat([[1, 1, 0, 0], [0, 0, 1, -1], [1, 0, 0, -1]])
+    def sparse(rows):
+        return sparse_rows(rmat(rows))
+
+    a = sparse([[1, 1, 0, 0], [0, 0, 1, -1]])
+    b = sparse([[1, 0, 0, -1]])
+    stacked = sparse([[1, 1, 0, 0], [0, 0, 1, -1], [1, 0, 0, -1]])
     assert kernel_intersection(RATIONAL, [a, b], 4) == kernel_basis(stacked)
     # v vanishes on ker a (its restricted rows are all zero); k leaves
     # nothing of ker a
-    v = rmat([[2, 2, 0, 0], [0, 0, -1, 1]])
-    k = rmat([[1, 0, 0, 0], [0, 0, 1, 0]])
+    v = sparse([[2, 2, 0, 0], [0, 0, -1, 1]])
+    k = sparse([[1, 0, 0, 0], [0, 0, 1, 0]])
     for seq in ([a, v], [a, v, b], [a, b, v], [a, k], [a, b, k]):
-        stacked = Matrix(RATIONAL, [r for m in seq for r in m.rows])
+        stacked = SparseRows(RATIONAL, 4, [r for m in seq for r in m.rows])
         assert kernel_intersection(RATIONAL, seq, 4) == kernel_basis(stacked)
     assert kernel_intersection(RATIONAL, [a, v], 4) == kernel_basis(a)
     assert kernel_intersection(RATIONAL, [a, k], 4) == []
@@ -224,8 +218,8 @@ def sparse_constraints(draw):
 def test_kernel_intersection_generic(case):
     tag, ncols, mats = case
     stacked = Matrix(tag, [r for m in mats for r in m.rows])
-    kernel = kernel_intersection(tag, mats, ncols)
-    assert kernel == kernel_basis(stacked)
+    kernel = kernel_intersection(tag, [sparse_rows(m) for m in mats], ncols)
+    assert kernel == kernel_basis(sparse_rows(stacked))
     assert len(kernel) == ncols - dense_rank(stacked)
     assert all(not x for v in dense(tag, kernel, ncols)
                for x in stacked.apply(v))
@@ -253,9 +247,7 @@ def rank_cases(draw):
 
 @given(rank_cases())
 def test_rank_matches_the_dense_pivot_count(m):
-    assert rank(m) == dense_rank(m)
-    rows = [[(j, a) for j, a in enumerate(r) if a] for r in m.rows]
-    assert rank(SparseRows(m.tag, m.ncols, rows)) == rank(m)
+    assert rank(sparse_rows(m)) == dense_rank(m)
 
 
 @st.composite
@@ -302,7 +294,7 @@ def test_intertwiner_constraint_applies_bx_minus_xa(case):
                                a.nrows, b.nrows)
     n = a.nrows * b.nrows
     assert c.shape == (n, n)
-    assert c.apply(x.vec()) == difference(b * x, x * a).vec()
+    assert apply_rows(c, x.vec()) == difference(b * x, x * a).vec()
 
 
 @given(st.integers(1, 6).flatmap(
@@ -410,7 +402,7 @@ def test_cyclotomic_elimination():
     z = tag.generator()
     m = Matrix(tag, [[z, tag.one()], [tag.one(), -z]])
     # rows are proportional: (z)*row2 = (z, -z^2) = (z, 1) = row1
-    assert rank(m) == 1
+    assert rank(sparse_rows(m)) == 1
     ker = dense_kernel(m)
     assert len(ker) == 1 and ker[0][0] == 1
 

@@ -240,6 +240,30 @@ def test_permutation_actions_reach_no_elimination(elimination_calls):
     assert elimination_calls["_insert_row"] > 0
 
 
+def test_one_permutation_test_per_end_constraint(monkeypatch):
+    """fs_indicator on a regular module tests R(g) once for the
+    transposition, R(S(b)) and R(b)^T once for each form constraint, and
+    R(b) once for each End(V) constraint, whose two sides it is: 3 |gens| + 1
+    calls to linalg._permutation, twisted or not."""
+    calls = collections.Counter()
+    original = linalg._permutation
+
+    def counted(m, one):
+        calls["_permutation"] += 1
+        return original(m, one)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "fsind" and \
+                getattr(mod, "_permutation", None) is original:
+            monkeypatch.setattr(mod, "_permutation", counted)
+    for ct, A in groups().values():
+        for _, At, _ in twists(A):
+            V = regular_module(At)
+            calls.clear()
+            fs_indicator(At, V)
+            assert calls["_permutation"] == 3 * len(At.generators) + 1
+
+
 # --- validate_module: index maps against the sparse product -------------------
 
 def permutation_modules(ct, A):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fsind
+from fsind import pivotal
 from fsind.constructors import (
     CayleyTable,
     coalgebra_regular_module,
@@ -65,9 +66,11 @@ from fsind.scalars import (
     RATIONAL,
     RATIONAL_FUNCTION,
     RatFun,
+    cyclotomic_field,
     parse_scalar,
 )
 from small_algebras import (
+    add,
     apply_S,
     basis_vector,
     conjugate_module,
@@ -85,7 +88,11 @@ from small_algebras import (
     multiply,
     primitive_coalgebra,
     s4_table,
+    scale,
     span_canonical,
+    span_contains_invertible_by_dense_grams,
+    sparse_rows,
+    sparse_vectors,
     to_matrix,
     trace,
     transpose,
@@ -504,7 +511,7 @@ def test_canonical_form_transposition_eigenvector():
             m = rep.canonical_form
             rg = to_matrix(V.tag, V.of_vector(doc.algebra.g))
             flip = transpose(rg) * transpose(m)
-            assert flip == m.scale(rep.nu)
+            assert flip == scale(m, rep.nu)
             assert det(m)
 
 
@@ -524,9 +531,11 @@ def test_dual_module_is_a_module_and_duality_is_reflexive():
     std = doc.modules["std"]
     dstd = dual_module(A, std)
     assert validate_module(A, dstd) == []
-    assert span_contains_invertible(A.tag, hom_space(A, std, dstd))
+    assert span_contains_invertible(
+        A.tag, sparse_vectors(hom_space(A, std, dstd)), std.dim)
     ddstd = dual_module(A, dstd)
-    assert span_contains_invertible(A.tag, hom_space(A, std, ddstd))
+    assert span_contains_invertible(
+        A.tag, sparse_vectors(hom_space(A, std, ddstd)), std.dim)
 
 
 def assert_forms_are_invariant(A, At, V):
@@ -540,7 +549,8 @@ def assert_forms_are_invariant(A, At, V):
             assert left * M == M * right, (V.name, i)
     assert len(forms) == len(hom_space(At, V, dual_module(At, V)))
     if forms:
-        assert rank(Matrix(A.tag, [M.vec() for M in forms])) == len(forms)
+        assert rank(sparse_rows(Matrix(A.tag, [M.vec() for M in forms]))) \
+            == len(forms)
     return forms
 
 
@@ -609,7 +619,7 @@ def test_transposition_with_trivial_g_transposes_each_regular_form():
         for k, f in enumerate(forms):
             image = Matrix.from_sparse(A.tag, V.dim, V.dim, [])
             for i, M in enumerate(forms):
-                image = image + M.scale(op[k].get(i, A.tag.zero()))
+                image = add(image, scale(M, op[k].get(i, A.tag.zero())))
             assert image == transpose(f), (name, k)
 
 
@@ -661,7 +671,7 @@ def hom_space_by_full_basis(A, V, W):
                                                dense_action(W))
                              for r in constraint_by_definition(a, b).rows])
     return [Matrix.from_sparse(A.tag, W.dim, V.dim, v)
-            for v in kernel_basis(stacked)]
+            for v in kernel_basis(sparse_rows(stacked))]
 
 
 def test_generator_hom_spaces_match_the_full_basis():
@@ -683,7 +693,7 @@ def forms_by_full_basis(A, V):
                       V.of_vector(sparse(apply_S(A, basis_vector(A, i))))),
             transpose(to_matrix(A.tag, V.action[i]))).rows])
     return [Matrix.from_sparse(A.tag, V.dim, V.dim, v)
-            for v in kernel_basis(stacked)]
+            for v in kernel_basis(sparse_rows(stacked))]
 
 
 def test_indicator_matches_the_full_basis():
@@ -696,7 +706,8 @@ def test_indicator_matches_the_full_basis():
                                       else None), key
         assert rep.dim_bil == len(forms), key
         assert rep.end_dim == len(hom_space_by_full_basis(At, V, V)), key
-        assert rep.self_dual == span_contains_invertible(At.tag, forms), key
+        assert rep.self_dual == \
+            span_contains_invertible_by_dense_grams(At.tag, forms), key
         nu = trace(transposition_by_solves(At, FormBasis(V, forms)))
         assert rep.nu == nu, key
 
@@ -927,29 +938,114 @@ def test_span_invertibility_needs_the_pencil():
     # neither basis matrix is invertible but their sum is
     a = Matrix(RATIONAL, [[rat(1), rat(0)], [rat(0), rat(0)]])
     b = Matrix(RATIONAL, [[rat(0), rat(0)], [rat(0), rat(1)]])
-    assert span_contains_invertible(RATIONAL, [a, b])
-    assert not span_contains_invertible(RATIONAL, [a])
-    assert not span_contains_invertible(RATIONAL, [])
+
+    def spans(*mats):
+        return span_contains_invertible(RATIONAL, sparse_vectors(mats), 2)
+
+    assert spans(a, b)
+    assert not spans(a)
+    assert not spans()
     # rank-one spans never contain an invertible element
     c = Matrix(RATIONAL, [[rat(0), rat(1)], [rat(0), rat(0)]])
-    assert not span_contains_invertible(RATIONAL, [a, c])
+    assert not spans(a, c)
 
 
-def test_span_invertibility_reads_up_to_the_first_invertible():
-    """An iterator of matrices is read only up to the first of full rank,
-    so the indicator core densifies no Gram past it; without one, every
-    matrix is read for the pencil."""
+def test_span_invertibility_reads_up_to_the_first_invertible(monkeypatch):
+    """The forms are ranked on their sparse rows only up to the first of
+    full rank, and none is made dense; without one, every form is ranked
+    and only the pencil's sums are made dense."""
     a = Matrix(RATIONAL, [[rat(1), rat(0)], [rat(0), rat(0)]])
     b = Matrix(RATIONAL, [[rat(0), rat(0)], [rat(0), rat(1)]])
-    read = []
+    ranked, dense = [], []
+    original_rank, from_sparse = pivotal.rank, Matrix.from_sparse
 
-    def mats(*ms):
-        for m in ms:
-            read.append(m)
-            yield m
+    def counted_rank(rows):
+        ranked.append(rows.rows)
+        return original_rank(rows)
 
-    assert span_contains_invertible(RATIONAL, mats(a, a + b, b, a))
-    assert read == [a, a + b]
-    read.clear()
-    assert span_contains_invertible(RATIONAL, mats(a, b))
-    assert read == [a, b]
+    def counted_from_sparse(*args):
+        dense.append(args)
+        return from_sparse(*args)
+
+    monkeypatch.setattr(pivotal, "rank", counted_rank)
+    monkeypatch.setattr(Matrix, "from_sparse",
+                        staticmethod(counted_from_sparse))
+    assert span_contains_invertible(
+        RATIONAL, sparse_vectors([a, add(a, b), b, a]), 2)
+    assert ranked == [[[(0, rat(1))], []], [[(0, rat(1))], [(1, rat(1))]]]
+    assert dense == []
+    ranked.clear()
+    assert span_contains_invertible(RATIONAL, sparse_vectors([a, b]), 2)
+    assert len(ranked) == 2
+    assert dense == [(RATIONAL, 2, 2, [(0, rat(1)), (3, rat(1))])]
+
+
+def span_values(tag):
+    one = tag.one()
+    if tag is RATIONAL:
+        return [one, -one, tag.coerce(2), tag.coerce(F(1, 2))]
+    z = tag.generator()
+    return [one, -one, z, one + z]
+
+
+@st.composite
+def form_spans(draw):
+    """(tag, d x d matrices) over Q or Q(z_4): 1-3 random matrices with
+    mostly zero cells; or with a common zero column, so that the pencil's
+    determinant vanishes identically; or x1 E11 + x2 (E12 + E21) + x3 E22
+    (padded by x1 at the other diagonal cells), whose determinant is a
+    multiple of x1 x3 - x2^2 and so vanishes on the pencil's curve but not
+    on the span. The last two are mixed by random invertible P, Q as
+    P F Q."""
+    tag = draw(st.sampled_from((RATIONAL, cyclotomic_field(4))))
+    d = draw(st.integers(1, 3))
+    z, one = tag.zero(), tag.one()
+    cell = st.sampled_from([z] * 4 + span_values(tag))
+    kind = draw(st.sampled_from(("random", "zero column", "curve")))
+    if kind == "curve" and d >= 2:
+        def unit(*cells):
+            return Matrix(tag, [[one if (r, c) in cells else z
+                                 for c in range(d)] for r in range(d)])
+        rest = [(k, k) for k in range(2, d)]
+        mats = [unit((0, 0), *rest), unit((0, 1), (1, 0)), unit((1, 1))]
+    else:
+        mats = [Matrix(tag, draw(st.lists(
+            st.lists(cell, min_size=d, max_size=d), min_size=d, max_size=d)))
+            for _ in range(draw(st.integers(1, 3)))]
+        if kind == "zero column":
+            mats = [Matrix(tag, [r[:-1] + [z] for r in m.rows]) for m in mats]
+    if kind != "random":
+        def invertible():
+            m = Matrix.identity(tag, d)
+            for _ in range(d):
+                r, c = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+                if r != c:
+                    rows = [list(x) for x in m.rows]
+                    rows[r][c] = draw(st.sampled_from(span_values(tag)))
+                    m = Matrix(tag, rows) * m
+            return m
+        p, q = invertible(), invertible()
+        mats = [p * m * q for m in mats]
+    return tag, mats
+
+
+def rational_matrix(*rows):
+    return Matrix(RATIONAL, [[rat(x) for x in r] for r in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_spans())
+@example((RATIONAL, [rational_matrix((1, 0), (0, 0)),
+                     rational_matrix((0, 1), (1, 0)),
+                     rational_matrix((0, 0), (0, 1))]))
+@example((RATIONAL, [rational_matrix((0, 0), (1, 0)),
+                     rational_matrix((-1, -1), (-1, -1)),
+                     rational_matrix((0, 0), (-1, 0))]))
+def test_span_invertibility_matches_the_dense_grams(case):
+    """Ranking sparse rows and densifying only the pencil's sums gives the
+    answer of the dense Gram test, pencil's curve misses included. The
+    examples: x1 x3 - x2^2, which the curve misses, and a span whose
+    pencil is singular at t = 1 but not at t = 2."""
+    tag, mats = case
+    assert span_contains_invertible(tag, sparse_vectors(mats), mats[0].nrows) \
+        == span_contains_invertible_by_dense_grams(tag, mats)

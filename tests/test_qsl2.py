@@ -22,6 +22,7 @@ from fsind.scalars import RATIONAL_FUNCTION as TAG, RatFun
 from small_algebras import (
     from_matrix,
     qsl2_violations_by_dense_products,
+    scale,
     to_matrix,
     transpose,
 )
@@ -148,7 +149,7 @@ def test_canonical_form_satisfies_the_sign_identity():
         rep = qsl2_indicator(two_ell)
         flipped = (transpose(to_matrix(TAG, m.K))
                    * transpose(rep.canonical_form))
-        assert flipped == rep.canonical_form.scale(rep.nu)
+        assert flipped == scale(rep.canonical_form, rep.nu)
 
 
 @pytest.mark.parametrize("twisted", [False, True])
@@ -158,7 +159,7 @@ def test_modules_past_the_recorded_range(two_ell, twisted):
     assert rep.nu == TAG.coerce(1 if twisted or two_ell % 2 == 0 else -1)
     assert rep.dim_bil == rep.end_dim == 1 and rep.self_dual
     k, form = to_matrix(TAG, build_vl(two_ell).K), rep.canonical_form
-    assert transpose(k) * transpose(form) == form.scale(rep.nu)
+    assert transpose(k) * transpose(form) == scale(form, rep.nu)
 
 
 def test_weight_bound():
