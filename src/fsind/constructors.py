@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .formulas import _attach_idempotent
 from .linalg import _transpose
@@ -30,7 +31,6 @@ from .pivotal import (
     PivotalAlgebra,
     ValidationError,
     _accumulate,
-    _sparse,
 )
 from .scalars import FieldTag, scalar_to_string
 
@@ -69,6 +69,8 @@ class NotSchemeInvolution(ValidationError):
 
 @dataclass(frozen=True)
 class CayleyTable:
+    """A group table; identity, inverses and generators are found once."""
+
     table: tuple  # table[i][j] = index of element i * element j
 
     @property
@@ -76,25 +78,38 @@ class CayleyTable:
         return len(self.table)
 
     def identity(self):
-        n = self.order
+        return self._identity
+
+    def inverse(self, i):
+        j = self._inverses[i]
+        if j is None:
+            raise InvalidCayleyTable("element %d has no inverse" % i)
+        return j
+
+    def generators(self):
+        return self._generators
+
+    @cached_property
+    def _identity(self):
+        n, t = self.order, self.table
         for e in range(n):
-            if (all(self.table[e][j] == j for j in range(n))
-                    and all(self.table[j][e] == j for j in range(n))):
+            if all(t[e][j] == j and t[j][e] == j for j in range(n)):
                 return e
         raise InvalidCayleyTable("no two-sided identity")
 
-    def inverse(self, i):
-        e = self.identity()
-        for j in range(self.order):
-            if self.table[i][j] == e and self.table[j][i] == e:
-                return j
-        raise InvalidCayleyTable("element %d has no inverse" % i)
+    @cached_property
+    def _inverses(self):
+        """The first two-sided inverse of each element, or None."""
+        n, e, t = self.order, self._identity, self.table
+        return [next((j for j in range(n) if t[i][j] == e and t[j][i] == e),
+                     None) for i in range(n)]
 
-    def generators(self):
+    @cached_property
+    def _generators(self):
         """Each element outside the subgroup the earlier ones generate: the
         basis indices PivotalAlgebra's linear closure picks on kG, since
         group elements generate the span of their subgroup."""
-        gens, sub = [], {self.identity()}
+        gens, sub = [], {self._identity}
         for i in range(self.order):
             if i not in sub:
                 gens.append(i)
@@ -454,9 +469,9 @@ class CoalgebraSpec:
     dim: int
     labels: tuple
     comult: dict    # k -> ((i, j, c), ...) meaning D(b_k) = sum c b_i x b_j
-    counit: tuple
+    counit: dict  # the unit of C*, a sparse element
     S: list  # S(b_i) per basis index i, a sparse element
-    gamma: tuple
+    gamma: dict  # the pivotal element of C*, a sparse element
     name: str = "C"
 
 
@@ -479,9 +494,9 @@ def dualize_coalgebra(spec: CoalgebraSpec):
         dim=spec.dim,
         labels=spec.labels,
         mult=mult,
-        unit=_sparse(spec.counit),
+        unit=spec.counit,
         S=_transpose(spec.S, spec.dim),
-        g=_sparse(spec.gamma),
+        g=spec.gamma,
         name="dual(%s)" % spec.name,
     )
 
@@ -500,9 +515,9 @@ def coalgebra_regular_indicator(spec: CoalgebraSpec):
     acc = spec.tag.zero()
     for k in range(spec.dim):
         for i, j, c in spec.comult.get(k, ()):
-            w = spec.S[i].get(k)
-            if w and spec.gamma[j]:
-                acc = acc + c * spec.gamma[j] * w
+            w, g = spec.S[i].get(k), spec.gamma.get(j)
+            if w and g:
+                acc = acc + c * g * w
     return acc
 
 
@@ -514,15 +529,16 @@ def group_like_coalgebra(ct: CayleyTable, tag: FieldTag, labels=None,
         raise InvalidCayleyTable(bad[0])
     n = ct.order
     one = tag.one()
+    eps = {i: one for i in range(n)}
     inv_perm = [ct.inverse(i) for i in range(n)]
     return CoalgebraSpec(
         tag=tag,
         dim=n,
         labels=tuple(labels) if labels else tuple("g%d" % i for i in range(n)),
         comult={k: ((k, k, one),) for k in range(n)},
-        counit=(one,) * n,
+        counit=eps,
         S=perm_columns(tag, inv_perm),
-        gamma=(one,) * n,
+        gamma=eps,
         name=name,
     )
 

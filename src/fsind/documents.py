@@ -7,11 +7,12 @@ are accepted, floating point never is. A file whose first non-blank
 character is not "{" is read as the plain-text scheme format instead: a
 header line "n r" followed by an n x n relation matrix. The reader yields
 sparse data from the JSON cells on: a list of scalars becomes a sparse
-element {index: value}, a matrix sparse rows, and only a covector (counit,
-gamma, trace_form) a dense tuple. Each matrix parses each distinct literal
-string once and records with it whether it is zero, so no cell is parsed
-or truth-tested twice; errors name the first bad cell, as cells are read
-in order.
+element {index: value}, a coalgebra's counit and gamma included, since
+they are the unit and pivotal element of its dual; a matrix becomes sparse
+rows, and only a covector (the top-level counit, trace_form) a dense
+tuple. Each matrix parses each distinct literal string once and records
+with it whether it is zero, so no cell is parsed or truth-tested twice;
+errors name the first bad cell, as cells are read in order.
 
 Structural problems (unparseable JSON, wrong shapes, bad scalars, duplicate
 structure constants) raise DocumentError and map to the CLI's usage exit
@@ -267,9 +268,9 @@ def _load_coalgebra_section(section, tag, name):
         labels=_labels(section, dim, "coalgebra", default="c"),
         comult=_structure_constants(tag, comult_raw, dim, "coalgebra.comult",
                                     comult=True),
-        counit=_covector(tag, counit_raw, dim, "coalgebra.counit"),
+        counit=_vector(tag, counit_raw, dim, "coalgebra.counit"),
         S=_columns(tag, s_raw, dim, "coalgebra.S"),
-        gamma=_covector(tag, gamma_raw, dim, "coalgebra.gamma"),
+        gamma=_vector(tag, gamma_raw, dim, "coalgebra.gamma"),
         name=name,
     )
     return spec, dualize_coalgebra(spec)

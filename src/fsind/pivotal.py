@@ -85,11 +85,6 @@ class NotCentralCharacter(Exception):
 # ---------------------------------------------------------------------------
 # sparse elements
 
-def _sparse(u):
-    """A dense coefficient tuple as a sparse element {index: value}."""
-    return {i: x for i, x in enumerate(u) if x}
-
-
 def _accumulate(terms):
     """The sum of the (index, value) terms as {index: value}, zeros dropped."""
     out = {}

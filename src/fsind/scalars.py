@@ -22,6 +22,11 @@ forms:
   coefficients; its arithmetic runs over Z[q], with a heuristic integer
   gcd.  It prints as numerator/denominator with Fraction coefficients,
   coprime, with a monic denominator.
+
+Cyclotomic and RatFun each supply what reads their own storage: _coerce,
++, unary -, *, inverse, _rational, ==, bool, hash and repr.  Subtraction,
+division, integer powers and str follow from those: each is written once,
+below, and bound in both class bodies, so it is in each class's own dict.
 """
 
 from __future__ import annotations
@@ -69,6 +74,95 @@ def _eq_across_fields(x, other):
     v = x._rational()
     return v is not None and v == w
 
+
+# ---------------------------------------------------------------------------
+# operators shared by Cyclotomic and RatFun, bound in each class body
+
+def _sub(x, y):
+    o = x._coerce(y)
+    if o is None:
+        return NotImplemented
+    return x + (-o)
+
+
+def _rsub(x, y):
+    o = x._coerce(y)
+    if o is None:
+        return NotImplemented
+    return o + (-x)
+
+
+def _truediv(x, y):
+    o = x._coerce(y)
+    if o is None:
+        return NotImplemented
+    return x * o.inverse()
+
+
+def _rtruediv(x, y):
+    o = x._coerce(y)
+    if o is None:
+        return NotImplemented
+    return o * x.inverse()
+
+
+def _pow(x, e):
+    if not isinstance(e, int):
+        return NotImplemented
+    base = x
+    if e < 0:
+        base, e = x.inverse(), -e
+    out = x._coerce(1)
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# canonical printing
+
+def _term_string(coeff, var, power):
+    """One monomial, sign stripped (caller handles joining)."""
+    if power == 0:
+        return str(coeff)
+    base = var if power == 1 else "%s^%d" % (var, power)
+    if coeff == 1:
+        return base
+    return "%s*%s" % (coeff, base)
+
+
+def _poly_string(coeffs, var, descending=False):
+    terms = [(i, c) for i, c in enumerate(coeffs) if c]
+    if not terms:
+        return "0"
+    if descending:
+        terms.reverse()
+    out = " ".join(("- " if c < 0 else "+ ") + _term_string(abs(c), var, i)
+                   for i, c in terms)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
+
+
+def scalar_to_string(x):
+    """Canonical text form; parse_scalar inverts it exactly."""
+    f = x._rational() if isinstance(x, RatFun) else _as_fraction(x)
+    if f is not None:
+        return str(f)  # Fraction prints gcd-reduced, denominator positive
+    if isinstance(x, Cyclotomic):
+        return _poly_string(x.coeffs, "z")
+    if isinstance(x, RatFun):
+        num = _poly_string(x.num, "q", descending=True)
+        if x._d == (1,):
+            return num
+        den = _poly_string(x.den, "q", descending=True)
+        return "(%s)/(%s)" % (num, den)
+    raise TypeError("not a scalar: %r" % (x,))
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic fields
 
 @lru_cache(maxsize=None)
 def _reduction_table(order):
@@ -199,18 +293,6 @@ class Cyclotomic:
         return _new_cyclotomic(self.order, tuple([-x for x in self._n]),
                                self._d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -253,32 +335,6 @@ class Cyclotomic:
         s = d if norm > 0 else -d
         return _cyclotomic(order, [s * x for x in conj._n], abs(norm))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        base = self
-        if e < 0:
-            base, e = self.inverse(), -e
-        out = _cyclotomic_constant(self.order, 1)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def _rational(self):
         """The value as a Fraction if it is rational, else None."""
         n = self._n
@@ -303,8 +359,8 @@ class Cyclotomic:
     def __repr__(self):
         return "Cyclotomic(%d, %r)" % (self.order, list(self.coeffs))
 
-    def __str__(self):
-        return scalar_to_string(self)
+    __sub__, __rsub__, __truediv__, __rtruediv__, __pow__, __str__ = (
+        _sub, _rsub, _truediv, _rtruediv, _pow, scalar_to_string)
 
 
 # ---------------------------------------------------------------------------
@@ -593,18 +649,6 @@ class RatFun:
     def __neg__(self):
         return _new_ratfun(-self._c, self._n, self._d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(-o._c, o._n, o._d)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o._plus(-self._c, self._n, self._d)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -624,32 +668,6 @@ class RatFun:
         if not self._n:
             raise ZeroDivisionError("division by zero in Q(q)")
         return _new_ratfun(1 / self._c, self._d, self._n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        base = self
-        if e < 0:
-            base, e = self.inverse(), -e
-        out = RatFun._coerce(1)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def _rational(self):
         """The value as a Fraction if it is a constant, else None."""
@@ -675,8 +693,8 @@ class RatFun:
     def __repr__(self):
         return "RatFun(%r, %r)" % (list(self.num), list(self.den))
 
-    def __str__(self):
-        return scalar_to_string(self)
+    __sub__, __rsub__, __truediv__, __rtruediv__, __pow__, __str__ = (
+        _sub, _rsub, _truediv, _rtruediv, _pow, scalar_to_string)
 
 
 _ZERO = _new_ratfun(Fraction(0), (), (1,))
@@ -897,52 +915,3 @@ def parse_scalar(text, tag):
     if not isinstance(text, str):
         raise ParseError("scalar must be a string, got %r" % (text,), 0)
     return _Parser(text, tag).parse()
-
-
-# ---------------------------------------------------------------------------
-# canonical printing
-
-def _frac_string(f):
-    return str(f)  # Fraction prints gcd-reduced with positive denominator
-
-
-def _term_string(coeff, var, power):
-    """One monomial, sign stripped (caller handles joining)."""
-    if power == 0:
-        return _frac_string(coeff)
-    base = var if power == 1 else "%s^%d" % (var, power)
-    if coeff == 1:
-        return base
-    return "%s*%s" % (_frac_string(coeff), base)
-
-
-def _poly_string(coeffs, var, descending=False):
-    terms = [(i, c) for i, c in enumerate(coeffs) if c]
-    if not terms:
-        return "0"
-    if descending:
-        terms.reverse()
-    parts = []
-    for i, c in terms:
-        if not parts:
-            head = _term_string(abs(c), var, i)
-            parts.append("-" + head if c < 0 else head)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + _term_string(abs(c), var, i))
-    return " ".join(parts)
-
-
-def scalar_to_string(x):
-    """Canonical text form; parse_scalar inverts it exactly."""
-    f = x._rational() if isinstance(x, RatFun) else _as_fraction(x)
-    if f is not None:
-        return _frac_string(f)
-    if isinstance(x, Cyclotomic):
-        return _poly_string(x.coeffs, "z")
-    if isinstance(x, RatFun):
-        num = _poly_string(x.num, "q", descending=True)
-        if x._d == (1,):
-            return num
-        den = _poly_string(x.den, "q", descending=True)
-        return "(%s)/(%s)" % (num, den)
-    raise TypeError("not a scalar: %r" % (x,))

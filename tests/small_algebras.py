@@ -19,10 +19,16 @@ from fsind.pivotal import (
     PivotalAlgebra,
     _accumulate,
     _evaluate,
-    _sparse,
     _times,
 )
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION, RatFun
+
+
+def sparse_element(u):
+    """A dense coefficient tuple as a sparse element {index: value}: the
+    conversion the library no longer makes, since its loader and
+    constructors write sparse elements directly."""
+    return {i: x for i, x in enumerate(u) if x}
 
 
 def dense(tag, vectors, ncols):
@@ -38,7 +44,7 @@ def to_matrix(tag, rows):
 
 def from_matrix(m):
     """A Matrix as sparse rows {column: value}, the format of a module."""
-    return [_sparse(r) for r in m.rows]
+    return [sparse_element(r) for r in m.rows]
 
 
 def columns_to_matrix(tag, cols):
@@ -485,8 +491,8 @@ def symmetric_form_data_by_products(A):
     volume = (z,) * n
     for b, w in zip(basis, dual):
         volume = tuple(x + y for x, y in zip(volume, multiply(A, b, w)))
-    return SymmetricFormData(dual_basis=[_sparse(w) for w in dual],
-                             volume=_sparse(volume))
+    return SymmetricFormData(dual_basis=[sparse_element(w) for w in dual],
+                             volume=sparse_element(volume))
 
 
 def dual_numbers():
@@ -506,13 +512,13 @@ def dual_numbers():
 def primitive_coalgebra():
     """The coalgebra on 1, x with x primitive: D(x) = 1 (x) x + x (x) 1,
     S(x) = -x and gamma = eps."""
-    one, zero = RATIONAL.one(), RATIONAL.zero()
+    one = RATIONAL.one()
     return CoalgebraSpec(
         tag=RATIONAL, dim=2, labels=("1", "x"),
         comult={0: ((0, 0, one),), 1: ((0, 1, one), (1, 0, one))},
-        counit=(one, zero),
+        counit={0: one},
         S=[{0: one}, {1: -one}],
-        gamma=(one, zero),
+        gamma={0: one},
         name="primitive",
     )
 
@@ -595,8 +601,8 @@ def qsl2_violations_by_dense_products(m):
 def rows_by_dense_reader(tag, rows, n, where):
     """The rows of an n x n matrix document read densely: each row a dense
     tuple, each distinct literal string parsed once per matrix, every cell
-    then truth-tested by _sparse. The reference for documents._rows, which
-    yields sparse rows directly."""
+    then truth-tested by sparse_element. The reference for documents._rows,
+    which yields sparse rows directly."""
     if not isinstance(rows, list) or len(rows) != n:
         raise DocumentError("%s: expected %d matrix rows" % (where, n))
     memo, out = {}, []
@@ -613,7 +619,7 @@ def rows_by_dense_reader(tag, rows, n, where):
                 if isinstance(x, str):
                     memo[x] = y
             row.append(y)
-        out.append(_sparse(row))
+        out.append(sparse_element(row))
     return out
 
 

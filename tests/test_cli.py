@@ -648,8 +648,9 @@ def test_reports_reach_no_dense_product_or_solve(tmp_path, capsys,
 def test_data_stay_sparse_from_document_to_report(tmp_path, capsys,
                                                   monkeypatch):
     """Loading every builtin and the D5, Q8 and S3 regular documents builds
-    no Matrix, and calls pivotal._sparse only where the dual of a coalgebra
-    takes its unit and g from the counit and gamma covectors. Over
+    no Matrix, and no fsind module holds a dense-to-sparse _sparse helper:
+    a coalgebra's counit and gamma are read as the sparse unit and g of its
+    dual, so no load path makes a dense tuple sparse again. Over
     table --json on every builtin, indicator --json on those regular
     documents and qsl2 2l = 0..10, Matrix.from_sparse runs only for a
     canonical form or for a self-duality pencil's sum. Structural counts
@@ -664,11 +665,8 @@ def test_data_stay_sparse_from_document_to_report(tmp_path, capsys,
 
     monkeypatch.setattr(linalg.Matrix, "__init__",
                         by_caller("Matrix", linalg.Matrix.__init__))
-    sparse = pivotal._sparse
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "fsind" and \
-                getattr(mod, "_sparse", None) is sparse:
-            monkeypatch.setattr(mod, "_sparse", by_caller("_sparse", sparse))
+    assert not [name for name, mod in sys.modules.items()
+                if name.split(".")[0] == "fsind" and hasattr(mod, "_sparse")]
     paths = [write_builtin(tmp_path, name) for name in builtin_names()]
     regular = []
     for name, field, table in workloads.REGULAR_GROUPS:
@@ -681,8 +679,7 @@ def test_data_stay_sparse_from_document_to_report(tmp_path, capsys,
     capsys.readouterr()
     coalgebras = sum("coalgebra" in builtin_document(name)
                      for name in builtin_names())
-    assert coalgebras and calls == {("_sparse", "dualize_coalgebra"):
-                                    2 * coalgebras}
+    assert coalgebras and calls == {}
 
     calls.clear()
     monkeypatch.setattr(linalg.Matrix, "from_sparse", staticmethod(
@@ -818,3 +815,29 @@ def test_import_loads_no_installed_package():
     files = json.loads(out.stdout)
     assert any(f.startswith(src) for f in files)
     assert [f for f in files if "site-packages" in Path(f).parts] == []
+
+
+def test_the_package_exports_its_entry_points_only():
+    """fsind.__all__ is an explicit list of the library entry points, and
+    a star import binds exactly those; every other name is reached through
+    its module."""
+    import fsind
+    assert fsind.__all__ == [
+        "Document", "DocumentError", "IndicatorReport", "ValidationError",
+        "builtin_document", "builtin_names", "document_from_dict",
+        "fs_indicator", "load_document", "qsl2_indicator", "twist_algebra"]
+    namespace = {}
+    exec("from fsind import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(fsind.__all__)
+
+
+def test_the_readme_library_example_runs_as_written(capsys):
+    """The code block of the README's Library section runs as written and
+    prints the lines its trailing comments show."""
+    text = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    shown = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+    assert len(shown) == 3
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown

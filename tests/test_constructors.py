@@ -269,10 +269,10 @@ def test_coalgebra_counit_and_gamma_violations():
     # the copivotal axioms of C are the pivotal axioms of its dual
     spec = group_like_coalgebra(cyclic_table(3), RATIONAL)
     bad = validate_pivotal(dualize_coalgebra(dataclasses.replace(
-        spec, counit=(F(1), F(1), F(0)))))
+        spec, counit={0: F(1), 1: F(1)})))
     assert "unit fails on the left at index 2" in bad
     bad = validate_pivotal(dualize_coalgebra(dataclasses.replace(
-        spec, gamma=(F(1), F(2), F(2)))))
+        spec, gamma={0: F(1), 1: F(2), 2: F(2)})))
     assert "S(g) is not the inverse of g" in bad
 
 
@@ -298,9 +298,9 @@ def test_coalgebra_regular_indicator_is_the_trace_of_s_times_gamma():
     S(b_k)); the axioms are not the point here."""
     spec = dataclasses.replace(primitive_coalgebra(),
                                S=[{0: F(1), 1: F(3)}, {1: F(-1)}],
-                               gamma=(F(1), F(2)))
+                               gamma={0: F(1), 1: F(2)})
     n = spec.dim
-    G = Matrix(RATIONAL, [[sum((c * spec.gamma[j]
+    G = Matrix(RATIONAL, [[sum((c * spec.gamma.get(j, F(0))
                                 for i2, j, c in spec.comult.get(k, ())
                                 if i2 == i), F(0))
                            for k in range(n)] for i in range(n)])

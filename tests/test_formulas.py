@@ -58,7 +58,6 @@ from fsind.pivotal import (
     twist_algebra,
     validate_module,
     validate_pivotal,
-    _sparse,
 )
 from fsind.scalars import RATIONAL
 from small_algebras import (
@@ -68,6 +67,7 @@ from small_algebras import (
     integral_idempotent_by_full_loop,
     module_of,
     multiply,
+    sparse_element,
     symmetric_form_data_by_products,
     symmetric_group_table,
     upper_triangular,
@@ -220,7 +220,7 @@ def test_integral_check_on_generators_matches_the_full_loop(name, edits):
               "counit": list(A.counit)}
     for field, k, value in edits:
         fields[field][k % A.dim] = A.tag.coerce(value)
-    A = dataclasses.replace(A, integral=_sparse(fields["integral"]),
+    A = dataclasses.replace(A, integral=sparse_element(fields["integral"]),
                             counit=tuple(fields["counit"]))
     assert idempotent_outcome(hopf_integral_idempotent, A) == \
         idempotent_outcome(integral_idempotent_by_full_loop, A)
@@ -250,7 +250,7 @@ def test_validate_separability_matches_the_definition(name, edits):
         term = terms[t % len(terms)]
         vec = list(dense_element(A, term[leg]))
         vec[k % A.dim] = A.tag.coerce(value)
-        term[leg] = _sparse(vec)
+        term[leg] = sparse_element(vec)
     E = SeparabilityIdempotent([tuple(term) for term in terms])
     assert validate_separability(A, E) == \
         validate_separability_by_definition(A, E)

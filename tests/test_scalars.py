@@ -1,11 +1,15 @@
 """Field arithmetic, cyclotomic polynomials, parsing and printing."""
 
+import operator
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from fsind import scalars
 from fsind.scalars import (
     Cyclotomic,
     FieldMismatch,
@@ -28,6 +32,9 @@ from fsind.scalars import (
     _trim,
     _zmul,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracer  # noqa: E402
 
 F = Fraction
 
@@ -182,6 +189,7 @@ def _value_at(p, r):
 
 
 @given(ratfuns, ratfuns, small_fractions)
+@example(RatFun((0, 1), (1, 1)), RatFun((1,)), F(1))
 def test_evaluation_is_a_ring_homomorphism(a, b, r):
     assume(_value_at(a.den, r) and _value_at(b.den, r))
     ar = _value_at(a.num, r) / _value_at(a.den, r)
@@ -197,6 +205,15 @@ def test_evaluation_is_a_ring_homomorphism(a, b, r):
     if br:
         assert at(a / b) == ar / br
         assert at(b.inverse()) == 1 / br
+    # reflected and mixed operands
+    assert at(3 - a) == 3 - ar
+    assert at(F(1, 2) - a) == F(1, 2) - ar
+    for e in range(-3, 6):
+        if ar or e >= 0:
+            assert at(a ** e) == ar ** e
+    if ar:
+        assert at(2 / a) == 2 / ar
+        assert at(F(1, 2) / a) == F(1, 2) / ar
 
 
 def test_equal_values_built_differently_are_equal_and_hash_equal():
@@ -306,6 +323,16 @@ def test_cyclotomic_matches_the_polynomial_reference(operands, e):
                         (a * b, poly_mul(pa, pb)), (-a, poly_sub((), pa))):
         _stored(x)
         assert x.coeffs == _reduced(expected, order)
+    # reflected and mixed operands
+    for x, expected in ((3 - a, poly_sub((F(3),), pa)),
+                        (F(1, 2) - a, poly_sub((F(1, 2),), pa))):
+        _stored(x)
+        assert x.coeffs == _reduced(expected, order)
+    if a:
+        for c in (2, F(1, 2)):
+            _stored(c / a)
+            assert (c / a).coeffs == _reduced(
+                poly_mul((F(c),), a.inverse().coeffs), order)
     if b:
         _stored(b.inverse())
         assert _reduced(poly_mul(pb, b.inverse().coeffs), order) == one
@@ -417,9 +444,24 @@ def test_root_of_unity_relations():
 
 
 def test_field_mismatch_between_orders():
-    with pytest.raises(FieldMismatch):
-        Cyclotomic.generator(3) + Cyclotomic.generator(4)
-    assert (Cyclotomic.generator(3) == Cyclotomic.generator(4)) is False
+    z3, z4, q = Cyclotomic.generator(3), Cyclotomic.generator(4), \
+        RatFun.generator()
+    for op in (operator.add, operator.sub, operator.truediv):
+        with pytest.raises(FieldMismatch):
+            op(z3, z4)
+    assert (z3 == z4) is False
+    # Q(q) and Q(z_n) do not mix: each side declines, so Python refuses
+    for op in (operator.sub, operator.truediv, operator.pow):
+        for x, y in ((q, z4), (z4, q)):
+            with pytest.raises(TypeError):
+                op(x, y)
+
+
+def test_every_traced_operator_is_in_each_class_dict():
+    """The benchmark's tracer wraps vars(cls)[op] for each of its scalar
+    ops, so each shared operator must be bound in every class body."""
+    for name in tracer.SCALAR_OPS:
+        assert set(tracer._OP_METHODS) <= set(vars(getattr(scalars, name)))
 
 
 def test_division_by_zero():
