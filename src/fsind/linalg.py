@@ -14,8 +14,14 @@ the dense inverse and span solving, which no library route calls.
 Determinants use fraction-free Bareiss elimination so rational-function
 entries do not balloon; det's one library caller is the self-duality
 pencil, whose sums are the only dense matrices an indicator builds besides
-what its report prints. The intertwiner solver never goes dense: its
-d^2 x d^2 systems are built, eliminated and restricted as SparseRows.
+what its report prints. The intertwiner solver never goes dense, and it
+never writes a d^2 x d^2 system at all: intertwiner_constraint returns
+SparseRows that carry the operator X -> bX - Xa, and kernel_intersection
+works from that operator. The first constraint is eliminated on its rows,
+a row that holds a single cell of X being decided by one equality test;
+each later one is applied to the span found so far, as the images
+bX_k - X_k a of its basis vectors, not its d^2 rows. A constraint writes
+its rows only when something else reads them.
 
 Permutation actions skip the elimination. intertwiner_constraint of two
 permutation matrices records each row as a pair of cells (i, j), the row
@@ -25,9 +31,8 @@ of the classes, which for a permutation module kX are the orbitals of G on
 X x X, and those vectors, ordered by their lowest cell, are the canonical
 RREF basis: the classes are disjoint and each vector has a 1 at its lowest
 cell, a column no other vector touches. No scalar op runs until a
-constraint without pairs arrives; it and the later ones are restricted to
-the classes as usual. A constraint with pairs writes its rows only if the
-general path reads them.
+constraint without pairs arrives; it and the later ones are applied to the
+classes as above.
 
 Kernel bases are sparse vectors [(column, value), ...] in ascending column
 order, whatever the input, and canonical: the rows of the unique reduced
@@ -141,25 +146,29 @@ class SparseRows:
     """Rows of a linear map, each the list of its nonzero (column, value)
     pairs: the constraint type that kernel_basis eliminates on.
 
-    pairs, when given, says that row k is x_i - x_j for pairs[k] = (i, j),
-    the row being empty when i = j: kernel_intersection then merges cells
-    instead of eliminating. Such a constraint may come without rows (rows
-    None); nrows is then the number of pairs, and the rows are written the
-    first time they are read."""
+    An intertwiner constraint comes without rows (rows None) and carries
+    its operator (a, b, dv, dw) instead, the map X -> bX - Xa; nrows is
+    then dw * dv, and _operator_rows writes the rows the first time they
+    are read. kernel_intersection reads only the operator. pairs, which
+    intertwiner_constraint adds when a and b are both permutations, says
+    that row k is x_i - x_j for pairs[k] = (i, j), the row being empty when
+    i = j: kernel_intersection then merges cells instead of eliminating."""
 
-    __slots__ = ("tag", "nrows", "ncols", "_rows", "pairs")
+    __slots__ = ("tag", "nrows", "ncols", "_rows", "pairs", "operator")
 
-    def __init__(self, tag: FieldTag, ncols, rows, pairs=None):
+    def __init__(self, tag: FieldTag, ncols, rows, pairs=None, operator=None):
         self.tag, self.ncols, self._rows = tag, ncols, rows
-        self.nrows = len(pairs if rows is None else rows)
-        self.pairs = pairs
+        self.pairs, self.operator = pairs, operator
+        if operator is None:
+            self.nrows = len(rows)
+        else:
+            _, _, dv, dw = operator
+            self.nrows = dw * dv
 
     @property
     def rows(self):
         if self._rows is None:
-            one, minus = self.tag.one(), self.tag.coerce(-1)
-            self._rows = [[(i, one), (j, minus)] if i != j else []
-                          for i, j in self.pairs]
+            self._rows = _operator_rows(self.tag, *self.operator)
         return self._rows
 
     @property
@@ -279,12 +288,12 @@ def intertwiner_constraint(tag, a, b, dv, dw):
 
     Its kernel is {X : X a = b X}, the maps intertwining a with b. Every
     linear system of the package (hom spaces, invariant forms, commutants)
-    is an intersection of such kernels. Row (r, c) holds the nonzeros of
-    row r of b and of column c of a, so a permutation action gives at most
-    two entries a row. When a and b are both permutations, row (r, c) is
-    X[pb(r)][c] - X[r][pa^-1(c)]; its two cells are recorded as the
-    constraint's pairs, and the rows are written, without scalar
-    arithmetic, only if something reads them.
+    is an intersection of such kernels. The constraint carries the operator
+    (a, b, dv, dw), not its rows: row (r, c) holds the nonzeros of row r of
+    b and of column c of a, and is written only if something reads it.
+    When a and b are both permutations, row (r, c) is
+    X[pb(r)][c] - X[r][pa^-1(c)], and its two cells are recorded as the
+    constraint's pairs.
     """
     for m, d in ((a, dv), (b, dw)):
         if len(m) != d or any(not 0 <= c < d for row in m for c in row):
@@ -293,24 +302,68 @@ def intertwiner_constraint(tag, a, b, dv, dw):
     one = tag.one()
     pa = _permutation(a, one)
     pb = pa if b is a else _permutation(b, one)
+    pairs = None
     if pa is not None and pb is not None:
         pa_inv = [0] * dv
         for t, c in enumerate(pa):
             pa_inv[c] = t
         pairs = [(s * dv + c, r * dv + t) for r, s in enumerate(pb)
                  for c, t in enumerate(pa_inv)]
-        return SparseRows(tag, dw * dv, None, pairs)
-    a_cols = [[(t, -y) for t, y in col.items()] for col in _transpose(a, dv)]
+    return SparseRows(tag, dw * dv, None, pairs, (a, b, dv, dw))
+
+
+def _lone_diagonal(m):
+    """For each i, x when row i of the sparse rows m is {i: x}, else None."""
+    return [row.get(i) if len(row) == 1 else None for i, row in enumerate(m)]
+
+
+def _operator_rows(tag, a, b, dv, dw, lone_cells=False):
+    """The rows of X -> bX - Xa, row (r, c) at index r * dv + c.
+
+    Row (r, c) holds row r of b at the cells (s, c) and minus column c of
+    a at the cells (r, t); the two share only the cell (r, c). With
+    lone_cells, a row that holds nothing but that cell, row r of b being
+    {r: x} and column c of a {c: y}, says X[r][c] = 0 exactly when x != y;
+    it is written as (cell, 1) then and left empty otherwise, the same
+    kernel after one equality test instead of a subtraction."""
+    one, a_cols = tag.one(), _transpose(a, dv)
+    minus_a_cols = [[(t, -y) for t, y in col.items()] for col in a_cols]
+    b_lone, a_lone = ((_lone_diagonal(b), _lone_diagonal(a_cols))
+                      if lone_cells else ([None] * dw, [None] * dv))
     rows = []
     for r, b_row in enumerate(b):
-        for c, a_col in enumerate(a_cols):
+        for c in range(dv):
+            beta, alpha = b_lone[r], a_lone[c]
+            if beta is not None and alpha is not None:
+                rows.append([] if beta == alpha else [(r * dv + c, one)])
+                continue
             row = {s * dv + c: x for s, x in b_row.items()}
-            for t, y in a_col:  # the terms share only the cell t = c, s = r
+            for t, y in minus_a_cols[c]:
                 j = r * dv + t
                 x = row.get(j)
                 row[j] = y if x is None else x + y
             rows.append([(j, x) for j, x in row.items() if x])
-    return SparseRows(tag, dw * dv, rows)
+    return rows
+
+
+def _images(a, b, dv, dw, basis):
+    """The rows of X -> bX - Xa restricted to the span of basis: row j holds
+    (k, Y_k[j]) for the nonzero cells j of the images Y_k = bX_k - X_k a,
+    the rows in cell order. Each nonzero X[s][c] = x adds b[r][s] x at
+    (r, c) for column s of b, and -x a[c][t] at (s, t) for row c of a."""
+    b_cols = [[(r * dv, y) for r, y in col.items()]
+              for col in _transpose(b, dw)]
+    minus_a = [[(t, -y) for t, y in row.items()] for row in a]
+    rows = {}
+    for k, v in enumerate(basis):
+        image = {}
+        for j, x in v:
+            s, c = divmod(j, dv)
+            _axpy(image, x, [(i + c, y) for i, y in b_cols[s]])
+            _axpy(image, x, [(j - c + t, y) for t, y in minus_a[c]])
+        for j, y in image.items():
+            rows.setdefault(j, []).append((k, y))
+    return [rows[j] for j in sorted(rows)]
 
 
 def _axpy(acc, f, v):
@@ -334,6 +387,16 @@ def _combine(coeffs, vectors):
     for k, f in coeffs:
         _axpy(out, f, vectors[k])
     return sorted(out.items())
+
+
+def _restrict(rows, basis, ncols):
+    """Sparse rows restricted to the span of basis: row i holds
+    (k, rows[i] . basis[k]) for the nonzero products."""
+    columns = [[] for _ in range(ncols)]  # j -> [(k, basis[k] at j)]
+    for k, v in enumerate(basis):
+        for j, b in v:
+            columns[j].append((k, b))
+    return [_combine(row, columns) for row in rows]
 
 
 def _merge(parent, pairs):
@@ -372,6 +435,15 @@ def kernel_intersection(tag, constraints, ncols):
     coefficient basis gives an RREF basis again, so the result is canonical.
     With no constraints it is the unit vectors.
 
+    An intertwiner constraint is read through its operator, never its
+    rows. The first one is eliminated on rows written with lone_cells, a
+    row that holds only its cell (r, c) becoming that unit row or nothing
+    after one equality test; a later one is restricted through the images
+    of the span's basis vectors (_images). Scaling a row keeps its kernel,
+    and the images give exactly the restricted rows, so the basis is the
+    same. Plain SparseRows are restricted row by row (_restrict).
+    kernel_basis runs once for each constraint that is eliminated.
+
     A leading run of constraints that carry pairs, rows x_i - x_j as
     intertwiner_constraint writes for two permutations, is solved without
     scalar arithmetic: a union-find merges the cells i and j, and the joint
@@ -395,13 +467,13 @@ def kernel_intersection(tag, constraints, ncols):
         if basis is None and parent is not None:
             basis = _classes(tag, parent)
         if basis is None:
+            if c.operator is not None:
+                c = SparseRows(tag, ncols, _operator_rows(
+                    tag, *c.operator, lone_cells=True))
             basis = kernel_basis(c)
         else:
-            columns = [[] for _ in range(ncols)]  # j -> [(k, basis[k] at j)]
-            for k, v in enumerate(basis):
-                for j, b in v:
-                    columns[j].append((k, b))
-            restricted = [_combine(row, columns) for row in c.rows]
+            restricted = (_images(*c.operator, basis) if c.operator is not None
+                          else _restrict(c.rows, basis, ncols))
             basis = [_combine(v, basis) for v in
                      kernel_basis(SparseRows(tag, len(basis), restricted))]
         if not basis:

@@ -25,12 +25,14 @@ PivotalAlgebra.generators; qsl2 feeds it K, E and F. Every linear system
 (the forms, End(V), and Hom(V, W) in hom_space) is the joint kernel of one
 linalg.intertwiner_constraint per generator, not one per basis element:
 b -> R(b) and b -> R(S(b))^T are algebra maps, so a map intertwining them
-on generators does so on all of A. A constraint is sparse rows, each
-holding the nonzeros of a row of one matrix and a column of the other, and
-kernel_intersection restricts each to the kernel found so far: no
-d^2 x d^2 system is ever dense. Its result, sparse RREF vectors, stays
-sparse through the transposition, the End(V) count and the self-duality
-test, which ranks each form on its sparse rows; Matrix.from_sparse reshapes
+on generators does so on all of A. A constraint carries its operator
+X -> bX - Xa rather than its d^2 rows: kernel_intersection eliminates the
+first one on sparse rows, each holding the nonzeros of a row of one matrix
+and a column of the other, and applies each later one to the kernel found
+so far through the images of its basis vectors. No d^2 x d^2 system is
+ever dense. The solver's result, sparse RREF vectors, stays sparse
+through the transposition, the End(V) count and the self-duality test,
+which ranks each form on its sparse rows; Matrix.from_sparse reshapes
 it only into what a report prints (the canonical form, hom_space's
 matrices) and into the self-duality pencil's sums, for det. The
 transposition is an involution, so nu is its trace and fixes the dimensions

@@ -134,6 +134,14 @@ def _term_string(coeff, var, power):
     return "%s*%s" % (coeff, base)
 
 
+def _times_ratio(p, q, coeffs):
+    """p/q times each integer coefficient: an int when q = 1, else a
+    Fraction, which prints the same when it is integral."""
+    if q == 1:
+        return [p * k for k in coeffs]
+    return [Fraction(p * k, q) for k in coeffs]
+
+
 def _poly_string(coeffs, var, descending=False):
     terms = [(i, c) for i, c in enumerate(coeffs) if c]
     if not terms:
@@ -152,11 +160,13 @@ def scalar_to_string(x):
         return str(f)  # Fraction prints gcd-reduced, denominator positive
     if isinstance(x, Cyclotomic):
         return _poly_string(x.coeffs, "z")
-    if isinstance(x, RatFun):
-        num = _poly_string(x.num, "q", descending=True)
+    if isinstance(x, RatFun):  # x.num and x.den, with integral ones as ints
+        c, lead = x._c, x._d[-1]
+        num = _poly_string(_times_ratio(c.numerator, c.denominator * lead,
+                                        x._n), "q", descending=True)
         if x._d == (1,):
             return num
-        den = _poly_string(x.den, "q", descending=True)
+        den = _poly_string(_times_ratio(1, lead, x._d), "q", descending=True)
         return "(%s)/(%s)" % (num, den)
     raise TypeError("not a scalar: %r" % (x,))
 
@@ -618,13 +628,16 @@ class RatFun:
             return None
         return _new_ratfun(f, (1,), (1,)) if f else _ZERO
 
-    def _plus(self, c2, n2, d2):
-        """self + c2 * n2/d2."""
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         c1, n1, d1 = self._c, self._n, self._d
+        c2, n2, d2 = o._c, o._n, o._d
         if not n2:
             return self
         if not n1:
-            return _new_ratfun(c2, n2, d2)
+            return o
         b1, b2 = c1.denominator, c2.denominator
         g = gcd(b1, b2)
         u, v = c1.numerator * (b2 // g), c2.numerator * (b1 // g)
@@ -637,12 +650,6 @@ class RatFun:
                            d1 if k > 0 else d2)
         return _ratfun(scale, _zcomb(u, _zmul(n1, d2), v, _zmul(n2, d1)),
                        _zmul(d1, d2))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o._c, o._n, o._d)
 
     __radd__ = __add__
 

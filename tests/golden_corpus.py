@@ -104,9 +104,8 @@ def _malformed(workdir):
         docs["s3-literal-%d.json" % k] = _mutated("S3",
                                                   _repeat_literal(literal))
     for k, cell in enumerate((True, 1.5, "1.5")):
-        docs["s3-cell-%d.json" % k] = _mutated(
-            "S3", lambda raw, cell=cell: raw["modules"][2]["action"].__setitem__(
-                1, [[1, "1"], [cell, "0"]]))
+        docs["s3-cell-%d.json" % k] = _mutated("S3", _set(
+            "modules", 2, "action", 1, value=[[1, "1"], [cell, "0"]]))
     paths = []
     for name, raw in docs.items():
         paths.append(str(Path(workdir) / name) if raw is None

@@ -10,4 +10,5 @@ def test_every_corpus_command_prints_its_recorded_output():
     assert [e[0] for e in actual] == [e[0] for e in expected], \
         "the command list changed; record the corpus again"
     for (argv, *want), (_, *got) in zip(expected, actual):
-        assert got == want, "first differing command: fsind %s" % " ".join(argv)
+        assert got == want, "first command that differs: fsind " + \
+            " ".join(argv)

@@ -27,7 +27,7 @@ from fsind.linalg import (
 from fsind.scalars import RATIONAL, RATIONAL_FUNCTION, RatFun, cyclotomic_field
 from small_algebras import (apply_rows, dense, dense_rank, dense_rref,
                             difference, from_matrix, span_canonical,
-                            sparse_rows, trace)
+                            sparse_rows, to_matrix, trace)
 
 F = Fraction
 
@@ -308,8 +308,23 @@ def test_intertwiner_constraint_of_permutations_has_two_entries_a_row(perms):
 
 def is_permutation(tag, m):
     cols = [c for row in m for c in row]
-    return (sorted(cols) == list(range(len(m)))
+    return (all(len(row) == 1 for row in m)
+            and sorted(cols) == list(range(len(m)))
             and all(x == tag.one() for row in m for x in row.values()))
+
+
+def exact_rows(tag, a, b, dv, dw):
+    """The rows of X -> bX - Xa as dicts {cell: value}, read off the dense
+    images of the unit matrices: row r * dv + c holds (bE_j - E_j a)[r][c]
+    at each cell j."""
+    am, bm = to_matrix(tag, a), to_matrix(tag, b)
+    rows = [{} for _ in range(dw * dv)]
+    for j in range(dw * dv):
+        e = Matrix.from_sparse(tag, dw, dv, [(j, tag.one())])
+        for k, y in enumerate(difference(bm * e, e * am).vec()):
+            if y:
+                rows[k][j] = y
+    return rows
 
 
 @st.composite
@@ -318,9 +333,11 @@ def permutation_and_general_constraints(draw):
     Q(q), X being dw x dv, in any order: plain sparse rows, whose general is
     None, and intertwiner constraints, each with the constraint that the
     general path builds from the same pair and whether both are
-    permutations. The pairs are permutations, identities (all rows zero) or
+    permutations. The pairs are permutations, identities (all rows zero),
     matrices with one entry a row, which may repeat a column or differ
-    from 1."""
+    from 1, diagonal matrices whose entries come from a two-element set, so
+    that a lone cell's two values are often equal, or general matrices with
+    up to three nonzeros a row."""
     tag = draw(st.sampled_from((RATIONAL, cyclotomic_field(4),
                                 RATIONAL_FUNCTION)))
     dv, dw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -332,9 +349,17 @@ def permutation_and_general_constraints(draw):
         values = st.sampled_from([one] * 4 + field_values(tag))
         return [{c: draw(values)} for c in cols]
 
+    def diagonal(d, values):
+        return [{c: draw(values)} for c in range(d)]
+
+    def up_to_three_a_row(d):
+        return [draw(st.dictionaries(st.integers(0, d - 1), entry,
+                                     max_size=3)) for _ in range(d)]
+
     cases = []
     for kind in draw(st.lists(st.sampled_from(
-            ("perm", "identity", "one entry a row", "rows")),
+            ("perm", "identity", "one entry a row", "diagonal", "general",
+             "rows")),
             min_size=1, max_size=4)):
         if kind == "rows":
             rows = draw(st.lists(st.dictionaries(
@@ -345,6 +370,12 @@ def permutation_and_general_constraints(draw):
             continue
         if kind == "one entry a row":
             a, b = one_entry_a_row(dv), one_entry_a_row(dw)
+        elif kind == "diagonal":
+            values = st.sampled_from(draw(st.lists(entry, min_size=2,
+                                                   max_size=2)))
+            a, b = diagonal(dv, values), diagonal(dw, values)
+        elif kind == "general":
+            a, b = up_to_three_a_row(dv), up_to_three_a_row(dw)
         else:
             pa, pb = range(dv), range(dw)
             if kind == "perm":
@@ -360,21 +391,29 @@ def permutation_and_general_constraints(draw):
 @given(permutation_and_general_constraints())
 def test_kernel_intersection_merges_permutation_constraints(case):
     """Union-find on the leading permutation constraints, elimination from
-    the first general one on: the kernel of the stacked rows either way."""
+    the first general one on, lone cells decided by equality and later
+    constraints applied to the span: the kernel of the stacked exact rows
+    either way. kernel_intersection writes no intertwiner constraint's
+    rows."""
     tag, ncols, cases = case
     constraints = [c for c, _, _ in cases]
+    kernel = kernel_intersection(tag, constraints, ncols)
+    assert all(c._rows is None for c, general, _ in cases if general)
     for c, general, permutations in cases:
         assert (c.pairs is not None) == permutations
         if general is not None:
             assert general.pairs is None and c.rows == general.rows
+            assert [dict(r) for r in c.rows] == exact_rows(tag, *c.operator)
     stacked = SparseRows(tag, ncols, [r for c in constraints for r in c.rows])
-    assert kernel_intersection(tag, constraints, ncols) == kernel_basis(stacked)
+    assert kernel == kernel_basis(stacked)
 
 
 def test_permutation_constraint_writes_its_rows_when_read():
-    """A constraint of two permutations counts one row per pair, and the
-    union-find solves it without its rows; read, they are the general
-    path's rows."""
+    """A constraint counts dw * dv rows but writes them only when read:
+    the union-find solves two permutations by their pairs, a first general
+    constraint is eliminated with its lone cells decided by equality, and
+    a later one is applied to the span found so far. Read afterwards, the
+    rows are the exact rows of X -> bX - Xa."""
     one = RATIONAL.one()
     a, b = [{1: one}, {2: one}, {0: one}], [{1: one}, {0: one}]
     c = intertwiner_constraint(RATIONAL, a, b, 3, 2)
@@ -384,6 +423,22 @@ def test_permutation_constraint_writes_its_rows_when_read():
     with mock.patch("fsind.linalg._permutation", return_value=None):
         general = intertwiner_constraint(RATIONAL, a, b, 3, 2)
     assert c.rows == general.rows and c.nrows == general.nrows
+    # diagonal: lone cells, equal at (0, 0) only; then a general pair that
+    # fixes E_00
+    diag_a, diag_b = [{0: F(2)}, {1: F(3)}, {2: F(5)}], [{0: F(2)}, {1: F(7)}]
+    gen_a = [{0: F(1)}, {0: F(2), 1: F(2)}, {0: F(4), 2: F(1)}]
+    gen_b = [{0: F(1), 1: F(3)}, {1: F(-2)}]
+    first, later = (intertwiner_constraint(RATIONAL, x, y, 3, 2)
+                    for x, y in ((diag_a, diag_b), (gen_a, gen_b)))
+    assert first.pairs is None and later.pairs is None
+    assert first.shape == later.shape == (6, 6)
+    kernel = kernel_intersection(RATIONAL, [first, later], 6)
+    assert first._rows is None and later._rows is None
+    for m, x, y in ((first, diag_a, diag_b), (later, gen_a, gen_b)):
+        assert [dict(r) for r in m.rows] == exact_rows(RATIONAL, x, y, 3, 2)
+    assert dict(first.rows[1]) == {1: F(-1)}  # 2 X01 - X01 3, not scaled
+    stacked = SparseRows(RATIONAL, 6, first.rows + later.rows)
+    assert kernel == kernel_basis(stacked) == [[(0, one)]]
 
 
 def test_intertwiner_constraint_needs_square_matrices():
