@@ -159,11 +159,8 @@ class SparseRows:
     def __init__(self, tag: FieldTag, ncols, rows, pairs=None, operator=None):
         self.tag, self.ncols, self._rows = tag, ncols, rows
         self.pairs, self.operator = pairs, operator
-        if operator is None:
-            self.nrows = len(rows)
-        else:
-            _, _, dv, dw = operator
-            self.nrows = dw * dv
+        self.nrows = (len(rows) if operator is None
+                      else operator[2] * operator[3])
 
     @property
     def rows(self):

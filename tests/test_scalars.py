@@ -647,6 +647,10 @@ def test_canonical_strings():
     assert scalar_to_string(q ** 2 + 2 * q + 1) == "q^2 + 2*q + 1"
     assert scalar_to_string(q ** -1) == "(1)/(q)"
     assert scalar_to_string((q - 1) / (q + 1)) == "(q - 1)/(q + 1)"
+    # the denominator is printed monic
+    assert scalar_to_string((q + 1) / (2 * q + 3)) == \
+        "(1/2*q + 1/2)/(q + 3/2)"
+    assert scalar_to_string(3 * q / (F(1, 2) * q - 1)) == "(6*q)/(q - 2)"
     assert scalar_to_string(RatFun(())) == "0"
     assert scalar_to_string(-q) == "-q"
 
