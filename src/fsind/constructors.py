@@ -175,7 +175,6 @@ def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
     mult = {(i, j): ((ct.table[i][j], one),) for i in range(n) for j in range(n)}
     z = tag.zero()
     unit = {e: one}
-    inv_perm = [ct.inverse(i) for i in range(n)]
     nth = tag.coerce(Fraction(1, n))
     A = PivotalAlgebra(
         tag=tag,
@@ -183,7 +182,7 @@ def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
         labels=labels,
         mult=mult,
         unit=unit,
-        S=perm_columns(tag, inv_perm),
+        S=perm_columns(tag, ct._inverses),
         g=unit,
         comult={k: ((k, k, one),) for k in range(n)},
         counit=(one,) * n,
@@ -195,7 +194,7 @@ def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
     # E = (1/n) sum_j g_j^-1 (x) g_j, terms in the order of
     # hopf_integral_idempotent: the table being a group proves it separable
     return _attach_idempotent(
-        A, [({inv_perm[j]: nth}, {j: one}) for j in range(n)])
+        A, [({ct._inverses[j]: nth}, {j: one}) for j in range(n)])
 
 
 def group_involution(ct: CayleyTable, perm, tag: FieldTag):
@@ -222,15 +221,15 @@ def cyclic_table(n):
                              for i in range(n)))
 
 
+def _compose(p, q):
+    """The permutation p o q, x -> p[q[x]]."""
+    return tuple(p[x] for x in q)
+
+
 def _perm_group_table(perms):
     index = {p: i for i, p in enumerate(perms)}
-    table = []
-    for p in perms:
-        row = []
-        for q in perms:
-            row.append(index[tuple(p[q[x]] for x in range(len(p)))])
-        table.append(tuple(row))
-    return CayleyTable(tuple(table))
+    return CayleyTable(tuple(tuple(index[_compose(p, q)] for q in perms)
+                             for p in perms))
 
 
 def s3_table():
@@ -239,11 +238,7 @@ def s3_table():
     r = (1, 2, 0)
     r2 = (2, 0, 1)
     s = (1, 0, 2)
-
-    def c(p, q):
-        return tuple(p[q[x]] for x in range(3))
-
-    return _perm_group_table([e, r, r2, s, c(s, r), c(s, r2)])
+    return _perm_group_table([e, r, r2, s, _compose(s, r), _compose(s, r2)])
 
 
 def d4_table():
@@ -251,12 +246,10 @@ def d4_table():
     e = (0, 1, 2, 3)
     r = (1, 2, 3, 0)
     s = (0, 3, 2, 1)
-
-    def c(p, q):
-        return tuple(p[q[x]] for x in range(4))
-
-    r2, r3 = c(r, r), c(r, c(r, r))
-    return _perm_group_table([e, r, r2, r3, s, c(s, r), c(s, r2), c(s, r3)])
+    r2 = _compose(r, r)
+    r3 = _compose(r, r2)
+    return _perm_group_table([e, r, r2, r3, s, _compose(s, r),
+                              _compose(s, r2), _compose(s, r3)])
 
 
 def q8_table():
@@ -530,14 +523,13 @@ def group_like_coalgebra(ct: CayleyTable, tag: FieldTag, labels=None,
     n = ct.order
     one = tag.one()
     eps = {i: one for i in range(n)}
-    inv_perm = [ct.inverse(i) for i in range(n)]
     return CoalgebraSpec(
         tag=tag,
         dim=n,
         labels=tuple(labels) if labels else tuple("g%d" % i for i in range(n)),
         comult={k: ((k, k, one),) for k in range(n)},
         counit=eps,
-        S=perm_columns(tag, inv_perm),
+        S=perm_columns(tag, ct._inverses),
         gamma=eps,
         name=name,
     )
@@ -705,7 +697,7 @@ def _s3_grouplike_doc():
     ct = s3_table()
     n = 6
     # thin scheme of the group: relation index of (x, y) is x^-1 y
-    inv = [ct.inverse(i) for i in range(n)]
+    inv = ct._inverses
     rel = [[ct.table[inv[x]][y] for y in range(n)] for x in range(n)]
     # conjugation by the swap s is an involutive scheme symmetry
     s_idx = 3
@@ -723,7 +715,7 @@ def _s3_grouplike_doc():
 
 def _coalg_doc(n):
     ct = cyclic_table(n)
-    inv = [ct.inverse(i) for i in range(n)]
+    inv = ct._inverses
     labels = ["e"] + ["g" if k == 1 else "g%d" % k for k in range(1, n)]
     s_rows = [["1" if inv[j] == i else "0" for j in range(n)]
               for i in range(n)]

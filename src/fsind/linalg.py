@@ -8,20 +8,19 @@ rows {column: value}, which intertwiner_constraint takes as they are; S and
 the involutions are sparse columns. One sparse Gauss-Jordan elimination
 gives every rank, kernel, RREF and inverse: _insert_row adds a row to a
 growing set of unit pivot rows and _back_substitute fully reduces them.
-rank, kernel_basis and kernel_intersection take SparseRows only and read
-the pivot rows directly; _rref_in_place runs both on mirrored columns for
-the dense inverse and span solving, which no library route calls.
+rank and kernel_basis take SparseRows only and read the pivot rows
+directly; _rref_in_place runs both on mirrored columns for the dense
+inverse and span solving, which no library route calls.
 Determinants use fraction-free Bareiss elimination so rational-function
 entries do not balloon; det's one library caller is the self-duality
 pencil, whose sums are the only dense matrices an indicator builds besides
 what its report prints. The intertwiner solver never goes dense, and it
-never writes a d^2 x d^2 system at all: intertwiner_constraint returns
-SparseRows that carry the operator X -> bX - Xa, and kernel_intersection
-works from that operator. The first constraint is eliminated on its rows,
-a row that holds a single cell of X being decided by one equality test;
-each later one is applied to the span found so far, as the images
-bX_k - X_k a of its basis vectors, not its d^2 rows. A constraint writes
-its rows only when something else reads them.
+never writes a d^2 x d^2 system at all: intertwiner_constraint returns an
+IntertwinerConstraint, the operator X -> bX - Xa without rows, and
+kernel_intersection works from that operator. The first constraint is
+eliminated on rows written from it, a row that holds a single cell of X
+being decided by one equality test; each later one is applied to the span
+found so far, as the images bX_k - X_k a of its basis vectors.
 
 Permutation actions skip the elimination. intertwiner_constraint of two
 permutation matrices records each row as a pair of cells (i, j), the row
@@ -144,33 +143,27 @@ class Matrix:
 
 class SparseRows:
     """Rows of a linear map, each the list of its nonzero (column, value)
-    pairs: the constraint type that kernel_basis eliminates on.
+    pairs: the input of rank and kernel_basis."""
 
-    An intertwiner constraint comes without rows (rows None) and carries
-    its operator (a, b, dv, dw) instead, the map X -> bX - Xa; nrows is
-    then dw * dv, and _operator_rows writes the rows the first time they
-    are read. kernel_intersection reads only the operator. pairs, which
-    intertwiner_constraint adds when a and b are both permutations, says
-    that row k is x_i - x_j for pairs[k] = (i, j), the row being empty when
-    i = j: kernel_intersection then merges cells instead of eliminating."""
+    __slots__ = ("tag", "nrows", "ncols", "rows")
 
-    __slots__ = ("tag", "nrows", "ncols", "_rows", "pairs", "operator")
+    def __init__(self, tag: FieldTag, ncols, rows):
+        self.tag, self.ncols, self.rows = tag, ncols, rows
+        self.nrows = len(rows)
 
-    def __init__(self, tag: FieldTag, ncols, rows, pairs=None, operator=None):
-        self.tag, self.ncols, self._rows = tag, ncols, rows
-        self.pairs, self.operator = pairs, operator
-        self.nrows = (len(rows) if operator is None
-                      else operator[2] * operator[3])
 
-    @property
-    def rows(self):
-        if self._rows is None:
-            self._rows = _operator_rows(self.tag, *self.operator)
-        return self._rows
+class IntertwinerConstraint:
+    """The constraint X -> bX - Xa on row-major vec(X), X being dw x dv, as
+    intertwiner_constraint returns it: the operator (a, b, dv, dw) and no
+    rows, nrows = ncols = dw * dv. pairs, set when a and b are both
+    permutations, says that row k is x_i - x_j for pairs[k] = (i, j), the
+    row being empty when i = j."""
 
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
+    __slots__ = ("operator", "pairs", "nrows", "ncols")
+
+    def __init__(self, a, b, dv, dw, pairs):
+        self.operator, self.pairs = (a, b, dv, dw), pairs
+        self.nrows = self.ncols = dw * dv
 
 
 def _insert_row(pivots, row):
@@ -280,15 +273,15 @@ def _permutation(m, one):
 
 
 def intertwiner_constraint(tag, a, b, dv, dw):
-    """SparseRows of X -> bX - Xa on row-major vec(X), X being dw x dv, for
+    """The constraint X -> bX - Xa on row-major vec(X), X being dw x dv, for
     a (dv x dv) and b (dw x dw) given as sparse rows {column: value}.
 
     Its kernel is {X : X a = b X}, the maps intertwining a with b. Every
     linear system of the package (hom spaces, invariant forms, commutants)
-    is an intersection of such kernels. The constraint carries the operator
+    is an intersection of such kernels. The constraint is its operator
     (a, b, dv, dw), not its rows: row (r, c) holds the nonzeros of row r of
-    b and of column c of a, and is written only if something reads it.
-    When a and b are both permutations, row (r, c) is
+    b and of column c of a, and kernel_intersection works from the
+    operator. When a and b are both permutations, row (r, c) is
     X[pb(r)][c] - X[r][pa^-1(c)], and its two cells are recorded as the
     constraint's pairs.
     """
@@ -306,7 +299,7 @@ def intertwiner_constraint(tag, a, b, dv, dw):
             pa_inv[c] = t
         pairs = [(s * dv + c, r * dv + t) for r, s in enumerate(pb)
                  for c, t in enumerate(pa_inv)]
-    return SparseRows(tag, dw * dv, None, pairs, (a, b, dv, dw))
+    return IntertwinerConstraint(a, b, dv, dw, pairs)
 
 
 def _lone_diagonal(m):
@@ -314,19 +307,18 @@ def _lone_diagonal(m):
     return [row.get(i) if len(row) == 1 else None for i, row in enumerate(m)]
 
 
-def _operator_rows(tag, a, b, dv, dw, lone_cells=False):
-    """The rows of X -> bX - Xa, row (r, c) at index r * dv + c.
+def _operator_rows(tag, a, b, dv, dw):
+    """The rows of X -> bX - Xa up to scaling, row (r, c) at index r * dv + c.
 
     Row (r, c) holds row r of b at the cells (s, c) and minus column c of
-    a at the cells (r, t); the two share only the cell (r, c). With
-    lone_cells, a row that holds nothing but that cell, row r of b being
-    {r: x} and column c of a {c: y}, says X[r][c] = 0 exactly when x != y;
-    it is written as (cell, 1) then and left empty otherwise, the same
-    kernel after one equality test instead of a subtraction."""
+    a at the cells (r, t); the two share only the cell (r, c). A row that
+    holds nothing but that cell, row r of b being {r: x} and column c of a
+    {c: y}, says X[r][c] = 0 exactly when x != y; it is written as
+    (cell, 1) then and left empty otherwise, the same kernel after one
+    equality test instead of a subtraction."""
     one, a_cols = tag.one(), _transpose(a, dv)
     minus_a_cols = [[(t, -y) for t, y in col.items()] for col in a_cols]
-    b_lone, a_lone = ((_lone_diagonal(b), _lone_diagonal(a_cols))
-                      if lone_cells else ([None] * dw, [None] * dv))
+    b_lone, a_lone = _lone_diagonal(b), _lone_diagonal(a_cols)
     rows = []
     for r, b_row in enumerate(b):
         for c in range(dv):
@@ -425,24 +417,24 @@ def _classes(tag, parent):
 def kernel_intersection(tag, constraints, ncols):
     """Canonical basis of the joint kernel of a sequence of constraints.
 
-    Constraints, SparseRows, are consumed lazily and each one is restricted
-    to the solution span found so far, so the eliminations stay small once
-    the first few constraints have cut the space down. The span
-    is kept as sparse RREF vectors; recombining such a basis by an RREF
-    coefficient basis gives an RREF basis again, so the result is canonical.
-    With no constraints it is the unit vectors.
+    Constraints, IntertwinerConstraint or SparseRows, are consumed lazily
+    and each one is restricted to the solution span found so far, so the
+    eliminations stay small once the first few constraints have cut the
+    space down. The span is kept as sparse RREF vectors; recombining such
+    a basis by an RREF coefficient basis gives an RREF basis again, so the
+    result is canonical. With no constraints it is the unit vectors.
 
-    An intertwiner constraint is read through its operator, never its
-    rows. The first one is eliminated on rows written with lone_cells, a
-    row that holds only its cell (r, c) becoming that unit row or nothing
-    after one equality test; a later one is restricted through the images
-    of the span's basis vectors (_images). Scaling a row keeps its kernel,
-    and the images give exactly the restricted rows, so the basis is the
-    same. Plain SparseRows are restricted row by row (_restrict).
-    kernel_basis runs once for each constraint that is eliminated.
+    An intertwiner constraint has no rows. The first one is eliminated on
+    the rows of _operator_rows, a row that holds only its cell (r, c)
+    becoming that unit row or nothing after one equality test; a later one
+    is restricted through the images of the span's basis vectors
+    (_images). Scaling a row keeps its kernel, and the images give exactly
+    the restricted rows, so the basis is the same. SparseRows are
+    restricted row by row (_restrict). kernel_basis runs once for each
+    constraint that is eliminated.
 
     A leading run of constraints that carry pairs, rows x_i - x_j as
-    intertwiner_constraint writes for two permutations, is solved without
+    intertwiner_constraint records for two permutations, is solved without
     scalar arithmetic: a union-find merges the cells i and j, and the joint
     kernel is spanned by the indicator vectors of the classes (for a
     permutation module, the orbitals). Those vectors are already the
@@ -456,7 +448,8 @@ def kernel_intersection(tag, constraints, ncols):
         if c.ncols != ncols:
             raise DimensionMismatch("constraint has %d columns, expected %d"
                                     % (c.ncols, ncols))
-        if basis is None and c.pairs is not None:
+        op = c.operator if isinstance(c, IntertwinerConstraint) else None
+        if basis is None and op is not None and c.pairs is not None:
             if parent is None:
                 parent = list(range(ncols))
             _merge(parent, c.pairs)
@@ -464,13 +457,11 @@ def kernel_intersection(tag, constraints, ncols):
         if basis is None and parent is not None:
             basis = _classes(tag, parent)
         if basis is None:
-            if c.operator is not None:
-                c = SparseRows(tag, ncols, _operator_rows(
-                    tag, *c.operator, lone_cells=True))
-            basis = kernel_basis(c)
+            basis = kernel_basis(c if op is None else SparseRows(
+                tag, ncols, _operator_rows(tag, *op)))
         else:
-            restricted = (_images(*c.operator, basis) if c.operator is not None
-                          else _restrict(c.rows, basis, ncols))
+            restricted = (_restrict(c.rows, basis, ncols) if op is None
+                          else _images(*op, basis))
             basis = [_combine(v, basis) for v in
                      kernel_basis(SparseRows(tag, len(basis), restricted))]
         if not basis:

@@ -25,11 +25,11 @@ PivotalAlgebra.generators; qsl2 feeds it K, E and F. Every linear system
 (the forms, End(V), and Hom(V, W) in hom_space) is the joint kernel of one
 linalg.intertwiner_constraint per generator, not one per basis element:
 b -> R(b) and b -> R(S(b))^T are algebra maps, so a map intertwining them
-on generators does so on all of A. A constraint carries its operator
-X -> bX - Xa rather than its d^2 rows: kernel_intersection eliminates the
-first one on sparse rows, each holding the nonzeros of a row of one matrix
-and a column of the other, and applies each later one to the kernel found
-so far through the images of its basis vectors. No d^2 x d^2 system is
+on generators does so on all of A. A constraint is the operator
+X -> bX - Xa, without rows: kernel_intersection writes sparse rows for the
+first one only, each holding the nonzeros of a row of one matrix and a
+column of the other, and applies each later one to the kernel found so
+far through the images of its basis vectors. No d^2 x d^2 system is
 ever dense. The solver's result, sparse RREF vectors, stays sparse
 through the transposition, the End(V) count and the self-duality test,
 which ranks each form on its sparse rows; Matrix.from_sparse reshapes

@@ -242,6 +242,19 @@ def _cyclotomic_constant(order, f):
                            f.denominator)
 
 
+def _coerce_cyclotomic(order, x):
+    """x in Q(z_order): a Cyclotomic of that order as it is, an int or
+    Fraction embedded, None for anything else; other orders are refused."""
+    if isinstance(x, Cyclotomic):
+        if x.order != order:
+            raise FieldMismatch("cannot mix cyclotomic orders %d and %d"
+                                % (order, x.order))
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _cyclotomic_constant(order, x)
+    return None
+
+
 class Cyclotomic:
     """Element of Q(z) with z = exp(2*pi*i/n), stored as n/d.
 
@@ -273,15 +286,7 @@ class Cyclotomic:
         return Cyclotomic(order, (0, 1))
 
     def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.order != self.order:
-                raise FieldMismatch(
-                    "cannot mix cyclotomic orders %d and %d"
-                    % (self.order, other.order))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _cyclotomic_constant(self.order, other)
-        return None
+        return _coerce_cyclotomic(self.order, other)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -743,13 +748,9 @@ class FieldTag:
             if f is not None:
                 return f
         elif self.kind == "cyclotomic":
-            if isinstance(x, Cyclotomic):
-                if x.order == self.order:
-                    return x
-                raise FieldMismatch("cyclotomic order %d does not match %s"
-                                    % (x.order, self))
-            if isinstance(x, (int, Fraction)):
-                return _cyclotomic_constant(self.order, x)
+            y = _coerce_cyclotomic(self.order, x)
+            if y is not None:
+                return y
         else:
             y = RatFun._coerce(x)
             if y is not None:

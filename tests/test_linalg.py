@@ -14,6 +14,7 @@ from fsind.linalg import (
     NotInSpan,
     SingularMatrix,
     SparseRows,
+    _operator_rows,
     _rref_in_place,
     _transpose,
     det,
@@ -287,32 +288,6 @@ intertwiner_cases = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
                         rational_matrix(d[1], d[0])))
 
 
-@given(intertwiner_cases)
-def test_intertwiner_constraint_applies_bx_minus_xa(case):
-    a, b, x = case
-    c = intertwiner_constraint(RATIONAL, from_matrix(a), from_matrix(b),
-                               a.nrows, b.nrows)
-    n = a.nrows * b.nrows
-    assert c.shape == (n, n)
-    assert apply_rows(c, x.vec()) == difference(b * x, x * a).vec()
-
-
-@given(st.integers(1, 6).flatmap(
-    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
-def test_intertwiner_constraint_of_permutations_has_two_entries_a_row(perms):
-    a, b = (_transpose(perm_columns(RATIONAL, p), len(p)) for p in perms)
-    c = intertwiner_constraint(RATIONAL, a, b, len(a), len(b))
-    assert c.nrows == c.ncols == len(perms[0]) ** 2
-    assert all(len(row) <= 2 and all(x for _, x in row) for row in c.rows)
-
-
-def is_permutation(tag, m):
-    cols = [c for row in m for c in row]
-    return (all(len(row) == 1 for row in m)
-            and sorted(cols) == list(range(len(m)))
-            and all(x == tag.one() for row in m for x in row.values()))
-
-
 def exact_rows(tag, a, b, dv, dw):
     """The rows of X -> bX - Xa as dicts {cell: value}, read off the dense
     images of the unit matrices: row r * dv + c holds (bE_j - E_j a)[r][c]
@@ -325,6 +300,72 @@ def exact_rows(tag, a, b, dv, dw):
             if y:
                 rows[k][j] = y
     return rows
+
+
+def stacked_exact_rows(tag, constraints, ncols):
+    """SparseRows stacking the exact rows of each intertwiner constraint and
+    the rows of each plain SparseRows: the system kernel_intersection
+    solves."""
+    rows = []
+    for c in constraints:
+        rows += (c.rows if isinstance(c, SparseRows) else
+                 [sorted(e.items()) for e in exact_rows(tag, *c.operator)])
+    return SparseRows(tag, ncols, rows)
+
+
+def assert_rows_scale_exact_rows(tag, c):
+    """Each row that _operator_rows writes for the constraint c is a nonzero
+    multiple of its exact row, or both rows are empty."""
+    rows = _operator_rows(tag, *c.operator)
+    exact = exact_rows(tag, *c.operator)
+    assert len(rows) == len(exact) == c.nrows
+    for row, e in zip(rows, exact):
+        row = dict(row)
+        assert row.keys() == e.keys() and all(row.values())
+        if row:
+            j = min(row)
+            f = row[j] / e[j]
+            assert all(x == f * e[k] for k, x in row.items())
+
+
+def assert_pairs_are_exact_rows(tag, c):
+    """Exact row k of c is x_i - x_j for pairs[k] = (i, j), or empty when
+    i = j."""
+    one = tag.one()
+    exact = exact_rows(tag, *c.operator)
+    assert len(c.pairs) == len(exact) == c.nrows
+    for (i, j), e in zip(c.pairs, exact):
+        assert e == ({} if i == j else {i: one, j: -one})
+
+
+@given(intertwiner_cases)
+def test_intertwiner_constraint_applies_bx_minus_xa(case):
+    """The constraint is the operator X -> bX - Xa, counted as its dw * dv
+    rows: its exact rows apply it, and the rows eliminated on scale them."""
+    a, b, x = case
+    c = intertwiner_constraint(RATIONAL, from_matrix(a), from_matrix(b),
+                               a.nrows, b.nrows)
+    n = a.nrows * b.nrows
+    assert c.nrows == c.ncols == n
+    exact = stacked_exact_rows(RATIONAL, [c], n)
+    assert apply_rows(exact, x.vec()) == difference(b * x, x * a).vec()
+    assert_rows_scale_exact_rows(RATIONAL, c)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_intertwiner_constraint_of_permutations_has_two_entries_a_row(perms):
+    a, b = (_transpose(perm_columns(RATIONAL, p), len(p)) for p in perms)
+    c = intertwiner_constraint(RATIONAL, a, b, len(a), len(b))
+    assert c.nrows == c.ncols == len(perms[0]) ** 2
+    assert_pairs_are_exact_rows(RATIONAL, c)
+
+
+def is_permutation(tag, m):
+    cols = [c for row in m for c in row]
+    return (all(len(row) == 1 for row in m)
+            and sorted(cols) == list(range(len(m)))
+            and all(x == tag.one() for row in m for x in row.values()))
 
 
 @st.composite
@@ -393,36 +434,40 @@ def test_kernel_intersection_merges_permutation_constraints(case):
     """Union-find on the leading permutation constraints, elimination from
     the first general one on, lone cells decided by equality and later
     constraints applied to the span: the kernel of the stacked exact rows
-    either way. kernel_intersection writes no intertwiner constraint's
-    rows."""
+    either way."""
     tag, ncols, cases = case
     constraints = [c for c, _, _ in cases]
     kernel = kernel_intersection(tag, constraints, ncols)
-    assert all(c._rows is None for c, general, _ in cases if general)
     for c, general, permutations in cases:
+        if general is None:
+            continue
         assert (c.pairs is not None) == permutations
-        if general is not None:
-            assert general.pairs is None and c.rows == general.rows
-            assert [dict(r) for r in c.rows] == exact_rows(tag, *c.operator)
-    stacked = SparseRows(tag, ncols, [r for c in constraints for r in c.rows])
-    assert kernel == kernel_basis(stacked)
+        assert general.pairs is None and general.operator == c.operator
+        assert_rows_scale_exact_rows(tag, c)
+        if permutations:
+            assert_pairs_are_exact_rows(tag, c)
+    assert kernel == kernel_basis(stacked_exact_rows(tag, constraints, ncols))
+    generals = [c if general is None else general for c, general, _ in cases]
+    assert kernel_intersection(tag, generals, ncols) == kernel
 
 
 def test_permutation_constraint_writes_its_rows_when_read():
-    """A constraint counts dw * dv rows but writes them only when read:
-    the union-find solves two permutations by their pairs, a first general
-    constraint is eliminated with its lone cells decided by equality, and
-    a later one is applied to the span found so far. Read afterwards, the
-    rows are the exact rows of X -> bX - Xa."""
+    """A constraint counts dw * dv rows but holds none: the union-find
+    solves two permutations by their pairs, a first general constraint is
+    eliminated on rows whose lone cells are decided by equality, and a
+    later one is applied to the span found so far. Each way gives the
+    kernel of the exact rows of X -> bX - Xa."""
     one = RATIONAL.one()
     a, b = [{1: one}, {2: one}, {0: one}], [{1: one}, {0: one}]
     c = intertwiner_constraint(RATIONAL, a, b, 3, 2)
-    assert c.shape == (6, 6) and c.nrows == len(c.pairs)
-    kernel_intersection(RATIONAL, [c], 6)
-    assert c._rows is None
+    assert c.nrows == c.ncols == 6
+    assert_pairs_are_exact_rows(RATIONAL, c)
     with mock.patch("fsind.linalg._permutation", return_value=None):
         general = intertwiner_constraint(RATIONAL, a, b, 3, 2)
-    assert c.rows == general.rows and c.nrows == general.nrows
+    assert general.pairs is None and general.nrows == c.nrows
+    kernel = kernel_intersection(RATIONAL, [c], 6)
+    assert kernel == kernel_intersection(RATIONAL, [general], 6) == \
+        kernel_basis(stacked_exact_rows(RATIONAL, [c], 6))
     # diagonal: lone cells, equal at (0, 0) only; then a general pair that
     # fixes E_00
     diag_a, diag_b = [{0: F(2)}, {1: F(3)}, {2: F(5)}], [{0: F(2)}, {1: F(7)}]
@@ -431,13 +476,15 @@ def test_permutation_constraint_writes_its_rows_when_read():
     first, later = (intertwiner_constraint(RATIONAL, x, y, 3, 2)
                     for x, y in ((diag_a, diag_b), (gen_a, gen_b)))
     assert first.pairs is None and later.pairs is None
-    assert first.shape == later.shape == (6, 6)
+    assert first.nrows == later.nrows == 6
     kernel = kernel_intersection(RATIONAL, [first, later], 6)
-    assert first._rows is None and later._rows is None
-    for m, x, y in ((first, diag_a, diag_b), (later, gen_a, gen_b)):
-        assert [dict(r) for r in m.rows] == exact_rows(RATIONAL, x, y, 3, 2)
-    assert dict(first.rows[1]) == {1: F(-1)}  # 2 X01 - X01 3, not scaled
-    stacked = SparseRows(RATIONAL, 6, first.rows + later.rows)
+    for m in (first, later):
+        assert_rows_scale_exact_rows(RATIONAL, m)
+    # 2 X01 - X01 3 = -X01: written as X01 = 0, and X00 left free
+    rows = _operator_rows(RATIONAL, *first.operator)
+    assert rows[0] == [] and rows[1] == [(1, one)]
+    assert exact_rows(RATIONAL, diag_a, diag_b, 3, 2)[1] == {1: F(-1)}
+    stacked = stacked_exact_rows(RATIONAL, [first, later], 6)
     assert kernel == kernel_basis(stacked) == [[(0, one)]]
 
 

@@ -449,6 +449,11 @@ def test_field_mismatch_between_orders():
     for op in (operator.add, operator.sub, operator.truediv):
         with pytest.raises(FieldMismatch):
             op(z3, z4)
+    # the field tag refuses another order with the same message
+    for refuse in (lambda: z3 + z4, lambda: cyclotomic_field(3).coerce(z4)):
+        with pytest.raises(FieldMismatch,
+                           match="cannot mix cyclotomic orders 3 and 4"):
+            refuse()
     assert (z3 == z4) is False
     # Q(q) and Q(z_n) do not mix: each side declines, so Python refuses
     for op in (operator.sub, operator.truediv, operator.pow):
