@@ -340,8 +340,9 @@ def assert_pairs_are_exact_rows(tag, c):
 
 @given(intertwiner_cases)
 def test_intertwiner_constraint_applies_bx_minus_xa(case):
-    """The constraint is the operator X -> bX - Xa, counted as its dw * dv
-    rows: its exact rows apply it, and the rows eliminated on scale them."""
+    """The constraint is the operator X -> bX - Xa, counted as dw * dv rows:
+    its exact rows apply it, and _operator_rows writes each up to a nonzero
+    factor."""
     a, b, x = case
     c = intertwiner_constraint(RATIONAL, from_matrix(a), from_matrix(b),
                                a.nrows, b.nrows)
