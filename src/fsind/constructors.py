@@ -29,39 +29,34 @@ from .pivotal import (
     GroupLikeData,
     ModuleRep,
     PivotalAlgebra,
-    ValidationError,
     _accumulate,
+    _OneViolation,
 )
 from .scalars import FieldTag, scalar_to_string
 
 
-class InvalidCayleyTable(ValidationError):
-    def __init__(self, message):
-        super().__init__([message])
+class InvalidCayleyTable(_OneViolation):
+    pass
 
 
-class NotAutomorphism(ValidationError):
-    def __init__(self, message):
-        super().__init__([message])
+class NotAutomorphism(_OneViolation):
+    pass
 
 
-class NotInvolutive(ValidationError):
-    def __init__(self, message):
-        super().__init__([message])
+class NotInvolutive(_OneViolation):
+    pass
 
 
 class SchemeFormatError(Exception):
     pass
 
 
-class NotAScheme(ValidationError):
-    def __init__(self, message):
-        super().__init__([message])
+class NotAScheme(_OneViolation):
+    pass
 
 
-class NotSchemeInvolution(ValidationError):
-    def __init__(self, message):
-        super().__init__([message])
+class NotSchemeInvolution(_OneViolation):
+    pass
 
 
 # ---------------------------------------------------------------------------

@@ -53,31 +53,28 @@ from .pivotal import (
     ValidationError,
     _accumulate,
     _evaluate,
+    _OneViolation,
 )
 
 
-class NotAnIntegral(ValidationError):
-    def __init__(self, message):
-        super().__init__([message])
+class NotAnIntegral(_OneViolation):
+    pass
 
 
 class NotSeparable(ValidationError):
     pass
 
 
-class NotSymmetric(ValidationError):
-    def __init__(self, message):
-        super().__init__([message])
+class NotSymmetric(_OneViolation):
+    pass
 
 
-class DegenerateTraceForm(ValidationError):
-    def __init__(self, message):
-        super().__init__([message])
+class DegenerateTraceForm(_OneViolation):
+    pass
 
 
-class ZeroValency(ValidationError):
-    def __init__(self, message):
-        super().__init__([message])
+class ZeroValency(_OneViolation):
+    pass
 
 
 class ZeroVolumeCharacter(Exception):

@@ -4,7 +4,7 @@ The package keeps one rule for its data: an algebra element is a sparse
 dict {index: value} without zeros, a covector is a dense tuple, and Matrix,
 dense and immutable by convention, is only what a report prints: the
 canonical form and hom_space's matrices. A module's matrices are sparse
-rows {column: value}, which intertwiner_constraint takes as they are; S and
+rows {column: value}, which IntertwinerConstraint takes as they are; S and
 the involutions are sparse columns. One sparse Gauss-Jordan elimination
 gives every rank, kernel, RREF and inverse: _insert_row adds a row to a
 growing set of unit pivot rows and _back_substitute fully reduces them.
@@ -15,14 +15,14 @@ Determinants use fraction-free Bareiss elimination so rational-function
 entries do not balloon; det's one library caller is the self-duality
 pencil, whose sums are the only dense matrices an indicator builds besides
 what its report prints. The intertwiner solver never goes dense, and it
-never writes a d^2 x d^2 system at all: intertwiner_constraint returns an
+never writes a d^2 x d^2 system at all: its one input is the
 IntertwinerConstraint, the operator X -> bX - Xa without rows, and
 kernel_intersection works from that operator. The first constraint is
 eliminated on rows written from it, a row that holds a single cell of X
 being decided by one equality test; each later one is applied to the span
 found so far, as the images bX_k - X_k a of its basis vectors.
 
-Permutation actions skip the elimination. intertwiner_constraint of two
+Permutation actions skip the elimination. The constraint of two
 permutation matrices records each row as a pair of cells (i, j), the row
 being x_i - x_j, and kernel_intersection merges such pairs in a union-find
 over the cells. The joint kernel is then spanned by the indicator vectors
@@ -143,27 +143,14 @@ class Matrix:
 
 class SparseRows:
     """Rows of a linear map, each the list of its nonzero (column, value)
-    pairs: the input of rank and kernel_basis."""
+    pairs: the input of rank and kernel_basis, which kernel_intersection
+    writes from each constraint it eliminates."""
 
     __slots__ = ("tag", "nrows", "ncols", "rows")
 
     def __init__(self, tag: FieldTag, ncols, rows):
         self.tag, self.ncols, self.rows = tag, ncols, rows
         self.nrows = len(rows)
-
-
-class IntertwinerConstraint:
-    """The constraint X -> bX - Xa on row-major vec(X), X being dw x dv, as
-    intertwiner_constraint returns it: the operator (a, b, dv, dw) and no
-    rows, nrows = ncols = dw * dv. pairs, set when a and b are both
-    permutations, says that row k is x_i - x_j for pairs[k] = (i, j), the
-    row being empty when i = j."""
-
-    __slots__ = ("operator", "pairs", "nrows", "ncols")
-
-    def __init__(self, a, b, dv, dw, pairs):
-        self.operator, self.pairs = (a, b, dv, dw), pairs
-        self.nrows = self.ncols = dw * dv
 
 
 def _insert_row(pivots, row):
@@ -272,34 +259,40 @@ def _permutation(m, one):
     return cols if len(set(cols)) == len(cols) else None
 
 
-def intertwiner_constraint(tag, a, b, dv, dw):
+class IntertwinerConstraint:
     """The constraint X -> bX - Xa on row-major vec(X), X being dw x dv, for
-    a (dv x dv) and b (dw x dw) given as sparse rows {column: value}.
+    a (dv x dv) and b (dw x dw) given as sparse rows {column: value}: the
+    one input of kernel_intersection.
 
     Its kernel is {X : X a = b X}, the maps intertwining a with b. Every
     linear system of the package (hom spaces, invariant forms, commutants)
     is an intersection of such kernels. The constraint is its operator
-    (a, b, dv, dw), not its rows: row (r, c) holds the nonzeros of row r of
-    b and of column c of a, and kernel_intersection works from the
-    operator. When a and b are both permutations, row (r, c) is
-    X[pb(r)][c] - X[r][pa^-1(c)], and its two cells are recorded as the
-    constraint's pairs.
+    (a, b, dv, dw), not its rows, and counts nrows = ncols = dw * dv: row
+    (r, c) holds the nonzeros of row r of b and of column c of a. When a
+    and b are both permutations, row (r, c) is X[pb(r)][c] - X[r][pa^-1(c)],
+    and pairs records its two cells (i, j), the row being x_i - x_j, or
+    empty when i = j; else pairs is None.
     """
-    for m, d in ((a, dv), (b, dw)):
-        if len(m) != d or any(not 0 <= c < d for row in m for c in row):
-            raise DimensionMismatch("intertwiner constraint needs %d x %d"
-                                    " sparse rows" % (d, d))
-    one = tag.one()
-    pa = _permutation(a, one)
-    pb = pa if b is a else _permutation(b, one)
-    pairs = None
-    if pa is not None and pb is not None:
-        pa_inv = [0] * dv
-        for t, c in enumerate(pa):
-            pa_inv[c] = t
-        pairs = [(s * dv + c, r * dv + t) for r, s in enumerate(pb)
-                 for c, t in enumerate(pa_inv)]
-    return IntertwinerConstraint(a, b, dv, dw, pairs)
+
+    __slots__ = ("operator", "pairs", "nrows", "ncols")
+
+    def __init__(self, tag, a, b, dv, dw):
+        for m, d in ((a, dv), (b, dw)):
+            if len(m) != d or any(not 0 <= c < d for row in m for c in row):
+                raise DimensionMismatch("intertwiner constraint needs %d x %d"
+                                        " sparse rows" % (d, d))
+        one = tag.one()
+        pa = _permutation(a, one)
+        pb = pa if b is a else _permutation(b, one)
+        self.pairs = None
+        if pa is not None and pb is not None:
+            pa_inv = [0] * dv
+            for t, c in enumerate(pa):
+                pa_inv[c] = t
+            self.pairs = [(s * dv + c, r * dv + t) for r, s in enumerate(pb)
+                          for c, t in enumerate(pa_inv)]
+        self.operator = (a, b, dv, dw)
+        self.nrows = self.ncols = dw * dv
 
 
 def _lone_diagonal(m):
@@ -378,16 +371,6 @@ def _combine(coeffs, vectors):
     return sorted(out.items())
 
 
-def _restrict(rows, basis, ncols):
-    """Sparse rows restricted to the span of basis: row i holds
-    (k, rows[i] . basis[k]) for the nonzero products."""
-    columns = [[] for _ in range(ncols)]  # j -> [(k, basis[k] at j)]
-    for k, v in enumerate(basis):
-        for j, b in v:
-            columns[j].append((k, b))
-    return [_combine(row, columns) for row in rows]
-
-
 def _merge(parent, pairs):
     """Union-find over cells: join the classes of i and j for each pair,
     the lowest cell of a class being its root, so parent[x] <= x always."""
@@ -415,32 +398,32 @@ def _classes(tag, parent):
 
 
 def kernel_intersection(tag, constraints, ncols):
-    """Canonical basis of the joint kernel of a sequence of constraints.
+    """Canonical basis of the joint kernel of a sequence of
+    IntertwinerConstraints.
 
-    Constraints, IntertwinerConstraint or SparseRows, are consumed lazily
-    and each one is restricted to the solution span found so far, so the
-    eliminations stay small once the first few constraints have cut the
-    space down. The span is kept as sparse RREF vectors; recombining such
-    a basis by an RREF coefficient basis gives an RREF basis again, so the
-    result is canonical. With no constraints it is the unit vectors.
+    Constraints are consumed lazily and each one is restricted to the
+    solution span found so far, so the eliminations stay small once the
+    first few constraints have cut the space down. The span is kept as
+    sparse RREF vectors; recombining such a basis by an RREF coefficient
+    basis gives an RREF basis again, so the result is canonical. With no
+    constraints it is the unit vectors.
 
-    An intertwiner constraint has no rows. The first one is eliminated on
-    the rows of _operator_rows, a row that holds only its cell (r, c)
-    becoming that unit row or nothing after one equality test; a later one
-    is restricted through the images of the span's basis vectors
-    (_images). Scaling a row keeps its kernel, and the images give exactly
-    the restricted rows, so the basis is the same. SparseRows are
-    restricted row by row (_restrict). kernel_basis runs once for each
-    constraint that is eliminated.
+    A constraint has no rows. The first one is eliminated on the rows of
+    _operator_rows, a row that holds only its cell (r, c) becoming that
+    unit row or nothing after one equality test; a later one is restricted
+    through the images of the span's basis vectors (_images). Scaling a row
+    keeps its kernel, and the images give exactly the restricted rows, so
+    the basis is the same. kernel_basis runs once for each constraint that
+    is eliminated.
 
     A leading run of constraints that carry pairs, rows x_i - x_j as
-    intertwiner_constraint records for two permutations, is solved without
-    scalar arithmetic: a union-find merges the cells i and j, and the joint
-    kernel is spanned by the indicator vectors of the classes (for a
-    permutation module, the orbitals). Those vectors are already the
-    canonical RREF basis: the classes are disjoint, and each vector has a
-    1 at its lowest cell, which no other vector touches. The first
-    constraint without pairs is restricted to that basis as above.
+    recorded for two permutations, is solved without scalar arithmetic: a
+    union-find merges the cells i and j, and the joint kernel is spanned by
+    the indicator vectors of the classes (for a permutation module, the
+    orbitals). Those vectors are already the canonical RREF basis: the
+    classes are disjoint, and each vector has a 1 at its lowest cell, which
+    no other vector touches. The first constraint without pairs is
+    restricted to that basis as above.
     """
     basis = None  # sparse vectors [(column, value), ...] spanning the solutions
     parent = None  # the union-find of the leading constraints with pairs
@@ -448,8 +431,7 @@ def kernel_intersection(tag, constraints, ncols):
         if c.ncols != ncols:
             raise DimensionMismatch("constraint has %d columns, expected %d"
                                     % (c.ncols, ncols))
-        op = c.operator if isinstance(c, IntertwinerConstraint) else None
-        if basis is None and op is not None and c.pairs is not None:
+        if basis is None and c.pairs is not None:
             if parent is None:
                 parent = list(range(ncols))
             _merge(parent, c.pairs)
@@ -457,13 +439,12 @@ def kernel_intersection(tag, constraints, ncols):
         if basis is None and parent is not None:
             basis = _classes(tag, parent)
         if basis is None:
-            basis = kernel_basis(c if op is None else SparseRows(
-                tag, ncols, _operator_rows(tag, *op)))
+            basis = kernel_basis(SparseRows(tag, ncols,
+                                            _operator_rows(tag, *c.operator)))
         else:
-            restricted = (_restrict(c.rows, basis, ncols) if op is None
-                          else _images(*op, basis))
+            images = _images(*c.operator, basis)
             basis = [_combine(v, basis) for v in
-                     kernel_basis(SparseRows(tag, len(basis), restricted))]
+                     kernel_basis(SparseRows(tag, len(basis), images))]
         if not basis:
             return []
     if basis is None:

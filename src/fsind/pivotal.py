@@ -23,20 +23,21 @@ reads a module only through a presentation: R(b) and R(S(b)) for generators
 b of the algebra, and R(g), as sparse rows. fs_indicator feeds it
 PivotalAlgebra.generators; qsl2 feeds it K, E and F. Every linear system
 (the forms, End(V), and Hom(V, W) in hom_space) is the joint kernel of one
-linalg.intertwiner_constraint per generator, not one per basis element:
+linalg.IntertwinerConstraint per generator, not one per basis element:
 b -> R(b) and b -> R(S(b))^T are algebra maps, so a map intertwining them
-on generators does so on all of A. A constraint is the operator
-X -> bX - Xa, without rows: kernel_intersection writes sparse rows for the
-first one only, each holding the nonzeros of a row of one matrix and a
-column of the other, and applies each later one to the kernel found so
-far through the images of its basis vectors. No d^2 x d^2 system is
-ever dense. The solver's result, sparse RREF vectors, stays sparse
-through the transposition, the End(V) count and the self-duality test,
-which ranks each form on its sparse rows; Matrix.from_sparse reshapes
-it only into what a report prints (the canonical form, hom_space's
-matrices) and into the self-duality pencil's sums, for det. The
-transposition is an involution, so nu is its trace and fixes the dimensions
-of its +-1 eigenspaces: dim+- = (dim_bil +- nu) / 2.
+on generators does so on all of A. One helper, _intertwiners, builds and
+solves all three. A constraint is the operator X -> bX - Xa, without rows:
+kernel_intersection writes sparse rows for the first one only, each
+holding the nonzeros of a row of one matrix and a column of the other,
+and applies each later one to the kernel found so far through the images
+of its basis vectors. No d^2 x d^2 system is ever dense. The solver's
+result, sparse RREF vectors, stays sparse through the transposition, the
+End(V) count and the self-duality test, which ranks each form on its
+sparse rows; Matrix.from_sparse reshapes it only into what a report
+prints (the canonical form, hom_space's matrices) and into the
+self-duality pencil's sums, for det. The transposition is an involution,
+so nu is its trace and fixes the dimensions of its +-1 eigenspaces:
+dim+- = (dim_bil +- nu) / 2.
 
 Twisting by an involution tau replaces S by S o tau and keeps g. That is
 the only place a twist enters: twist_algebra composes the columns of S and
@@ -51,6 +52,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .linalg import (
+    IntertwinerConstraint,
     Matrix,
     SparseRows,
     _axpy,
@@ -59,7 +61,6 @@ from .linalg import (
     _permutation,
     _transpose,
     det,
-    intertwiner_constraint,
     kernel_intersection,
     rank,
 )
@@ -70,6 +71,13 @@ class ValidationError(Exception):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+class _OneViolation(ValidationError):
+    """A ValidationError that names one violation, given as its message."""
+
+    def __init__(self, message):
+        super().__init__([message])
 
 
 class MissingData(Exception):
@@ -370,16 +378,22 @@ def direct_sum(V: ModuleRep, W: ModuleRep, name=None):
 # ---------------------------------------------------------------------------
 # hom and form spaces
 
+def _intertwiners(tag, pairs, dv, dw):
+    """Canonical basis of {X : X a = b X for each pair (a, b)}, X being
+    dw x dv, as sparse RREF vectors of row-major vec(X)."""
+    return kernel_intersection(
+        tag, (IntertwinerConstraint(tag, a, b, dv, dw) for a, b in pairs),
+        dw * dv)
+
+
 def hom_space(A: PivotalAlgebra, V: ModuleRep, W: ModuleRep):
     """Canonical basis of {F : F R_V(b) = R_W(b) F} as dW x dV matrices.
 
     Only generators of A give constraints: the b with F R_V(b) = R_W(b) F
     form a subalgebra, R_V and R_W (or b -> R(S(b))^T) being algebra maps.
     """
-    constraints = (intertwiner_constraint(A.tag, V.action[i], W.action[i],
-                                          V.dim, W.dim)
-                   for i in A.generators)
-    kernel = kernel_intersection(A.tag, constraints, W.dim * V.dim)
+    kernel = _intertwiners(A.tag, ((V.action[i], W.action[i])
+                                   for i in A.generators), V.dim, W.dim)
     return [Matrix.from_sparse(A.tag, W.dim, V.dim, v) for v in kernel]
 
 
@@ -392,9 +406,8 @@ def _presentation(A: PivotalAlgebra, V: ModuleRep):
 def _forms(tag, gens, dual_gens, d):
     """Canonical basis of the Gram matrices M with R(b)^T M = M R(S(b))
     for each generator b, as sparse RREF vectors of row-major vec(M)."""
-    constraints = (intertwiner_constraint(tag, s, _transpose(r, d), d, d)
-                   for r, s in zip(gens, dual_gens))
-    return kernel_intersection(tag, constraints, d * d)
+    return _intertwiners(tag, ((s, _transpose(r, d))
+                               for r, s in zip(gens, dual_gens)), d, d)
 
 
 def invariant_form_space(A: PivotalAlgebra, V: ModuleRep):
@@ -507,8 +520,7 @@ def indicator_from_presentation(tag, gens, dual_gens, g):
     nu = sum((col.get(k, z) for k, col in enumerate(op)), z)
     # op^2 = I over a field of characteristic 0: nu = dim_plus - dim_minus
     dim_plus = next(k for k in range(m + 1) if tag.coerce(2 * k - m) == nu)
-    end_dim = len(kernel_intersection(
-        tag, (intertwiner_constraint(tag, r, r, d, d) for r in gens), d * d))
+    end_dim = len(_intertwiners(tag, zip(gens, gens), d, d))
     return IndicatorReport(
         nu=nu,
         dim_bil=m,

@@ -289,7 +289,7 @@ class Cyclotomic:
         return _coerce_cyclotomic(self.order, other)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce_cyclotomic(self.order, other)
         if o is None:
             return NotImplemented
         d1, d2 = self._d, o._d
@@ -309,7 +309,7 @@ class Cyclotomic:
                                self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce_cyclotomic(self.order, other)
         if o is None:
             return NotImplemented
         a, b, d = self._n, o._n, self._d * o._d

@@ -83,8 +83,8 @@ def difference(a, b):
 
 
 def sparse_rows(m):
-    """A Matrix as SparseRows of its nonzero cells, the input of rank,
-    kernel_basis and kernel_intersection."""
+    """A Matrix as SparseRows of its nonzero cells, the input of rank and
+    kernel_basis."""
     return SparseRows(m.tag, m.ncols,
                       [[(j, x) for j, x in enumerate(r) if x] for r in m.rows])
 

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from fsind.constructors import perm_columns
 from fsind.linalg import (
     DimensionMismatch,
+    IntertwinerConstraint,
     Matrix,
     NotInSpan,
     SingularMatrix,
@@ -18,7 +19,6 @@ from fsind.linalg import (
     _rref_in_place,
     _transpose,
     det,
-    intertwiner_constraint,
     inverse,
     kernel_basis,
     kernel_intersection,
@@ -154,26 +154,60 @@ def test_solve_in_span():
     assert solve_in_span(RATIONAL, [], (F(0),)) == ()
 
 
-def test_kernel_intersection_matches_stacked():
-    def sparse(rows):
-        return sparse_rows(rmat(rows))
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
-    a = sparse([[1, 1, 0, 0], [0, 0, 1, -1]])
-    b = sparse([[1, 0, 0, -1]])
-    stacked = sparse([[1, 1, 0, 0], [0, 0, 1, -1], [1, 0, 0, -1]])
-    assert kernel_intersection(RATIONAL, [a, b], 4) == kernel_basis(stacked)
-    # v vanishes on ker a (its restricted rows are all zero); k leaves
+
+def rational_matrix(nrows, ncols):
+    return st.lists(st.lists(rationals, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(
+        lambda rows: Matrix(RATIONAL, rows))
+
+
+def exact_rows(tag, a, b, dv, dw):
+    """The rows of X -> bX - Xa as dicts {cell: value}, read off the dense
+    images of the unit matrices: row r * dv + c holds (bE_j - E_j a)[r][c]
+    at each cell j."""
+    am, bm = to_matrix(tag, a), to_matrix(tag, b)
+    rows = [{} for _ in range(dw * dv)]
+    for j in range(dw * dv):
+        e = Matrix.from_sparse(tag, dw, dv, [(j, tag.one())])
+        for k, y in enumerate(difference(bm * e, e * am).vec()):
+            if y:
+                rows[k][j] = y
+    return rows
+
+
+def stacked_exact_rows(tag, constraints, ncols):
+    """SparseRows stacking the exact rows of each intertwiner constraint:
+    the system kernel_intersection solves."""
+    return SparseRows(tag, ncols, [sorted(e.items()) for c in constraints
+                                   for e in exact_rows(tag, *c.operator)])
+
+
+def test_kernel_intersection_matches_stacked():
+    def constraint(a, b):
+        return IntertwinerConstraint(RATIONAL, from_matrix(rmat(a)),
+                                     from_matrix(rmat(b)), 2, 2)
+
+    def stacked(seq, ncols=4):
+        return kernel_basis(stacked_exact_rows(RATIONAL, seq, ncols))
+
+    # X a = b X on 2 x 2 X: the kernel of a is the diagonal X, that of b
+    # the X = [[x, y], [0, x]]
+    a = constraint([[1, 0], [0, 2]], [[1, 0], [0, 2]])
+    b = constraint([[1, 1], [0, 1]], [[1, 1], [0, 1]])
+    assert kernel_intersection(RATIONAL, [a, b], 4) == stacked([a, b])
+    # v vanishes on ker a (its images there are all zero); k leaves
     # nothing of ker a
-    v = sparse([[2, 2, 0, 0], [0, 0, -1, 1]])
-    k = sparse([[1, 0, 0, 0], [0, 0, 1, 0]])
-    for seq in ([a, v], [a, v, b], [a, b, v], [a, k], [a, b, k]):
-        stacked = SparseRows(RATIONAL, 4, [r for m in seq for r in m.rows])
-        assert kernel_intersection(RATIONAL, seq, 4) == kernel_basis(stacked)
-    assert kernel_intersection(RATIONAL, [a, v], 4) == kernel_basis(a)
+    v = constraint([[5, 0], [0, 7]], [[5, 0], [0, 7]])
+    k = constraint([[1, 0], [0, 2]], [[2, 0], [0, 1]])
+    for seq in ([a, v], [a, v, b], [a, b, v], [b, a], [a, k], [a, b, k]):
+        assert kernel_intersection(RATIONAL, seq, 4) == stacked(seq)
+    assert kernel_intersection(RATIONAL, [a, v], 4) == stacked([a])
     assert kernel_intersection(RATIONAL, [a, k], 4) == []
     # no constraints: the whole space as sparse unit vectors, in order
     one = RATIONAL.one()
-    assert kernel_intersection(RATIONAL, [], 3) == \
+    assert kernel_intersection(RATIONAL, [], 3) == stacked([], 3) == \
         [[(0, one)], [(1, one)], [(2, one)]]
 
 
@@ -188,39 +222,62 @@ def field_values(tag):
     return [one, -one, z, one + z, z - tag.coerce(2)]
 
 
+def mostly_zero_rows(draw, tag, d):
+    """A d x d matrix as sparse rows, each cell drawn from four zeros and
+    the field_values, so that whole rows are often empty."""
+    cell = st.sampled_from([tag.zero()] * 4 + field_values(tag))
+    return [{j: x for j in range(d) if (x := draw(cell))} for _ in range(d)]
+
+
 @st.composite
 def sparse_constraints(draw):
-    """(tag, ncols, matrices) over Q, Q(z_4) or Q(q), mostly zero cells:
-    empty rows and single-nonzero rows (unit pivots) come up often. On
-    request a row is repeated, or the first matrix gets one nonzero a row,
-    so that its kernel is spanned by unit vectors."""
+    """(tag, dv, dw, pairs): one to three pairs (a, b) of sparse rows over
+    Q, Q(z_4) or Q(q), X being dw x dv, mostly zero cells, so that empty
+    rows and single-nonzero rows come up often. On request the first pair
+    is diagonal with entries from a two-element set, so that its kernel is
+    spanned by unit vectors found by equality tests, or a pair is repeated
+    up to a factor, so that it vanishes on the span found before it."""
     tag = draw(st.sampled_from((RATIONAL, cyclotomic_field(4),
                                 RATIONAL_FUNCTION)))
-    ncols = draw(st.integers(1, 5))
-    cell = st.sampled_from([tag.zero()] * 4 + field_values(tag))
-    row = st.lists(cell, min_size=ncols, max_size=ncols)
-    mats = draw(st.lists(st.lists(row, min_size=1, max_size=4),
-                         min_size=1, max_size=3))
+    dv, dw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = [(mostly_zero_rows(draw, tag, dv), mostly_zero_rows(draw, tag, dw))
+             for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
-        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=1,
-                             max_size=ncols))
-        value = st.sampled_from(field_values(tag))
-        mats[0] = [[draw(value) if j == c else tag.zero()
-                    for j in range(ncols)] for c in cols]
+        values = st.sampled_from(draw(st.lists(
+            st.sampled_from(field_values(tag)), min_size=2, max_size=2)))
+        pairs[0] = tuple([{c: draw(values)} for c in range(d)]
+                         for d in (dv, dw))
     if draw(st.booleans()):
-        mats[-1].append(list(draw(st.sampled_from(mats[-1]))))
-    return tag, ncols, [Matrix(tag, m) for m in mats]
+        f = draw(st.sampled_from(field_values(tag)))
+        pairs.append(tuple([{j: f * x for j, x in row.items()} for row in m]
+                           for m in draw(st.sampled_from(pairs))))
+    return tag, dv, dw, pairs
 
 
-@given(st.one_of(
-    st.lists(matrices_3, min_size=1, max_size=3).map(
-        lambda mats: (RATIONAL, 3, mats)),
-    sparse_constraints()))
+@st.composite
+def dense_constraints(draw):
+    """(RATIONAL, dv, dw, pairs): one to three pairs (a, b) of dense
+    rational matrices as sparse rows, b being a on request when dv = dw,
+    so that the kernel holds the identity."""
+    dv, dw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(rational_matrix(dv, dv))
+        b = a if dv == dw and draw(st.booleans()) else \
+            draw(rational_matrix(dw, dw))
+        pairs.append((from_matrix(a), from_matrix(b)))
+    return RATIONAL, dv, dw, pairs
+
+
+@given(st.one_of(dense_constraints(), sparse_constraints()))
 def test_kernel_intersection_generic(case):
-    tag, ncols, mats = case
-    stacked = Matrix(tag, [r for m in mats for r in m.rows])
-    kernel = kernel_intersection(tag, [sparse_rows(m) for m in mats], ncols)
-    assert kernel == kernel_basis(sparse_rows(stacked))
+    tag, dv, dw, pairs = case
+    ncols = dv * dw
+    constraints = [IntertwinerConstraint(tag, a, b, dv, dw) for a, b in pairs]
+    rows = stacked_exact_rows(tag, constraints, ncols)
+    stacked = Matrix(tag, dense(tag, rows.rows, ncols))
+    kernel = kernel_intersection(tag, constraints, ncols)
+    assert kernel == kernel_basis(rows)
     assert len(kernel) == ncols - dense_rank(stacked)
     assert all(not x for v in dense(tag, kernel, ncols)
                for x in stacked.apply(v))
@@ -273,44 +330,10 @@ def test_rref_matches_the_dense_reference(rows):
     assert rows == expected
 
 
-rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-
-
-def rational_matrix(nrows, ncols):
-    return st.lists(st.lists(rationals, min_size=ncols, max_size=ncols),
-                    min_size=nrows, max_size=nrows).map(
-        lambda rows: Matrix(RATIONAL, rows))
-
-
 intertwiner_cases = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
     lambda d: st.tuples(rational_matrix(d[0], d[0]),
                         rational_matrix(d[1], d[1]),
                         rational_matrix(d[1], d[0])))
-
-
-def exact_rows(tag, a, b, dv, dw):
-    """The rows of X -> bX - Xa as dicts {cell: value}, read off the dense
-    images of the unit matrices: row r * dv + c holds (bE_j - E_j a)[r][c]
-    at each cell j."""
-    am, bm = to_matrix(tag, a), to_matrix(tag, b)
-    rows = [{} for _ in range(dw * dv)]
-    for j in range(dw * dv):
-        e = Matrix.from_sparse(tag, dw, dv, [(j, tag.one())])
-        for k, y in enumerate(difference(bm * e, e * am).vec()):
-            if y:
-                rows[k][j] = y
-    return rows
-
-
-def stacked_exact_rows(tag, constraints, ncols):
-    """SparseRows stacking the exact rows of each intertwiner constraint and
-    the rows of each plain SparseRows: the system kernel_intersection
-    solves."""
-    rows = []
-    for c in constraints:
-        rows += (c.rows if isinstance(c, SparseRows) else
-                 [sorted(e.items()) for e in exact_rows(tag, *c.operator)])
-    return SparseRows(tag, ncols, rows)
 
 
 def assert_rows_scale_exact_rows(tag, c):
@@ -344,8 +367,8 @@ def test_intertwiner_constraint_applies_bx_minus_xa(case):
     its exact rows apply it, and _operator_rows writes each up to a nonzero
     factor."""
     a, b, x = case
-    c = intertwiner_constraint(RATIONAL, from_matrix(a), from_matrix(b),
-                               a.nrows, b.nrows)
+    c = IntertwinerConstraint(RATIONAL, from_matrix(a), from_matrix(b),
+                              a.nrows, b.nrows)
     n = a.nrows * b.nrows
     assert c.nrows == c.ncols == n
     exact = stacked_exact_rows(RATIONAL, [c], n)
@@ -357,7 +380,7 @@ def test_intertwiner_constraint_applies_bx_minus_xa(case):
     lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
 def test_intertwiner_constraint_of_permutations_has_two_entries_a_row(perms):
     a, b = (_transpose(perm_columns(RATIONAL, p), len(p)) for p in perms)
-    c = intertwiner_constraint(RATIONAL, a, b, len(a), len(b))
+    c = IntertwinerConstraint(RATIONAL, a, b, len(a), len(b))
     assert c.nrows == c.ncols == len(perms[0]) ** 2
     assert_pairs_are_exact_rows(RATIONAL, c)
 
@@ -372,14 +395,14 @@ def is_permutation(tag, m):
 @st.composite
 def permutation_and_general_constraints(draw):
     """(tag, ncols, [(constraint, general, permutations)]) over Q, Q(z_4) or
-    Q(q), X being dw x dv, in any order: plain sparse rows, whose general is
-    None, and intertwiner constraints, each with the constraint that the
-    general path builds from the same pair and whether both are
-    permutations. The pairs are permutations, identities (all rows zero),
-    matrices with one entry a row, which may repeat a column or differ
-    from 1, diagonal matrices whose entries come from a two-element set, so
-    that a lone cell's two values are often equal, or general matrices with
-    up to three nonzeros a row."""
+    Q(q), X being dw x dv, in any order: intertwiner constraints, each with
+    the constraint that the general path builds from the same pair and
+    whether both are permutations. The pairs are permutations, identities
+    (all rows zero), matrices with one entry a row, which may repeat a
+    column or differ from 1, diagonal matrices whose entries come from a
+    two-element set, so that a lone cell's two values are often equal,
+    general matrices with up to three nonzeros a row, or rows whose cells
+    are mostly zero, so that whole rows are often empty."""
     tag = draw(st.sampled_from((RATIONAL, cyclotomic_field(4),
                                 RATIONAL_FUNCTION)))
     dv, dw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -404,13 +427,9 @@ def permutation_and_general_constraints(draw):
              "rows")),
             min_size=1, max_size=4)):
         if kind == "rows":
-            rows = draw(st.lists(st.dictionaries(
-                st.integers(0, ncols - 1), entry, max_size=3), max_size=3))
-            cases.append((SparseRows(tag, ncols,
-                                     [list(r.items()) for r in rows]),
-                          None, False))
-            continue
-        if kind == "one entry a row":
+            a, b = mostly_zero_rows(draw, tag, dv), \
+                mostly_zero_rows(draw, tag, dw)
+        elif kind == "one entry a row":
             a, b = one_entry_a_row(dv), one_entry_a_row(dw)
         elif kind == "diagonal":
             values = st.sampled_from(draw(st.lists(entry, min_size=2,
@@ -424,8 +443,8 @@ def permutation_and_general_constraints(draw):
                 pa, pb = draw(st.permutations(pa)), draw(st.permutations(pb))
             a, b = [{c: one} for c in pa], [{c: one} for c in pb]
         with mock.patch("fsind.linalg._permutation", return_value=None):
-            general = intertwiner_constraint(tag, a, b, dv, dw)
-        cases.append((intertwiner_constraint(tag, a, b, dv, dw), general,
+            general = IntertwinerConstraint(tag, a, b, dv, dw)
+        cases.append((IntertwinerConstraint(tag, a, b, dv, dw), general,
                       is_permutation(tag, a) and is_permutation(tag, b)))
     return tag, ncols, cases
 
@@ -440,15 +459,13 @@ def test_kernel_intersection_merges_permutation_constraints(case):
     constraints = [c for c, _, _ in cases]
     kernel = kernel_intersection(tag, constraints, ncols)
     for c, general, permutations in cases:
-        if general is None:
-            continue
         assert (c.pairs is not None) == permutations
         assert general.pairs is None and general.operator == c.operator
         assert_rows_scale_exact_rows(tag, c)
         if permutations:
             assert_pairs_are_exact_rows(tag, c)
     assert kernel == kernel_basis(stacked_exact_rows(tag, constraints, ncols))
-    generals = [c if general is None else general for c, general, _ in cases]
+    generals = [general for _, general, _ in cases]
     assert kernel_intersection(tag, generals, ncols) == kernel
 
 
@@ -460,11 +477,11 @@ def test_permutation_constraint_writes_its_rows_when_read():
     kernel of the exact rows of X -> bX - Xa."""
     one = RATIONAL.one()
     a, b = [{1: one}, {2: one}, {0: one}], [{1: one}, {0: one}]
-    c = intertwiner_constraint(RATIONAL, a, b, 3, 2)
+    c = IntertwinerConstraint(RATIONAL, a, b, 3, 2)
     assert c.nrows == c.ncols == 6
     assert_pairs_are_exact_rows(RATIONAL, c)
     with mock.patch("fsind.linalg._permutation", return_value=None):
-        general = intertwiner_constraint(RATIONAL, a, b, 3, 2)
+        general = IntertwinerConstraint(RATIONAL, a, b, 3, 2)
     assert general.pairs is None and general.nrows == c.nrows
     kernel = kernel_intersection(RATIONAL, [c], 6)
     assert kernel == kernel_intersection(RATIONAL, [general], 6) == \
@@ -474,7 +491,7 @@ def test_permutation_constraint_writes_its_rows_when_read():
     diag_a, diag_b = [{0: F(2)}, {1: F(3)}, {2: F(5)}], [{0: F(2)}, {1: F(7)}]
     gen_a = [{0: F(1)}, {0: F(2), 1: F(2)}, {0: F(4), 2: F(1)}]
     gen_b = [{0: F(1), 1: F(3)}, {1: F(-2)}]
-    first, later = (intertwiner_constraint(RATIONAL, x, y, 3, 2)
+    first, later = (IntertwinerConstraint(RATIONAL, x, y, 3, 2)
                     for x, y in ((diag_a, diag_b), (gen_a, gen_b)))
     assert first.pairs is None and later.pairs is None
     assert first.nrows == later.nrows == 6
@@ -492,12 +509,16 @@ def test_permutation_constraint_writes_its_rows_when_read():
 def test_intertwiner_constraint_needs_square_matrices():
     one, two = from_matrix(rmat([[1]])), from_matrix(rmat([[1], [2]]))
     with pytest.raises(DimensionMismatch):  # column 1 of a 1 x 1 matrix
-        intertwiner_constraint(RATIONAL, from_matrix(rmat([[1, 2]])), one,
-                               1, 1)
+        IntertwinerConstraint(RATIONAL, from_matrix(rmat([[1, 2]])), one,
+                              1, 1)
     with pytest.raises(DimensionMismatch):  # 2 rows for a 1 x 1 matrix
-        intertwiner_constraint(RATIONAL, one, two, 1, 1)
+        IntertwinerConstraint(RATIONAL, one, two, 1, 1)
     with pytest.raises(DimensionMismatch):  # column -1
-        intertwiner_constraint(RATIONAL, one, [{-1: RATIONAL.one()}], 1, 1)
+        IntertwinerConstraint(RATIONAL, one, [{-1: RATIONAL.one()}], 1, 1)
+    with pytest.raises(DimensionMismatch,
+                       match="constraint has 1 columns, expected 2"):
+        kernel_intersection(
+            RATIONAL, [IntertwinerConstraint(RATIONAL, one, one, 1, 1)], 2)
 
 
 def test_cyclotomic_elimination():
