@@ -7,7 +7,8 @@ The list covers:
 * ``indicator`` on every builtin (module, twist, method), with and without
   ``--json``;
 * ``qsl2`` for 2l = 0..10 with ``--max 10``, twisted or not, with and
-  without ``--json``;
+  without ``--json``, and for 2l = 16 and 20 with ``--max 20 --json``,
+  twisted or not;
 * ``indicator --json`` on the ``regular`` benchmark documents of seed 1,
   and ``indicator`` with and without ``--json`` on the regular module of
   S4;
@@ -39,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CORPUS = Path(__file__).resolve().parent / "golden_corpus.json.gz"
 REGULAR_SEED = 1
 QSL2_MAX = 10
+QSL2_LARGE = (16, 20)
 DIR = "<dir>"
 
 sys.path.insert(0, str(ROOT / "bench"))
@@ -133,6 +135,10 @@ def commands(workdir):
         for twisted in ((), ("--twisted",)):
             argv = ["qsl2", str(two_ell), "--max", str(QSL2_MAX), *twisted]
             out += [argv, argv + ["--json"]]
+    for two_ell in QSL2_LARGE:
+        for twisted in ((), ("--twisted",)):
+            out.append(["qsl2", str(two_ell), "--max", str(max(QSL2_LARGE)),
+                        "--json", *twisted])
     plan = workloads.make_plan("regular", REGULAR_SEED, workdir)
     out += [c["argv"] for commands in plan["passes"] for c in commands]
     s4 = _write(workdir, "S4-reg.json", workloads.regular_document(
