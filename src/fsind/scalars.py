@@ -392,7 +392,14 @@ def _trim(cs):
 
 
 def _zmul(a, b):
-    """Product of two nonzero polynomials."""
+    """Product of two nonzero polynomials.  A product by a monomial
+    c q^k, whose only nonzero coefficient is its last, is the other factor
+    shifted up k places and scaled by c, with no convolution."""
+    if not any(b[:-1]):
+        a, b = b, a
+    if not any(a[:-1]):
+        c, shift = a[-1], [0] * (len(a) - 1)
+        return shift + (list(b) if c == 1 else [c * x for x in b])
     out = [0] * (len(a) + len(b) - 1)
     for j, bj in enumerate(b):
         if bj:
@@ -581,8 +588,13 @@ def _exponent(n, d):
 
 def _shifted(x, c, k):
     """x * c q^k for a nonzero RatFun x, without a gcd (see RatFun)."""
+    xc = x._c
+    if c != 1:
+        xc = c if xc == 1 else xc * c
+    if not k:
+        return _new_ratfun(xc, x._n, x._d)
     n, d = (0,) * k + x._n, (0,) * -k + x._d  # one of the two shifts is ()
-    return _new_ratfun(x._c * c, *_without_common_q(n, d))
+    return _new_ratfun(xc, *_without_common_q(n, d))
 
 
 class RatFun:
@@ -596,7 +608,13 @@ class RatFun:
     by a Laurent monomial c q^k, a constant when k = 0, needs no gcd: n
     (k > 0) or d (k < 0) times q^|k| stays primitive with the same leading
     coefficient, and coprime to the other side once their common power of
-    q is divided out, since n/d had none.
+    q is divided out, since n/d had none.  When c or the other constant is
+    1 the constants are not multiplied, and when k = 0 n and d are kept as
+    they are.  In any other product a numerator equal to the other
+    factor's denominator cancels before the gcd (Henrici's
+    cross-cancellation, Knuth, TAOCP vol. 2, 4.5.1); the gcd still runs
+    on what is left, since the remaining numerator and denominator may
+    share a factor.
     """
 
     __slots__ = ("_c", "_n", "_d")
@@ -671,8 +689,12 @@ class RatFun:
             k = _exponent(m._n, m._d)
             if k is not None:
                 return _shifted(x, m._c, k)
-        return _ratfun(self._c * o._c, _zmul(self._n, o._n),
-                       _zmul(self._d, o._d))
+        n1, d1, n2, d2 = self._n, self._d, o._n, o._d
+        if n1 == d2:  # cross-cancellation: a factor seen on both sides
+            n1 = d2 = (1,)
+        if n2 == d1:
+            n2 = d1 = (1,)
+        return _ratfun(self._c * o._c, _zmul(n1, n2), _zmul(d1, d2))
 
     __rmul__ = __mul__
 

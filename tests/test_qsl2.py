@@ -114,8 +114,19 @@ def conjugated(m, r, c, x):
 @example(QslModule(two_ell=1, K=from_matrix(Matrix.identity(TAG, 2)),
                    Kinv=from_matrix(Matrix.identity(TAG, 2)),
                    E=[{}, {}], F=[{}, {}]))
+# E scaled by q - q^-1: [E, F] = K - K^-1 exactly, off by that factor
+@example(dataclasses.replace(
+    build_vl(3), E=[{j: (Q - Q ** -1) * x for j, x in r.items()}
+                    for r in build_vl(3).E]))
+# K^-1 replaced by K
+@example(dataclasses.replace(build_vl(2), Kinv=build_vl(2).K))
 def test_relations_match_the_dense_products(m):
     assert verify_relations(m) == qsl2_violations_by_dense_products(m)
+
+
+def test_relations_hold_past_the_bound():
+    for two_ell in range(9, 25):
+        assert verify_relations(build_vl(two_ell)) == [], two_ell
 
 
 def test_negative_weight_is_rejected():

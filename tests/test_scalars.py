@@ -23,12 +23,12 @@ from fsind.scalars import (
     parse_scalar,
     scalar_to_string,
     _cyclotomic,
+    _exponent,
     _fold,
     _gcd_heu,
     _poly_string,
     _primitive,
     _prs_gcd,
-    _ratfun,
     _trim,
     _zmul,
 )
@@ -512,15 +512,66 @@ def laurent_monomial(c, k):
        st.integers(-12, 12))
 @example(RatFun((1,), (0, 1)), F(1), 1)
 @example(RatFun((0, 0, 1), (1, 1)), F(-3, 2), -1)
+# constants 1 on both sides, and products by a constant: no shift at all
+@example(RatFun((1, 1), (2, 1)), F(1), 0)
+@example(RatFun((F(3, 2), 3), (1, 0, 1)), F(-1), 0)
+# one constant 1 and the other not, on either side
+@example(RatFun((F(3, 2), 3), (1, 0, 1)), F(1), 0)
+@example(RatFun((1, 1), (2, 1)), F(-2, 5), 2)
 def test_a_product_by_a_monomial_is_the_general_product(x, c, k):
     assume(x and c)
     m = laurent_monomial(c, k)
     n, d = ((0,) * k + (1,), (1,)) if k >= 0 else ((1,), (0,) * -k + (1,))
     assert _triple(m) == (c, n, d)
-    general = _ratfun(x._c * m._c, _zmul(x._n, m._n), _zmul(x._d, m._d))
+    general = RatFun(poly_mul(x.num, m.num), poly_mul(x.den, m.den))
     for product in (x * m, m * x):
         assert _triple(product) == _triple(general)
         assert_canonical(product)
+
+
+# a nonzero constant term and at least one more term: never a monomial
+binomial_polys = st.builds(lambda c, cs: (c,) + tuple(cs),
+                           small_fractions.filter(bool), nonzero_polys)
+
+
+@st.composite
+def cross_cancelling_pairs(draw):
+    """(x, y), neither a Laurent monomial, with y's numerator equal to x's
+    denominator as stored. x's numerator and y's denominator are both built
+    with the factor h, which survives in x unless x's denominator shares
+    it."""
+    h = draw(st.one_of(st.just((F(1),)), binomial_polys))
+    x = RatFun(poly_mul(draw(binomial_polys), h), draw(binomial_polys))
+    c = draw(small_fractions.filter(bool))
+    y = RatFun(tuple(c * v for v in x._d), poly_mul(draw(binomial_polys), h))
+    assume(y._n == x._d)
+    assume(_exponent(x._n, x._d) is None and _exponent(y._n, y._d) is None)
+    return x, y
+
+
+@given(cross_cancelling_pairs())
+# (q^2 + 3q + 2)/(q + 3) times (q + 3)/(q + 1): q + 1 is left to cancel
+@example((RatFun((2, 3, 1), (3, 1)), RatFun((3, 1), (1, 1))))
+# (q + 1)/(2q + 6) times (q + 3)/(q + 1): both sides cancel, 1/2 is left
+@example((RatFun((1, 1), (6, 2)), RatFun((3, 1), (1, 1))))
+def test_a_cross_cancelled_product_is_the_general_product(pair):
+    x, y = pair
+    general = RatFun(poly_mul(x.num, y.num), poly_mul(x.den, y.den))
+    for product in (x * y, y * x):
+        assert _triple(product) == _triple(general)
+        assert_canonical(product)
+
+
+int_monomials = st.builds(lambda k, c: (0,) * k + (c,), st.integers(0, 6),
+                          st.integers(-9, 9).filter(bool))
+
+
+@given(int_polys, int_monomials)
+@example([3, 0, -1], (1,))
+@example([3, 0, -1], (0, 0, -2))
+def test_an_integer_product_by_a_monomial_is_the_schoolbook_product(a, m):
+    expected = [int(v) for v in poly_mul(tuple(map(F, a)), tuple(map(F, m)))]
+    assert _zmul(a, m) == _zmul(m, a) == expected
 
 
 laurent_polys = st.builds(lambda n, a: RatFun(n, (0,) * a + (1,)),
