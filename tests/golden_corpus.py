@@ -12,6 +12,10 @@ The list covers:
 * ``indicator --json`` on the ``regular`` benchmark documents of seed 1,
   and ``indicator`` with and without ``--json`` on the regular module of
   S4;
+* ``table --json`` on S3 with a top-level ``trace_form`` of 2 delta_e,
+  of zeros and of delta_r (r not central), and with a top-level
+  ``integral`` of delta_e, so that each rebuilds the algebra the group
+  constructor made;
 * the malformed inputs that tests/test_cli.py builds, and usage errors.
 
 Documents are written into a scratch directory, whose path each output
@@ -115,6 +119,20 @@ def _malformed(workdir):
     return paths
 
 
+def _overridden():
+    """S3 documents whose top-level trace_form or integral replaces the one
+    group_algebra builds, by file name."""
+    def delta(k, x="1"):
+        return [x if i == k else "0" for i in range(6)]
+
+    edits = (("trace_form", "2e", delta(0, "2")),
+             ("trace_form", "zero", delta(0, "0")),
+             ("trace_form", "r", delta(1)),
+             ("integral", "e", delta(0)))
+    return {"s3-%s-%s.json" % (key, tag): _mutated("S3", _set(key, value=v))
+            for key, tag, v in edits}
+
+
 def commands(workdir):
     """The command list, writing the documents it reads into workdir."""
     out = []
@@ -145,6 +163,8 @@ def commands(workdir):
         "S4-reg", "rational", [list(row) for row in s4_table().table]))
     out += [["indicator", s4, "--module", "reg"],
             ["indicator", s4, "--module", "reg", "--json"]]
+    out += [["table", _write(workdir, name, raw), "--json"]
+            for name, raw in _overridden().items()]
     for path in _malformed(workdir):
         out += [["check", path], ["table", path, "--json"]]
     out += [[], ["indicator"], ["qsl2", "9"], ["nonesuch"],
