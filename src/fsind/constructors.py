@@ -10,20 +10,26 @@ form; schemes get the delta-at-0 trace form and the Doi star/valency data.
 
 A group or scheme constructor checks its input (the Cayley table, the relation
 axioms), and those checks imply the pivotal axioms of what it builds. A
-group algebra also hands over its separability idempotent
-E = (1/|G|) sum_g g^-1 (x) g, which the table's checks prove separable, so
-formulas.hopf_integral_idempotent returns it without re-proving it.
+group algebra also hands over what the table's checks prove, each built by
+index with no field product: its separability idempotent
+E = (1/|G|) sum_g g^-1 (x) g, which formulas.hopf_integral_idempotent
+returns without re-proving it; the separability route's element
+(1/|G|) sum_g g^2, which formulas.fs_via_separability reads for that E;
+and the dual basis b_g-dual = g^-1 of phi = delta_e with its volume |G| e,
+which formulas.symmetric_form_data returns without the Gram elimination.
 dualize_coalgebra checks nothing: C is copivotal exactly when its dual
 passes pivotal.validate_pivotal, the one checker of the pivotal axioms.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import getitem
 
-from .formulas import _attach_idempotent
+from .formulas import SymmetricFormData, _attach_idempotent
 from .linalg import _transpose
 from .pivotal import (
     GroupLikeData,
@@ -131,10 +137,11 @@ def validate_cayley_table(ct: CayleyTable):
             return ["row %d has length %d, expected %d" % (i, len(row), n)]
         if any(not isinstance(x, int) or not 0 <= x < n for x in row):
             return ["row %d contains an out-of-range entry" % i]
-    for i in range(n):
-        if sorted(ct.table[i]) != list(range(n)):
+    full = list(range(n))
+    for i, (row, col) in enumerate(zip(ct.table, zip(*ct.table))):
+        if sorted(row) != full:
             bad.append("row %d is not a permutation" % i)
-        if sorted(ct.table[j][i] for j in range(n)) != list(range(n)):
+        if sorted(col) != full:
             bad.append("column %d is not a permutation" % i)
     try:
         ct.identity()
@@ -156,7 +163,8 @@ def validate_cayley_table(ct: CayleyTable):
 
 def perm_columns(tag: FieldTag, perm):
     """Sparse columns of the map sending b_j to b_perm[j]."""
-    return [{i: tag.one()} for i in perm]
+    one = tag.one()
+    return [{i: one} for i in perm]
 
 
 def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
@@ -167,7 +175,8 @@ def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
     e = ct.identity()
     one = tag.one()
     labels = tuple(labels) if labels else tuple("g%d" % i for i in range(n))
-    mult = {(i, j): ((ct.table[i][j], one),) for i in range(n) for j in range(n)}
+    mult = {(i, j): ((k, one),) for i, row in enumerate(ct.table)
+            for j, k in enumerate(row)}
     z = tag.zero()
     unit = {e: one}
     nth = tag.coerce(Fraction(1, n))
@@ -186,10 +195,16 @@ def group_algebra(ct: CayleyTable, tag: FieldTag, labels=None, name="kG"):
         name=name,
         generators=ct.generators(),
     )
-    # E = (1/n) sum_j g_j^-1 (x) g_j, terms in the order of
-    # hopf_integral_idempotent: the table being a group proves it separable
+    # The table being a group proves E = (1/n) sum_j g_j^-1 (x) g_j
+    # separable (terms in the order of hopf_integral_idempotent), its
+    # element (1/n) sum_j g_j^2, counted on the diagonal, and the dual basis
+    # g_j^-1 of phi = delta_e with volume n e: all built by index.
+    inv, squares = ct._inverses, Counter(map(getitem, ct.table, range(n)))
     return _attach_idempotent(
-        A, [({ct._inverses[j]: nth}, {j: one}) for j in range(n)])
+        A, [({inv[j]: nth}, {j: one}) for j in range(n)],
+        {k: tag.coerce(Fraction(c, n)) for k, c in squares.items()},
+        SymmetricFormData([{inv[j]: one} for j in range(n)],
+                          {e: tag.coerce(n)}))
 
 
 def group_involution(ct: CayleyTable, perm, tag: FieldTag):

@@ -18,8 +18,12 @@ S(x') g x'' is the indicator element (Linchenko-Montgomery,
 Kashina-Sommerhaeuser-Zhu) with the pivotal g; it does not depend on V.
 Each route builds its own once per algebra from its own input, and each
 module computes chi_V on the basis once (ModuleRep.character_on_basis), so
-a cell costs one evaluation. The integral is checked on generators, and
-not at all for a group algebra, whose constructor hands E over.
+a cell costs one evaluation. The integral is checked on generators. A
+group algebra's constructor hands over what its Cayley table proves, so
+none of it is derived here: E, the separability element (1/|G|) sum g^2
+of that E, and the symmetric data of phi = delta_e (dual basis
+b_g-dual = g^-1, volume |G| e). Each is read only while A holds the
+fields it came with (_attach_idempotent).
 
 Every product is PivotalAlgebra.multiply on sparse elements, and module
 matrices are read as the sparse rows they are stored in. The data follow
@@ -38,12 +42,14 @@ No route takes a twist. Each reads S and g from the pivotal algebra it is
 given, so the twisted value nu^tau comes from passing
 pivotal.twist_algebra(A, T) = (A, S o tau, g). E (which uses the
 untwisted S) and the symmetric data do not depend on the twist and are
-computed once from A; each twisted algebra builds its own elements.
+computed once from A; each twisted algebra builds its own elements, as
+the element handed over with E holds for A's S alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, is_
 
 from .linalg import SparseRows, _back_substitute, _pivots, _transpose, rank
 from .pivotal import (
@@ -133,21 +139,42 @@ def validate_separability(A: PivotalAlgebra, E: SeparabilityIdempotent):
     return bad
 
 
-def _idempotent_sources(A: PivotalAlgebra):
-    """The fields a handed-over idempotent was built from."""
-    return (A.mult, A.S, A.comult, A.counit, A.integral)
+# the fields of A each handed-over object was built from, by its key
+_HANDOVER_SOURCES = {
+    "_separability_idempotent": attrgetter("mult", "S", "comult", "counit",
+                                           "integral"),
+    "_separability_element": attrgetter("mult", "S", "g"),
+    "_symmetric_form_data": attrgetter("mult", "trace_form"),
+}
 
 
-def _attach_idempotent(A: PivotalAlgebra, terms):
-    """Attach E = sum u (x) v over the sparse terms to A, for a constructor
-    whose checked input already proves E separable (group_algebra: E is
-    (1/|G|) sum_g g^-1 (x) g once the Cayley table is a group). Like the
-    cache of _element it lives in A.__dict__, not in a field, and it is
-    read only while A still holds the mult, S, comult, counit and integral
-    objects it came with: replace(), twists and a document's top-level
-    integral, counit or comult overrides all start without it."""
-    A.__dict__["_separability_idempotent"] = (
-        _idempotent_sources(A), SeparabilityIdempotent(terms))
+def _handed_over(A: PivotalAlgebra, key):
+    """The object a constructor attached to A under key, while A still
+    holds the field objects it came with; None otherwise."""
+    given = A.__dict__.get(key)
+    if given is not None and all(map(is_, _HANDOVER_SOURCES[key](A),
+                                     given[0])):
+        return given[1]
+    return None
+
+
+def _attach_idempotent(A: PivotalAlgebra, terms, element, data):
+    """Attach to A what a constructor's checked input already proves, for
+    group_algebra once the Cayley table is a group: the separability
+    idempotent E = sum u (x) v over the sparse terms, which is
+    (1/|G|) sum_g g^-1 (x) g; its element sum S(u) g v, which is
+    (1/|G|) sum_g g^2; and the SymmetricFormData of the trace form, whose
+    dual basis is b_g-dual = g^-1 and volume |G| e. Like the cache of
+    _element they live in A.__dict__, not in fields, and each is read
+    (_handed_over) only while A still holds the field objects it was built
+    from (_HANDOVER_SOURCES), the element only for that E: replace(),
+    twists and a document's top-level integral, counit, comult or
+    trace_form overrides all start without them."""
+    E = SeparabilityIdempotent(terms)
+    for key, value in (("_separability_idempotent", E),
+                       ("_separability_element", (E, element)),
+                       ("_symmetric_form_data", data)):
+        A.__dict__[key] = (_HANDOVER_SOURCES[key](A), value)
     return A
 
 
@@ -160,10 +187,9 @@ def hopf_integral_idempotent(A: PivotalAlgebra):
 
     An E its constructor handed over (_attach_idempotent) is returned as
     it is, with no check: the constructor's own checks imply this one."""
-    given = A.__dict__.get("_separability_idempotent")
-    if given is not None and all(
-            x is y for x, y in zip(given[0], _idempotent_sources(A))):
-        return given[1]
+    given = _handed_over(A, "_separability_idempotent")
+    if given is not None:
+        return given
     if A.comult is None or A.counit is None:
         raise MissingData("separability from an integral needs comult and counit")
     if A.integral is None:
@@ -222,10 +248,19 @@ def _element(A: PivotalAlgebra, route, source, build):
     return entry[1]
 
 
+def _separability_element(A: PivotalAlgebra, E: SeparabilityIdempotent):
+    """S(E') g E'': the element handed over with E when A is the algebra E
+    came with (_attach_idempotent), else the sum over its terms."""
+    given = _handed_over(A, "_separability_element")
+    if given is not None and given[0] is E:
+        return given[1]
+    return _casimir_element(A, E.terms)
+
+
 def fs_via_separability(A: PivotalAlgebra, V: ModuleRep,
                         E: SeparabilityIdempotent):
     """nu(V) = chi_V(S(E') g E'')."""
-    w = _element(A, "separability", E, lambda: _casimir_element(A, E.terms))
+    w = _element(A, "separability", E, lambda: _separability_element(A, E))
     return _evaluate(A.tag, V.character_on_basis, w)
 
 
@@ -278,7 +313,14 @@ def symmetric_form_data(A: PivotalAlgebra):
     off A.mult as sparse rows, and the dual basis from the rows of G^-1, G
     being symmetric. The rows [e_i | G_i] are eliminated, each pivoting at
     its last nonzero column: reduced, the row pivoting at n + k is
-    [row k of G^-1 | e_k], and a pivot below n means G is singular."""
+    [row k of G^-1 | e_k], and a pivot below n means G is singular.
+
+    Data a constructor handed over (_attach_idempotent) are returned as
+    they are, with no check, while A holds the mult and trace_form they
+    came with: the constructor's own checks imply these."""
+    given = _handed_over(A, "_symmetric_form_data")
+    if given is not None:
+        return given
     if A.trace_form is None:
         raise MissingData("no trace form attached to %s" % A.name)
     n, phi, one = A.dim, A.trace_form, A.tag.one()

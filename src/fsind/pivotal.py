@@ -418,18 +418,47 @@ def invariant_form_space(A: PivotalAlgebra, V: ModuleRep):
                          for v in _forms(A.tag, *_presentation(A, V), d)])
 
 
+def _class_columns(pg, forms, one):
+    """The columns of _transposition by index, when R(g) is the permutation
+    pg and the forms are union-find classes (linalg._classes): every entry
+    is one and no two supports overlap. None for any other forms.
+
+    The image of a class is a set of cells, (r, k) going to (pg(k), r). It
+    lies in the span exactly when every image cell is in some class and
+    its size is the sum of those classes' sizes; its column is then 1 at
+    each of those classes."""
+    d, owner = len(pg), {}
+    for k, v in enumerate(forms):
+        for j, x in v:
+            if j in owner or x != one:
+                return None
+            owner[j] = k
+    cols = []
+    for v in forms:
+        hit = {owner.get(pg[j % d] * d + j // d) for j, _ in v}
+        if None in hit or sum(len(forms[k]) for k in hit) != len(v):
+            raise ValidationError(["transposed form outside the form span"])
+        cols.append(dict.fromkeys(sorted(hit), one))
+    return cols
+
+
 def _transposition(tag, rg, forms):
     """Sparse columns of M -> R(g)^T M^T in the canonical sparse basis forms.
 
-    The image is built by index arithmetic: each nonzero M[r][k] = x adds
+    When R(g) is a permutation and the forms are union-find classes, as for
+    a permutation module, _class_columns decides it by index. Otherwise the
+    image is built by index arithmetic: each nonzero M[r][k] = x adds
     R(g)[k][i] x at cell (i, r), over the nonzeros of row k of R(g); when
     R(g) is a permutation, x just moves to cell (pg(k), r). An image's
     coordinates are its entries at the forms' pivots; if those do not
     recombine to it, the input data was inconsistent and ValidationError
     names the check.
     """
-    d = len(rg)
-    pg = _permutation(rg, tag.one())
+    d, one = len(rg), tag.one()
+    pg = _permutation(rg, one)
+    cols = None if pg is None else _class_columns(pg, forms, one)
+    if cols is not None:
+        return cols
     rg_rows = [[(i * d, y) for i, y in row.items()] for row in rg]
     pivots = [v[0][0] for v in forms]
     cols = []

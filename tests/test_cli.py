@@ -789,6 +789,18 @@ def test_console_script():
     assert run_script_target("qsl2", "9").returncode == 2
 
 
+def test_python_m_fsind_matches_the_entry_point():
+    argv = ("qsl2", "0", "--json")
+    module = subprocess.run([sys.executable, "-m", "fsind", *argv],
+                            capture_output=True)
+    script = run_script_target(*argv)
+    assert module.returncode == script.returncode == 0, module.stderr
+    assert module.stdout == script.stdout and module.stderr == script.stderr
+    failing = subprocess.run([sys.executable, "-m", "fsind", "qsl2", "9"],
+                             capture_output=True)
+    assert failing.returncode == 2 and failing.stderr
+
+
 @pytest.mark.skipif(shutil.which("fsind") is None,
                     reason="no fsind script on PATH; pip install -e . adds one")
 def test_installed_script_matches_entry_point():

@@ -4,12 +4,14 @@ import collections
 import dataclasses
 import functools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fsind.constructors import (
+    CayleyTable,
     builtin_document,
     builtin_names,
     cyclic_table,
@@ -189,6 +191,103 @@ def test_edited_algebras_take_the_full_check(separability_checks):
     raw = dict(doc, integral=["1", "0", "0"])
     with pytest.raises(NotAnIntegral):
         hopf_integral_idempotent(document_from_dict(raw).algebra)
+
+
+def relabelled_group_algebras(seeds=(1, 2, 3)):
+    """The group algebras above but S5, each under a seeded relabelling of
+    its elements."""
+    out = {}
+    for seed in seeds:
+        rng = random.Random(seed)
+        for name, A in group_algebras().items():
+            if A.dim > 24:
+                continue
+            perm = list(range(A.dim))
+            rng.shuffle(perm)
+            table = [[0] * A.dim for _ in range(A.dim)]
+            for (i, j), ((k, _),) in A.mult.items():
+                table[perm[i]][perm[j]] = perm[k]
+            out["%s/%d" % (name, seed)] = group_algebra(
+                CayleyTable(tuple(map(tuple, table))), A.tag)
+    return out
+
+
+HANDOVER_KEYS = ("_separability_idempotent", "_separability_element",
+                 "_symmetric_form_data")
+
+
+@pytest.fixture
+def general_work(monkeypatch):
+    """Calls of the Gram elimination (formulas._pivots) and of the general
+    separability element (formulas._casimir_element), by name."""
+    calls = collections.Counter()
+    for name in ("_pivots", "_casimir_element"):
+        def counted(*args, _name=name, _f=getattr(formulas, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(formulas, name, counted)
+    return calls
+
+
+def test_handed_over_data_match_the_general_work(general_work):
+    """On every group algebra and relabelling, the handed-over dual basis
+    and volume are those of the Gram elimination on replace(A), and the
+    handed-over element is sum S(u) g v over the terms of E; reading them
+    runs neither."""
+    algebras = {**group_algebras(), **relabelled_group_algebras()}
+    assert len(algebras) == 10 + 3 * 9
+    for name, A in algebras.items():
+        data, E = symmetric_form_data(A), hopf_integral_idempotent(A)
+        element = formulas._separability_element(A, E)
+        assert symmetric_form_data(A) is data, name
+        assert general_work == {}, name
+        assert data == symmetric_form_data(dataclasses.replace(A)), name
+        assert element == formulas._casimir_element(A, E.terms), name
+        assert general_work == {"_pivots": 1, "_casimir_element": 1}, name
+        general_work.clear()
+
+
+def test_rebuilt_algebras_never_read_the_handover(general_work):
+    """A twist, replace(), fields assigned in place and a document's
+    top-level trace_form or integral all build the symmetric data and the
+    separability element afresh, and the values are those of the sums."""
+    doc = builtin_document("C3-inv")
+    A = load("C3-inv").algebra
+    V = load("C3-inv").modules["chi1"]
+    E = hopf_integral_idempotent(A)
+    At = twist_algebra(A, A.involutions["inv"])
+    assert fs_via_separability(At, V, E) == A.tag.one()
+    assert general_work == {"_casimir_element": 1}
+    general_work.clear()
+    in_place = {}
+    for field, copy in (("S", list), ("g", dict),
+                        ("trace_form", lambda phi: tuple(list(phi)))):
+        B = in_place[field] = load("C3-inv").algebra
+        setattr(B, field, copy(getattr(B, field)))  # equal, not the same
+    # what each rebuilt algebra no longer reads
+    cases = [
+        (dataclasses.replace(A), HANDOVER_KEYS),
+        (in_place["S"], HANDOVER_KEYS[:2]),
+        (in_place["g"], HANDOVER_KEYS[1:2]),
+        (in_place["trace_form"], HANDOVER_KEYS[2:]),
+        (document_from_dict(dict(doc, trace_form=["1", "0", "0"])).algebra,
+         HANDOVER_KEYS),
+        (document_from_dict(dict(doc, integral=["1/3"] * 3)).algebra,
+         HANDOVER_KEYS),
+    ]
+    chi = V.character_on_basis
+    for k, (B, dropped) in enumerate(cases):
+        assert tuple(key for key in HANDOVER_KEYS
+                     if formulas._handed_over(B, key) is None) == dropped, k
+        assert symmetric_form_data(B) == symmetric_form_data_by_products(B)
+        for source in (E, hopf_integral_idempotent(B)):
+            assert fs_via_separability(B, V, source) == \
+                casimir_sum(B, chi, source.terms), k
+        # A's E is never B's, so its element is always built
+        assert general_work == collections.Counter({
+            "_pivots": "_symmetric_form_data" in dropped,
+            "_casimir_element": 1 + ("_separability_element" in dropped)}), k
+        general_work.clear()
 
 
 def idempotent_outcome(build, A):

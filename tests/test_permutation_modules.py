@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from fsind import linalg
+from fsind import linalg, pivotal
 from fsind.constructors import (
     CayleyTable,
     builtin_document,
@@ -31,6 +31,7 @@ from fsind.documents import document_from_dict
 from fsind.formulas import fs_via_separability, hopf_integral_idempotent
 from fsind.pivotal import (
     ModuleRep,
+    ValidationError,
     fs_indicator,
     regular_module,
     twist_algebra,
@@ -348,3 +349,133 @@ def test_index_path_needs_a_unit_structure_constant():
                 assert "module %r: action breaks at (%d, %d)" % (
                     V.name, i, i) in bad, (name, key)
                 assert bad == module_violations_by_sparse_products(B, V)
+
+
+# --- the transposition by index -----------------------------------------------
+
+def outcome(f, *args):
+    """f(*args), or the violations of the ValidationError it raised."""
+    try:
+        return f(*args)
+    except ValidationError as e:
+        return e.violations
+
+
+def general_outcome(monkeypatch, tag, rg, forms):
+    """The outcome of pivotal._transposition with the index path off."""
+    with monkeypatch.context() as m:
+        m.setattr(pivotal, "_class_columns", lambda *args: None)
+        return outcome(pivotal._transposition, tag, rg, forms)
+
+
+def permutation_g_pairs():
+    """(key, At, V, whether V is a permutation module of a group) for each
+    builtin (module, twist) pair, the regular module included, and for each
+    k[G/H] above under each twist."""
+    for name in builtin_names():
+        doc = document_from_dict(builtin_document(name))
+        A = doc.algebra
+        for tau, T in [(None, None)] + list(A.involutions.items()):
+            At = twist_algebra(A, T)
+            for V in doc.modules.values():
+                yield (name, tau, V.name), At, V, False
+            yield (name, tau, "reg"), At, regular_module(At), \
+                doc.kind == "group"
+    for name, (ct, A) in groups().items():
+        for tau, At, _ in twists(A):
+            for key, V in permutation_modules(ct, At).items():
+                yield (name, tau, key), At, V, True
+
+
+def forms_of(At, V):
+    """(R(g), its permutation or None, the canonical form basis), as
+    fs_indicator computes them."""
+    rg = V.of_vector(At.g)
+    forms = pivotal._forms(At.tag, *pivotal._presentation(At, V), V.dim)
+    return rg, linalg._permutation(rg, At.tag.one()), forms
+
+
+def test_transposition_by_index_matches_the_general_path(monkeypatch):
+    """On every pair whose R(g) is a permutation, the columns are those of
+    the general path. Every regular module and k[G/H] takes the index
+    path, and so does every 1-dimensional builtin module."""
+    taken = collections.Counter()
+    for key, At, V, permutation_module in permutation_g_pairs():
+        rg, pg, forms = forms_of(At, V)
+        if pg is None:
+            continue
+        general = general_outcome(monkeypatch, At.tag, rg, forms)
+        by_index = pivotal._class_columns(pg, forms, At.tag.one())
+        taken[by_index is not None] += 1
+        if permutation_module or V.dim == 1:
+            assert by_index is not None, key
+        assert by_index in (None, general), key
+        assert pivotal._transposition(At.tag, rg, forms) == general, key
+    # the general path: S3's std, Q8's twodim and the two schemes' regular
+    # modules, whose forms are not classes
+    assert taken == {True: 107, False: 4}
+
+
+def reshaped(forms, kind):
+    """forms, still union-find classes, changed by kind: the last cell of
+    the last class of two or more cells moved to the next class, that
+    class split in two, or the last class dropped."""
+    k = max(i for i, v in enumerate(forms) if len(v) > 1)
+    out = [list(v) for v in forms]
+    if kind == "moved":
+        nxt = (k + 1) % len(out)
+        out[nxt] = sorted(out[nxt] + [out[k].pop()])
+    elif kind == "split":
+        out[k:k + 1] = [out[k][:1], out[k][1:]]
+    else:
+        out.pop()
+    return sorted(out)
+
+
+def test_transposition_by_index_matches_the_general_path_on_reshaped_classes(
+        monkeypatch):
+    """Reshaped classes still take the index path, and both paths give the
+    same columns or the same ValidationError."""
+    raised = collections.Counter()
+    for name, (ct, A) in groups().items():
+        if name == "S4":
+            continue
+        for tau, At, _ in twists(A):
+            for key, V in permutation_modules(ct, At).items():
+                rg, pg, forms = forms_of(At, V)
+                if all(len(v) == 1 for v in forms):
+                    continue
+                for kind in ("moved", "split", "dropped"):
+                    mutant = reshaped(forms, kind)
+                    got = outcome(pivotal._class_columns, pg, mutant,
+                                  At.tag.one())
+                    assert got is not None
+                    assert got == general_outcome(
+                        monkeypatch, At.tag, rg, mutant), (name, tau, key)
+                    raised[kind, isinstance(got[0], str)] += 1
+    # a moved cell always breaks the span; a split class keeps it when its
+    # two pieces are each other's transposes (cells (0, 1) and (1, 0) when
+    # d = 2), and a dropped class when only itself maps into it
+    assert raised == {("moved", True): 30, ("split", True): 22,
+                      ("split", False): 8, ("dropped", True): 11,
+                      ("dropped", False): 19}
+
+
+@pytest.mark.parametrize("classes, pg", [
+    # cells 0..3 of a 2 x 2 matrix; with R(g) = I the transpose swaps 1, 2
+    ([[0], [1], [2, 3]], [0, 1]),   # {1} sent into a class of another size
+    ([[0], [1, 3], [2]], [0, 1]),   # {1, 3} split across two classes
+    ([[0, 1], [2], [3]], [0, 1]),   # sizes 2 + 1 against an image of 2
+    ([[0], [1]], [0, 1]),           # {1} sent to a cell in no class
+    ([[0], [1, 2], [3]], [1, 0]),   # R(g) swaps the basis: {0} goes to {2}
+])
+def test_transposition_by_index_rejects_an_image_outside_the_span(
+        monkeypatch, classes, pg):
+    one = RATIONAL.one()
+    forms = [[(j, one) for j in v] for v in classes]
+    rg = [{c: one} for c in pg]
+    with pytest.raises(ValidationError,
+                       match="transposed form outside the form span"):
+        pivotal._class_columns(pg, forms, one)
+    assert general_outcome(monkeypatch, RATIONAL, rg, forms) == \
+        ["transposed form outside the form span"]
