@@ -368,7 +368,7 @@ def general_outcome(monkeypatch, tag, rg, forms):
         return outcome(pivotal._transposition, tag, rg, forms)
 
 
-def permutation_g_pairs():
+def module_twist_pairs():
     """(key, At, V, whether V is a permutation module of a group) for each
     builtin (module, twist) pair, the regular module included, and for each
     k[G/H] above under each twist."""
@@ -400,7 +400,7 @@ def test_transposition_by_index_matches_the_general_path(monkeypatch):
     the general path. Every regular module and k[G/H] takes the index
     path, and so does every 1-dimensional builtin module."""
     taken = collections.Counter()
-    for key, At, V, permutation_module in permutation_g_pairs():
+    for key, At, V, permutation_module in module_twist_pairs():
         rg, pg, forms = forms_of(At, V)
         if pg is None:
             continue
